@@ -2,8 +2,7 @@
 control, and the PISA-vs-Trio backend comparison."""
 
 from repro.core.config import AskConfig
-from repro.core.multirack_service import MultiRackService
-from repro.core.service import AskService
+from repro.core.service import AskService, MultiRackService
 from repro.perf.metrics import format_table
 from repro.switch.trio import TrioSwitch
 from repro.workloads.datasets import get_dataset

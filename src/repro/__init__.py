@@ -27,10 +27,9 @@ from repro.core.errors import (
     TaskStateError,
     TopologyError,
 )
-from repro.core.multirack_service import MultiRackService, TreeAskService
 from repro.core.packet import AskPacket, PacketFlag, Slot
 from repro.core.results import AggregationResult, TaskStats, reference_aggregate
-from repro.core.service import AskService
+from repro.core.service import AskService, MultiRackService, TreeAskService
 from repro.core.task import AggregationTask, TaskPhase
 from repro.core.tenancy import (
     AdmissionController,

@@ -219,7 +219,7 @@ def _run_tree_chaos(backend: str, seed: int, report_path: str | None) -> int:
 
     from repro.chaos import ChaosOrchestrator, ChaosSchedule
     from repro.chaos.schedule import ChaosEvent
-    from repro.core.multirack_service import TreeAskService
+    from repro.core.service import TreeAskService
 
     sim = backend == "sim"
     service = TreeAskService(

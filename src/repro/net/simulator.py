@@ -18,20 +18,25 @@ Per-event bookkeeping is O(1) (amortized O(log n) for the heap itself):
   event per ACK, so long lossy runs used to bloat the heap without bound),
   the heap is compacted in one O(n) pass, amortized against the cancels
   that triggered it;
-- ``run`` and ``step`` count processed events in one place
-  (``_events_processed``), so the ``max_events`` guard and the
-  ``events_processed`` property can never disagree, and a heap holding only
-  cancelled events drains instead of tripping the guard.
+- ``run`` and ``step`` dispatch through one place (``_run_entry``), so the
+  ``max_events`` guard and the ``events_processed`` property can never
+  disagree, and a heap holding only cancelled events drains instead of
+  tripping the guard.
 
-Two scheduling fast paths feed the compiled packet pipeline:
+There is one scheduling path and one drain loop.  Every push takes its
+order ticket from simulator state — a plain counter, a shard-composite
+ticket once :meth:`Simulator.enable_shard_order` set a rank, plus a
+:class:`ShardContextCall` wrap in canonical-serial mode — and every drive
+mode (``run``, ``run(until=)``, ``run(max_events=)``, ``drain_until``)
+is the same loop.  Two fast paths sit on it:
 
 - :meth:`Simulator.call_later` / :meth:`Simulator.call_at` push a bare
   ``(time, order, callback, args)`` 4-tuple — no :class:`Event` allocation,
-  no cancellation bookkeeping.  For the never-cancelled majority of events
-  (link deliveries, NIC launches, switch pipeline latency) this halves the
-  per-event cost; anything that might be cancelled (retransmit timers)
-  keeps using ``schedule``/``at``.  Orders are globally unique, so mixed
-  3- and 4-tuples never compare past the integer prefix in the heap.
+  no cancellation bookkeeping — for the never-cancelled majority of events
+  (link deliveries, NIC launches, switch pipeline latency); anything that
+  might be cancelled (retransmit timers) uses ``schedule``/``at``.  Orders
+  are globally unique, so mixed 3- and 4-tuples never compare past the
+  integer prefix in the heap.
 - events landing at exactly the current instant (``delay 0``, ``at(now)``)
   go to a same-timestamp FIFO — a burst of same-instant work never
   re-heapifies.  Ordering stays exact: a heap entry at time ``T`` was
@@ -133,11 +138,12 @@ class Event:
 class ShardContextCall:
     """Run ``callback`` with ``sim``'s shard context set to ``rank``.
 
-    The canonical-serial scheduling shadows (see
-    :meth:`Simulator.enable_serial_shard_order`) wrap every callback in
-    one of these so an executing event re-establishes its owning shard's
-    context before running; the serial boundary shim wraps cross-shard
-    deliveries a second time to re-home them to the destination shard.
+    In canonical-serial mode (see
+    :meth:`Simulator.enable_serial_shard_order`) every push wraps its
+    callback in one of these so an executing event re-establishes its
+    owning shard's context before running; the serial boundary shim wraps
+    cross-shard deliveries a second time to re-home them to the
+    destination shard.
     Equality delegates to ``(rank, callback)`` so batch-feeder identity
     checks coalesce consecutive deliveries exactly as the plain
     callbacks would.
@@ -189,6 +195,12 @@ class Simulator:
         #: before the heap (every heap entry at ``now`` predates them).
         self._now_queue: deque[tuple] = deque()
         self._order = 0
+        #: order-ticket policy, read by every push: ``None`` issues the
+        #: plain counter, a rank issues shard-composite tickets
+        #: (enable_shard_order), and the canonical-serial flag additionally
+        #: wraps each callback (enable_serial_shard_order).
+        self._shard_rank: Optional[int] = None
+        self._serial_order = False
         self._events_processed = 0
         self._live = 0  #: non-cancelled events currently queued
         self._cancelled_in_heap = 0
@@ -206,18 +218,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay_ns`` from now."""
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay_ns})")
-        # Inlined at(): a non-negative delay can never land in the past.
-        time_ns = self.now + int(delay_ns)
-        order = self._order
-        self._order = order + 1
-        event = Event(time_ns, order, callback, args)
-        event._sim = self
-        if time_ns == self.now:
-            self._now_queue.append((time_ns, order, event))
-        else:
-            heapq.heappush(self._heap, (time_ns, order, event))
-        self._live += 1
-        return event
+        return self._push_event(self.now + int(delay_ns), callback, args)
 
     def at(self, time_ns: int, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
@@ -226,16 +227,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before current time t={self.now}"
             )
-        order = self._order
-        self._order = order + 1
-        event = Event(time_ns, order, callback, args)
-        event._sim = self
-        if time_ns == self.now:
-            self._now_queue.append((time_ns, order, event))
-        else:
-            heapq.heappush(self._heap, (time_ns, order, event))
-        self._live += 1
-        return event
+        return self._push_event(time_ns, callback, args)
 
     def call_later(self, delay_ns: int, callback: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no handle, not cancellable.
@@ -247,14 +239,7 @@ class Simulator:
         """
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay_ns})")
-        time_ns = self.now + int(delay_ns)
-        order = self._order
-        self._order = order + 1
-        if time_ns == self.now:
-            self._now_queue.append((time_ns, order, callback, args))
-        else:
-            heapq.heappush(self._heap, (time_ns, order, callback, args))
-        self._live += 1
+        self._push_call(self.now + int(delay_ns), callback, args)
 
     def call_at(self, time_ns: int, callback: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`at`: no handle, not cancellable."""
@@ -263,8 +248,36 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before current time t={self.now}"
             )
+        self._push_call(time_ns, callback, args)
+
+    # The four public methods share these two helpers rather than calling
+    # each other: a tracer that wraps each public method at class level
+    # must see every push exactly once.
+    def _push_event(self, time_ns: int, callback: Callable[..., Any], args: tuple) -> Event:
         order = self._order
         self._order = order + 1
+        rank = self._shard_rank
+        if rank is not None:
+            order |= (self.now << _SHARD_TIME_SHIFT) | (rank << _SHARD_SEQ_BITS)
+            if self._serial_order:
+                callback = ShardContextCall(self, rank, callback)
+        event = Event(time_ns, order, callback, args)
+        event._sim = self
+        if time_ns == self.now:
+            self._now_queue.append((time_ns, order, event))
+        else:
+            heapq.heappush(self._heap, (time_ns, order, event))
+        self._live += 1
+        return event
+
+    def _push_call(self, time_ns: int, callback: Callable[..., Any], args: tuple) -> None:
+        order = self._order
+        self._order = order + 1
+        rank = self._shard_rank
+        if rank is not None:
+            order |= (self.now << _SHARD_TIME_SHIFT) | (rank << _SHARD_SEQ_BITS)
+            if self._serial_order:
+                callback = ShardContextCall(self, rank, callback)
         if time_ns == self.now:
             self._now_queue.append((time_ns, order, callback, args))
         else:
@@ -327,7 +340,7 @@ class Simulator:
     # Cancellation bookkeeping
     # ------------------------------------------------------------------
     def _on_cancel(self) -> None:
-        """A live in-heap event was just cancelled; compact if they dominate."""
+        """A live queued event was just cancelled; compact if they dominate."""
         self._live -= 1
         self._cancelled_in_heap += 1
         if (
@@ -343,11 +356,14 @@ class Simulator:
         Mutates the heap list in place: ``run`` holds a local reference to
         it while a callback may trigger this compaction.
         """
+        before = len(self._heap)
         self._heap[:] = [
             entry for entry in self._heap if len(entry) == 4 or not entry[2].cancelled
         ]
         heapq.heapify(self._heap)
-        self._cancelled_in_heap = 0
+        # Cancelled events on the now-queue stay queued (and counted) until
+        # the drain pops them, so subtract only what this pass removed.
+        self._cancelled_in_heap -= before - len(self._heap)
         self.compactions += 1
 
     def _run_entry(self, entry: tuple) -> bool:
@@ -398,7 +414,8 @@ class Simulator:
             return True
         while heap:
             entry = heapq.heappop(heap)
-            self.now = entry[0]
+            if len(entry) == 4 or not entry[2].cancelled:
+                self.now = entry[0]  # the clock never moves onto a cancelled event
             if self._run_entry(entry):
                 return True
         return False
@@ -416,232 +433,43 @@ class Simulator:
         heap = self._heap
         queue = self._now_queue
         heappop = heapq.heappop
-        start = self._events_processed
-        if until is None and max_events is None:
-            # The common full-drain loop, with bookkeeping inlined.  Heap
-            # entries at the current instant run before the FIFO (they hold
-            # the older order tickets); the FIFO then drains every
-            # same-instant burst without re-heapifying (its callbacks can
-            # only append to the FIFO, never to the heap at ``now``).
-            while True:
-                while heap and heap[0][0] == self.now:
-                    entry = heappop(heap)
-                    if len(entry) == 4:
-                        cb = entry[2]
-                        ob = self._open_batch
-                        if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                            self._flush_open()
-                        self._live -= 1
-                        self._events_processed += 1
-                        self._current_cb = cb
-                        cb(*entry[3])
-                        continue
-                    event = entry[2]
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    cb = event.callback
-                    ob = self._open_batch
-                    if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                        self._flush_open()
-                    self._live -= 1
-                    event._sim = None
-                    self._events_processed += 1
-                    self._current_cb = cb
-                    cb(*event.args)
-                if queue:
-                    entry = queue.popleft()
-                    if len(entry) == 4:
-                        cb = entry[2]
-                        ob = self._open_batch
-                        if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                            self._flush_open()
-                        self._live -= 1
-                        self._events_processed += 1
-                        self._current_cb = cb
-                        cb(*entry[3])
-                        continue
-                    event = entry[2]
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    cb = event.callback
-                    ob = self._open_batch
-                    if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                        self._flush_open()
-                    self._live -= 1
-                    event._sim = None
-                    self._events_processed += 1
-                    self._current_cb = cb
-                    cb(*event.args)
-                    continue
-                if self._open_batch is not None:
-                    # Flush before the clock moves: the batch's emissions
-                    # must be scheduled relative to the bucket's instant,
-                    # and may land before the next heap entry.
-                    self._flush_open()
-                    continue
-                if not heap:
-                    return
-                entry = heappop(heap)
-                if len(entry) == 4:
-                    self._live -= 1
-                    self.now = entry[0]
-                    self._events_processed += 1
-                    self._current_cb = entry[2]
-                    entry[2](*entry[3])
-                    continue
-                event = entry[2]
-                if event.cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                self._live -= 1
-                event._sim = None
-                self.now = entry[0]
-                self._events_processed += 1
-                self._current_cb = event.callback
-                event.callback(*event.args)
-        if max_events is None:
-            # Bounded drain without an event budget — the conservative-PDES
-            # window workhorse (drain_until calls this once per shard per
-            # barrier), inlined exactly like the full-drain loop above so a
-            # sharded replica pays the same per-event cost as the serial
-            # oracle.
-            assert until is not None
-            while True:
-                while heap and heap[0][0] == self.now:
-                    entry = heappop(heap)
-                    if len(entry) == 4:
-                        cb = entry[2]
-                        ob = self._open_batch
-                        if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                            self._flush_open()
-                        self._live -= 1
-                        self._events_processed += 1
-                        self._current_cb = cb
-                        cb(*entry[3])
-                        continue
-                    event = entry[2]
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    cb = event.callback
-                    ob = self._open_batch
-                    if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                        self._flush_open()
-                    self._live -= 1
-                    event._sim = None
-                    self._events_processed += 1
-                    self._current_cb = cb
-                    cb(*event.args)
-                if queue:
-                    entry = queue.popleft()
-                    if len(entry) == 4:
-                        cb = entry[2]
-                        ob = self._open_batch
-                        if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                            self._flush_open()
-                        self._live -= 1
-                        self._events_processed += 1
-                        self._current_cb = cb
-                        cb(*entry[3])
-                        continue
-                    event = entry[2]
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    cb = event.callback
-                    ob = self._open_batch
-                    if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                        self._flush_open()
-                    self._live -= 1
-                    event._sim = None
-                    self._events_processed += 1
-                    self._current_cb = cb
-                    cb(*event.args)
-                    continue
-                if self._open_batch is not None:
-                    self._flush_open()
-                    continue
-                if not heap:
-                    break
-                head = heap[0]
-                if len(head) == 3 and head[2].cancelled:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                head_time = head[0]
-                if head_time > until:
-                    self.now = until
-                    return
-                heappop(heap)
-                self.now = head_time
-                if len(head) == 4:
-                    self._live -= 1
-                    self._events_processed += 1
-                    self._current_cb = head[2]
-                    head[2](*head[3])
-                    continue
-                event = head[2]
-                self._live -= 1
-                event._sim = None
-                self._events_processed += 1
-                self._current_cb = event.callback
-                event.callback(*event.args)
-            if self.now < until:
-                self.now = until
-            return
+        budget = None if max_events is None else self._events_processed + max_events
         while True:
-            # Heap entries at the current instant predate every FIFO entry
-            # (they were pushed while ``now`` was still behind this instant)
-            # and ``now <= until`` by invariant, so they run first.
-            while heap and heap[0][0] == self.now:
-                head = heap[0]
-                if len(head) == 3 and head[2].cancelled:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                if max_events is not None and self._events_processed - start >= max_events:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events} at t={self.now}"
-                    )
-                self._run_entry(heappop(heap))
-            if queue:
-                # FIFO entries are at time ``now`` (<= until by invariant).
-                entry = queue[0]
-                if len(entry) == 3 and entry[2].cancelled:
-                    queue.popleft()
-                    self._cancelled_in_heap -= 1
-                    continue
-                if max_events is not None and self._events_processed - start >= max_events:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events} at t={self.now}"
-                    )
-                self._run_entry(queue.popleft())
-                continue
-            if self._open_batch is not None:
+            # Peek the next entry in (time, order).  Heap entries at the
+            # current instant predate every FIFO entry (they were pushed
+            # while ``now`` was still behind this instant), so they run
+            # first; the FIFO then drains every same-instant burst without
+            # re-heapifying (its callbacks can only append to the FIFO,
+            # never to the heap at ``now``).
+            if heap and heap[0][0] == self.now:
+                entry, from_heap = heap[0], True
+            elif queue:
+                entry, from_heap = queue[0], False
+            elif self._open_batch is not None:
                 # Flush before the clock moves (or the run ends): the
-                # batch's emissions belong to the bucket's instant.
+                # batch's emissions must be scheduled relative to the
+                # bucket's instant, and may land before the next heap entry.
                 self._flush_open()
                 continue
-            if not heap:
+            elif heap:
+                entry, from_heap = heap[0], True
+            else:
                 break
-            head = heap[0]
-            if len(head) == 3 and head[2].cancelled:
+            if len(entry) == 4 or not entry[2].cancelled:
+                # Only a live entry can stop the run; cancelled ones are
+                # discarded by _run_entry whatever the bounds say.
+                if until is not None and entry[0] > until:
+                    break
+                if budget is not None and self._events_processed >= budget:
+                    raise SimulationError(
+                        f"simulation exceeded max_events={max_events} at t={self.now}"
+                    )
+                self.now = entry[0]
+            if from_heap:
                 heappop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            head_time = head[0]
-            if until is not None and head_time > until:
-                self.now = until
-                return
-            if max_events is not None and self._events_processed - start >= max_events:
-                raise SimulationError(
-                    f"simulation exceeded max_events={max_events} at t={self.now}"
-                )
-            heappop(heap)
-            self.now = head_time
-            self._run_entry(head)
+            else:
+                queue.popleft()
+            self._run_entry(entry)
         if until is not None and self.now < until:
             self.now = until
 
@@ -649,7 +477,7 @@ class Simulator:
     # Sharded execution hooks (conservative PDES — see repro.net.sharded)
     # ------------------------------------------------------------------
     def enable_shard_order(self, rank: int) -> None:
-        """Switch order-ticket allocation to shard-composite tickets.
+        """Issue shard-composite order tickets from now on.
 
         A rack-sharded run executes one full-topology replica of the
         deployment per shard and merges cross-shard deliveries straight
@@ -680,83 +508,25 @@ class Simulator:
         ``push_time == now``, while every heap entry at ``now`` was pushed
         earlier and therefore compares below it.
         """
-        if not 0 <= rank < (1 << _SHARD_RANK_BITS):
-            raise SimulationError(
-                f"shard rank {rank} does not fit {_SHARD_RANK_BITS} bits"
-            )
-        self._shard_rank = rank
-        self.schedule = self._schedule_shard  # type: ignore[method-assign]
-        self.at = self._at_shard  # type: ignore[method-assign]
-        self.call_later = self._call_later_shard  # type: ignore[method-assign]
-        self.call_at = self._call_at_shard  # type: ignore[method-assign]
+        self.set_shard_context(rank)
 
-    def _shard_ticket(self) -> int:
+    def claim_shard_ticket(self) -> int:
+        """Issue the next shard-composite ticket without pushing anything.
+
+        The boundary-link shim's entry point: a cross-shard delivery
+        consumes one ticket on the sending side (just as the serial run's
+        ``call_at`` would) and carries it to the destination shard's
+        :meth:`inject`.
+        """
+        rank = self._shard_rank
+        if rank is None:
+            raise SimulationError("shard order is not enabled on this simulator")
         seq = self._order
         self._order = seq + 1
-        return (self.now << _SHARD_TIME_SHIFT) | (self._shard_rank << _SHARD_SEQ_BITS) | seq
-
-    #: claim_shard_ticket is the boundary-link shim's entry point: a
-    #: cross-shard delivery consumes one ticket on the sending side (just
-    #: as the serial run's ``call_at`` would) and carries it to the
-    #: destination shard's :meth:`inject`.
-    claim_shard_ticket = _shard_ticket
-
-    def _schedule_shard(self, delay_ns: int, callback: Callable[..., Any], *args: Any) -> Event:
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay_ns})")
-        time_ns = self.now + int(delay_ns)
-        order = self._shard_ticket()
-        event = Event(time_ns, order, callback, args)
-        event._sim = self
-        if time_ns == self.now:
-            self._now_queue.append((time_ns, order, event))
-        else:
-            heapq.heappush(self._heap, (time_ns, order, event))
-        self._live += 1
-        return event
-
-    def _at_shard(self, time_ns: int, callback: Callable[..., Any], *args: Any) -> Event:
-        time_ns = int(time_ns)
-        if time_ns < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time_ns} before current time t={self.now}"
-            )
-        order = self._shard_ticket()
-        event = Event(time_ns, order, callback, args)
-        event._sim = self
-        if time_ns == self.now:
-            self._now_queue.append((time_ns, order, event))
-        else:
-            heapq.heappush(self._heap, (time_ns, order, event))
-        self._live += 1
-        return event
-
-    def _call_later_shard(self, delay_ns: int, callback: Callable[..., Any], *args: Any) -> None:
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay_ns})")
-        time_ns = self.now + int(delay_ns)
-        order = self._shard_ticket()
-        if time_ns == self.now:
-            self._now_queue.append((time_ns, order, callback, args))
-        else:
-            heapq.heappush(self._heap, (time_ns, order, callback, args))
-        self._live += 1
-
-    def _call_at_shard(self, time_ns: int, callback: Callable[..., Any], *args: Any) -> None:
-        time_ns = int(time_ns)
-        if time_ns < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time_ns} before current time t={self.now}"
-            )
-        order = self._shard_ticket()
-        if time_ns == self.now:
-            self._now_queue.append((time_ns, order, callback, args))
-        else:
-            heapq.heappush(self._heap, (time_ns, order, callback, args))
-        self._live += 1
+        return (self.now << _SHARD_TIME_SHIFT) | (rank << _SHARD_SEQ_BITS) | seq
 
     def enable_serial_shard_order(self) -> None:
-        """Canonical-serial twin of :meth:`enable_shard_order`.
+        """Canonical-serial counterpart of :meth:`enable_shard_order`.
 
         The serial oracle for a sharded run claims the *same* composite
         tickets the shard replicas claim, with the rank taken from a
@@ -774,88 +544,17 @@ class Simulator:
         submission) use the rank installed via :meth:`set_shard_context`.
         """
         self._shard_rank = 0
-        self.schedule = self._schedule_serial  # type: ignore[method-assign]
-        self.at = self._at_serial  # type: ignore[method-assign]
-        self.call_later = self._call_later_serial  # type: ignore[method-assign]
-        self.call_at = self._call_at_serial  # type: ignore[method-assign]
+        self._serial_order = True
 
     def set_shard_context(self, rank: int) -> None:
-        """Set the shard context for pushes made outside any event."""
+        """Set the rank stamped onto every ticket from now on — in
+        canonical-serial mode, the shard context for pushes made outside
+        any event."""
         if not 0 <= rank < (1 << _SHARD_RANK_BITS):
             raise SimulationError(
                 f"shard rank {rank} does not fit {_SHARD_RANK_BITS} bits"
             )
         self._shard_rank = rank
-
-    def _schedule_serial(self, delay_ns: int, callback: Callable[..., Any], *args: Any) -> Event:
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay_ns})")
-        time_ns = self.now + int(delay_ns)
-        order = self._shard_ticket()
-        event = Event(
-            time_ns, order, ShardContextCall(self, self._shard_rank, callback), args
-        )
-        event._sim = self
-        if time_ns == self.now:
-            self._now_queue.append((time_ns, order, event))
-        else:
-            heapq.heappush(self._heap, (time_ns, order, event))
-        self._live += 1
-        return event
-
-    def _at_serial(self, time_ns: int, callback: Callable[..., Any], *args: Any) -> Event:
-        time_ns = int(time_ns)
-        if time_ns < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time_ns} before current time t={self.now}"
-            )
-        order = self._shard_ticket()
-        event = Event(
-            time_ns, order, ShardContextCall(self, self._shard_rank, callback), args
-        )
-        event._sim = self
-        if time_ns == self.now:
-            self._now_queue.append((time_ns, order, event))
-        else:
-            heapq.heappush(self._heap, (time_ns, order, event))
-        self._live += 1
-        return event
-
-    def _call_later_serial(self, delay_ns: int, callback: Callable[..., Any], *args: Any) -> None:
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay_ns})")
-        time_ns = self.now + int(delay_ns)
-        order = self._shard_ticket()
-        entry = (
-            time_ns,
-            order,
-            ShardContextCall(self, self._shard_rank, callback),
-            args,
-        )
-        if time_ns == self.now:
-            self._now_queue.append(entry)
-        else:
-            heapq.heappush(self._heap, entry)
-        self._live += 1
-
-    def _call_at_serial(self, time_ns: int, callback: Callable[..., Any], *args: Any) -> None:
-        time_ns = int(time_ns)
-        if time_ns < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time_ns} before current time t={self.now}"
-            )
-        order = self._shard_ticket()
-        entry = (
-            time_ns,
-            order,
-            ShardContextCall(self, self._shard_rank, callback),
-            args,
-        )
-        if time_ns == self.now:
-            self._now_queue.append(entry)
-        else:
-            heapq.heappush(self._heap, entry)
-        self._live += 1
 
     def next_event_time(self) -> Optional[int]:
         """Earliest pending event time, or ``None`` when fully drained.

@@ -2,7 +2,7 @@
 
 ``service_report`` condenses the switch counters, per-link statistics and
 per-task outcomes of an :class:`~repro.core.service.AskService` (or
-:class:`~repro.core.multirack_service.MultiRackService`) run — the
+:class:`~repro.core.service.MultiRackService`) run — the
 observability surface an operator of the real system would want, and what
 the examples print after a run.
 """

@@ -111,37 +111,19 @@ class SimRunner:
         self.sim.run()
 
 
-class SimFabric:
-    """One rack on the deterministic simulator.
+class _SimChaosFabric:
+    """What both simulator fabrics share: the clock/runner pair and the
+    chaos wiring (partition, corruption and gray-slowdown windows).
 
-    Construction order matters for seed-for-seed reproducibility and
-    mirrors the pre-runtime services exactly: the simulator exists first,
-    the switch is installed (building the star topology), then hosts
-    attach in order, each deriving its two per-link fault models.
+    Subclasses own a topology and say where things are in it: ``_node``
+    (name -> node), ``_links`` (every link) and ``_slow_links`` (the links
+    a slowed node touches).
     """
 
     backend = "sim"
 
-    def __init__(
-        self,
-        bandwidth_gbps: Optional[float] = 100.0,
-        latency_ns: int = 1_000,
-        host_max_pps: Optional[float] = None,
-        fault: Optional[FaultModel] = None,
-        trace: Optional[PacketTrace] = None,
-        ecn_threshold_bytes: Optional[int] = None,
-        sim: Optional[Simulator] = None,
-    ) -> None:
+    def __init__(self, sim: Optional[Simulator], fault: Optional[FaultModel]) -> None:
         self.sim = sim if sim is not None else Simulator()
-        self._params = dict(
-            bandwidth_gbps=bandwidth_gbps,
-            latency_ns=latency_ns,
-            host_max_pps=host_max_pps,
-            fault=fault,
-            trace=trace,
-            ecn_threshold_bytes=ecn_threshold_bytes,
-        )
-        self.topology: Optional[StarTopology] = None
         self._partitioned: set[str] = set()
         #: Frames dropped at a partitioned node's egress (its ingress
         #: drops are counted on the node itself).
@@ -158,13 +140,130 @@ class SimFabric:
         self._slow_label = f"{seed}:chaos-slow"
         self._slowdowns: Dict[str, LinkSlowdown] = {}
 
-    # ------------------------------------------------------------------
     @property
     def clock(self) -> Simulator:
         return self.sim
 
     def runner(self) -> SimRunner:
         return SimRunner(self.sim)
+
+    # ------------------------------------------------------------------
+    # Where things are in the subclass's topology
+    # ------------------------------------------------------------------
+    def _node(self, name: str) -> NetworkNode:
+        raise NotImplementedError
+
+    def _links(self) -> Iterator[Link]:
+        raise NotImplementedError
+
+    def _slow_links(self, name: str) -> Iterator[Link]:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Fault injection: network partitions (pure loss, nodes keep running)
+    # ------------------------------------------------------------------
+    def partition(self, name: str) -> None:
+        """Cut ``name`` off: its egress is dropped here (counted in
+        :attr:`partition_drops`) and its ingress at the node.  A
+        partitioned *switch* still flushes frames already in its pipeline
+        — exactly the asymmetry a real link flap exhibits."""
+        self._partitioned.add(name)
+        self._node(name).set_partitioned(True)
+
+    def heal(self, name: str) -> None:
+        self._partitioned.discard(name)
+        self._node(name).set_partitioned(False)
+
+    # ------------------------------------------------------------------
+    # Fault injection: corruption windows (chaos "corrupt"/"cleanse")
+    # ------------------------------------------------------------------
+    def corrupt(self, name: str) -> None:
+        """Open a corruption window on ``name``: frames it sends or
+        receives are delivered corrupted (with probability
+        ``corruption_rate``) until :meth:`cleanse`.  Where the window
+        applies is the subclass's ``send_to_switch``/``send_to_host``."""
+        self._corruption.targets.add(name)
+
+    def cleanse(self, name: str) -> None:
+        self._corruption.targets.discard(name)
+
+    @property
+    def corruption_rate(self) -> float:
+        """Per-frame corruption probability inside an open window."""
+        return self._corruption.rate
+
+    @corruption_rate.setter
+    def corruption_rate(self, rate: float) -> None:
+        self._corruption.rate = rate
+
+    @property
+    def corruption_injected(self) -> int:
+        """Corrupted frames delivered by this fabric: steady-state link
+        corruption (``FaultModel.corrupt_rate``) plus chaos windows."""
+        return self._corruption.injected + sum(
+            link.packets_corrupted for link in self._links()
+        )
+
+    # ------------------------------------------------------------------
+    # Fault injection: gray slowdown windows (chaos "slow"/"revive")
+    # ------------------------------------------------------------------
+    def _set_slow(self, name: str, active: bool) -> None:
+        for link in self._slow_links(name):
+            slowdown = self._slowdowns.get(link.name)
+            if slowdown is None:
+                slowdown = self._slowdowns[link.name] = LinkSlowdown(
+                    self._slow_label,
+                    link.name,
+                    multiplier=self.slow_multiplier,
+                    jitter_ns=self.slow_jitter_ns,
+                )
+                link.slowdown = slowdown
+            slowdown.active = active
+
+    def slow(self, name: str) -> None:
+        """Gray failure: every link touching ``name`` gets slower (never
+        lossy) until :meth:`revive` — the node stays alive and heartbeats
+        keep answering, just late."""
+        self._set_slow(name, True)
+
+    def revive(self, name: str) -> None:
+        self._set_slow(name, False)
+
+    @property
+    def packets_slowed(self) -> int:
+        """Packets delivered late through an open slowdown window."""
+        return sum(link.packets_slowed for link in self._links())
+
+
+class SimFabric(_SimChaosFabric):
+    """One rack on the deterministic simulator.
+
+    Construction order matters for seed-for-seed reproducibility and
+    mirrors the pre-runtime services exactly: the simulator exists first,
+    the switch is installed (building the star topology), then hosts
+    attach in order, each deriving its two per-link fault models.
+    """
+
+    def __init__(
+        self,
+        bandwidth_gbps: Optional[float] = 100.0,
+        latency_ns: int = 1_000,
+        host_max_pps: Optional[float] = None,
+        fault: Optional[FaultModel] = None,
+        trace: Optional[PacketTrace] = None,
+        ecn_threshold_bytes: Optional[int] = None,
+        sim: Optional[Simulator] = None,
+    ) -> None:
+        super().__init__(sim, fault)
+        self._params = dict(
+            bandwidth_gbps=bandwidth_gbps,
+            latency_ns=latency_ns,
+            host_max_pps=host_max_pps,
+            fault=fault,
+            trace=trace,
+            ecn_threshold_bytes=ecn_threshold_bytes,
+        )
+        self.topology: Optional[StarTopology] = None
 
     # ------------------------------------------------------------------
     def install_switch(self, switch: Node) -> None:
@@ -207,46 +306,13 @@ class SimFabric:
         star.send_to_host(host, packet, size_bytes)
 
     # ------------------------------------------------------------------
-    # Fault injection: network partitions (pure loss, nodes keep running)
+    # Chaos wiring: where things are in the star
     # ------------------------------------------------------------------
     def _node(self, name: str) -> NetworkNode:
         star = self._star()
         if name == star.switch.name:
             return star.switch
         return star.host(name)
-
-    def partition(self, name: str) -> None:
-        """Cut ``name`` off: its egress is dropped here (counted in
-        :attr:`partition_drops`) and its ingress at the node.  A
-        partitioned *switch* still flushes frames already in its pipeline
-        — exactly the asymmetry a real link flap exhibits."""
-        self._partitioned.add(name)
-        self._node(name).set_partitioned(True)
-
-    def heal(self, name: str) -> None:
-        self._partitioned.discard(name)
-        self._node(name).set_partitioned(False)
-
-    # ------------------------------------------------------------------
-    # Fault injection: corruption windows (chaos "corrupt"/"cleanse")
-    # ------------------------------------------------------------------
-    def corrupt(self, name: str) -> None:
-        """Open a corruption window on ``name``: frames it sends or
-        receives are delivered corrupted (with probability
-        ``corruption_rate``) until :meth:`cleanse`."""
-        self._corruption.targets.add(name)
-
-    def cleanse(self, name: str) -> None:
-        self._corruption.targets.discard(name)
-
-    @property
-    def corruption_rate(self) -> float:
-        """Per-frame corruption probability inside an open window."""
-        return self._corruption.rate
-
-    @corruption_rate.setter
-    def corruption_rate(self, rate: float) -> None:
-        self._corruption.rate = rate
 
     def _links(self) -> Iterator[Link]:
         if self.topology is None:
@@ -256,9 +322,6 @@ class SimFabric:
         for port in self.topology._downlinks.values():  # noqa: SLF001
             yield port.link
 
-    # ------------------------------------------------------------------
-    # Fault injection: gray slowdown windows (chaos "slow"/"revive")
-    # ------------------------------------------------------------------
     def _slow_links(self, name: str) -> Iterator[Link]:
         star = self._star()
         if name == star.switch.name:
@@ -267,43 +330,8 @@ class SimFabric:
             yield star._uplinks[name].link  # noqa: SLF001
             yield star._downlinks[name].link  # noqa: SLF001
 
-    def _set_slow(self, name: str, active: bool) -> None:
-        for link in self._slow_links(name):
-            slowdown = self._slowdowns.get(link.name)
-            if slowdown is None:
-                slowdown = self._slowdowns[link.name] = LinkSlowdown(
-                    self._slow_label,
-                    link.name,
-                    multiplier=self.slow_multiplier,
-                    jitter_ns=self.slow_jitter_ns,
-                )
-                link.slowdown = slowdown
-            slowdown.active = active
 
-    def slow(self, name: str) -> None:
-        """Gray failure: every link touching ``name`` gets slower (never
-        lossy) until :meth:`revive` — the node stays alive and heartbeats
-        keep answering, just late."""
-        self._set_slow(name, True)
-
-    def revive(self, name: str) -> None:
-        self._set_slow(name, False)
-
-    @property
-    def packets_slowed(self) -> int:
-        """Packets delivered late through an open slowdown window."""
-        return sum(link.packets_slowed for link in self._links())
-
-    @property
-    def corruption_injected(self) -> int:
-        """Corrupted frames delivered by this fabric: steady-state link
-        corruption (``FaultModel.corrupt_rate``) plus chaos windows."""
-        return self._corruption.injected + sum(
-            link.packets_corrupted for link in self._links()
-        )
-
-
-class SimMultiRackFabric:
+class SimMultiRackFabric(_SimChaosFabric):
     """The §7 multi-rack fabric on the deterministic simulator.
 
     The single-rack :class:`Fabric` surface applies per rack through the
@@ -311,8 +339,6 @@ class SimMultiRackFabric:
     uplinks route by the host's rack, so ``send_to_switch`` keeps the
     single-rack signature.
     """
-
-    backend = "sim"
 
     def __init__(
         self,
@@ -326,7 +352,7 @@ class SimMultiRackFabric:
         ecn_threshold_bytes: Optional[int] = None,
         sim: Optional[Simulator] = None,
     ) -> None:
-        self.sim = sim if sim is not None else Simulator()
+        super().__init__(sim, fault)
         self.topology = MultiRackTopology(
             self.sim,
             bandwidth_gbps=bandwidth_gbps,
@@ -339,25 +365,6 @@ class SimMultiRackFabric:
             ecn_threshold_bytes=ecn_threshold_bytes,
         )
         self._host_rack: Dict[str, str] = {}
-        self._partitioned: set[str] = set()
-        #: Frames dropped at a partitioned node's egress (its ingress
-        #: drops are counted on the node itself).
-        self.partition_drops = 0
-        seed = fault.seed if fault is not None else 0
-        self._corruption = _CorruptionWindow(f"{seed}:chaos-corrupt")
-        #: Gray-failure knobs; see :class:`SimFabric` for semantics.
-        self.slow_multiplier = 4.0
-        self.slow_jitter_ns = 0
-        self._slow_label = f"{seed}:chaos-slow"
-        self._slowdowns: Dict[str, LinkSlowdown] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def clock(self) -> Simulator:
-        return self.sim
-
-    def runner(self) -> SimRunner:
-        return SimRunner(self.sim)
 
     # ------------------------------------------------------------------
     def install_switch(
@@ -415,7 +422,7 @@ class SimMultiRackFabric:
         )
 
     # ------------------------------------------------------------------
-    # Fault injection: network partitions (pure loss, nodes keep running)
+    # Chaos wiring: where things are in the multi-rack topology
     # ------------------------------------------------------------------
     def _node(self, name: str) -> NetworkNode:
         topo = self.topology
@@ -424,36 +431,6 @@ class SimMultiRackFabric:
         if name in topo._spine_switches:  # noqa: SLF001
             return topo.spine_node(name)
         return topo.host_node(name)
-
-    def partition(self, name: str) -> None:
-        """Cut ``name`` (host or TOR switch) off: host egress is dropped
-        here, ingress at the node.  A partitioned switch still flushes
-        frames already in its pipeline."""
-        self._partitioned.add(name)
-        self._node(name).set_partitioned(True)
-
-    def heal(self, name: str) -> None:
-        self._partitioned.discard(name)
-        self._node(name).set_partitioned(False)
-
-    # ------------------------------------------------------------------
-    # Fault injection: corruption windows (chaos "corrupt"/"cleanse")
-    # ------------------------------------------------------------------
-    def corrupt(self, name: str) -> None:
-        """Open a corruption window on ``name`` (applied at host uplinks;
-        see :meth:`send_to_switch`)."""
-        self._corruption.targets.add(name)
-
-    def cleanse(self, name: str) -> None:
-        self._corruption.targets.discard(name)
-
-    @property
-    def corruption_rate(self) -> float:
-        return self._corruption.rate
-
-    @corruption_rate.setter
-    def corruption_rate(self, rate: float) -> None:
-        self._corruption.rate = rate
 
     def _links(self) -> Iterator[Link]:
         topo = self.topology
@@ -471,10 +448,9 @@ class SimMultiRackFabric:
         for nic in topo._spine_core.values():  # noqa: SLF001
             yield nic.link
 
-    # ------------------------------------------------------------------
-    # Fault injection: gray slowdown windows (chaos "slow"/"revive")
-    # ------------------------------------------------------------------
     def _slow_links(self, name: str) -> Iterator[Link]:
+        """Star links of ``name``'s rack plus any interconnect links it
+        terminates; for a host, just its own uplink and downlink."""
         topo = self.topology
         if name in topo._switch_rack:  # noqa: SLF001 - fabric owns topology
             rack = topo.rack_of_switch(name)
@@ -497,38 +473,3 @@ class SimMultiRackFabric:
         for _name, src, dst, nic in topo.interconnect_links():
             if src == endpoint or dst == endpoint:
                 yield nic.link
-
-    def _set_slow(self, name: str, active: bool) -> None:
-        for link in self._slow_links(name):
-            slowdown = self._slowdowns.get(link.name)
-            if slowdown is None:
-                slowdown = self._slowdowns[link.name] = LinkSlowdown(
-                    self._slow_label,
-                    link.name,
-                    multiplier=self.slow_multiplier,
-                    jitter_ns=self.slow_jitter_ns,
-                )
-                link.slowdown = slowdown
-            slowdown.active = active
-
-    def slow(self, name: str) -> None:
-        """Gray failure: every link touching ``name`` — star links of its
-        rack plus any interconnect links it terminates — gets slower
-        (never lossy) until :meth:`revive`."""
-        self._set_slow(name, True)
-
-    def revive(self, name: str) -> None:
-        self._set_slow(name, False)
-
-    @property
-    def packets_slowed(self) -> int:
-        """Packets delivered late through an open slowdown window."""
-        return sum(link.packets_slowed for link in self._links())
-
-    @property
-    def corruption_injected(self) -> int:
-        """Corrupted frames delivered by this fabric: steady-state link
-        corruption (``FaultModel.corrupt_rate``) plus chaos windows."""
-        return self._corruption.injected + sum(
-            link.packets_corrupted for link in self._links()
-        )

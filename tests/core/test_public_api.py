@@ -20,7 +20,6 @@ def test_version_is_set():
     "module",
     [
         "repro.core.service",
-        "repro.core.multirack_service",
         "repro.core.controlplane",
         "repro.core.tenancy",
         "repro.switch.trio",

@@ -11,8 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AskConfig
-from repro.core.multirack_service import MultiRackService
-from repro.core.service import AskService
+from repro.core.service import AskService, MultiRackService
 from repro.net.fault import FaultModel
 from repro.workloads.stream import exact_aggregate, merge_results
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import AskConfig
 from repro.core.controlplane import ControlPlane
 from repro.core.errors import RegionExhaustedError, TaskStateError
-from repro.core.multirack_service import MultiRackService
+from repro.core.service import MultiRackService
 from repro.net.fault import FaultModel
 from repro.workloads.stream import exact_aggregate, merge_results
 

@@ -221,6 +221,28 @@ def test_compaction_preserves_firing_order():
     assert len(fired) == len(keep)
 
 
+def test_compaction_keeps_count_of_cancelled_now_queue_events():
+    # Regression: compaction reset the cancelled-event counter to zero
+    # although it only sweeps the heap, so a cancelled delay-0 event still
+    # on the now-queue drove the counter to -1 when the drain popped it —
+    # and every such drift delays the next compaction.
+    sim = Simulator()
+    fired = []
+
+    def cancel_everything():
+        same_instant = sim.schedule(0, fired.append, "same-instant")
+        timers = [sim.schedule(i + 1, fired.append, i) for i in range(200)]
+        same_instant.cancel()
+        for timer in timers:
+            timer.cancel()
+
+    sim.schedule(1, cancel_everything)
+    sim.run()
+    assert fired == []
+    assert sim.compactions >= 1
+    assert sim._cancelled_in_heap == 0
+
+
 def test_time_unit_helpers():
     assert microseconds(1.5) == 1_500
     assert milliseconds(2) == 2_000_000

@@ -1,8 +1,7 @@
 """Tests for the run-report generator."""
 
 from repro.core.config import AskConfig
-from repro.core.multirack_service import MultiRackService
-from repro.core.service import AskService
+from repro.core.service import AskService, MultiRackService
 from repro.net.fault import FaultModel
 from repro.perf.report import service_report
 

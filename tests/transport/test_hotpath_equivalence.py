@@ -130,35 +130,77 @@ def test_sliding_window_decisions_match_reference(size, ops):
 # ---------------------------------------------------------------------------
 # Simulator ≡ ReferenceSimulator
 # ---------------------------------------------------------------------------
+def _drain(sim, drive, rng):
+    """Drain ``sim`` to quiescence in one of the four drive modes."""
+    if drive == "run":
+        sim.run()
+    elif drive == "budget":  # what AskService.run_to_completion() uses
+        sim.run(max_events=10**9)
+    elif drive == "step":
+        while sim.step():
+            pass
+    else:  # conservative-PDES windows: exclusive horizons of random width
+        while sim.pending:
+            horizon = sim.now + 1 + rng.randrange(30)
+            if isinstance(sim, Simulator):
+                sim.drain_until(horizon)
+            else:
+                sim.run(until=horizon - 1)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_events=st.integers(min_value=1, max_value=120),
+    drive=st.sampled_from(["run", "budget", "windows", "step"]),
+    shard_rank=st.none() | st.integers(min_value=0, max_value=3),
+    mixed_api=st.booleans(),
+    span=st.sampled_from([3, 100]),
 )
-@settings(max_examples=100, deadline=None)
-def test_simulator_schedule_matches_reference(seed, n_events):
-    """Random schedule/cancel/nested-schedule programs fire identically."""
+@settings(max_examples=200, deadline=None)
+def test_simulator_schedule_matches_reference(
+    seed, n_events, drive, shard_rank, mixed_api, span
+):
+    """Random schedule/cancel/nested-schedule programs fire identically —
+    in every drive mode, under plain and shard-composite order tickets,
+    and through any mix of the four push methods.  A small ``span`` packs
+    events onto shared instants, so same-time heap entries, delay-0 pushes
+    and the FIFO all meet.  This is the property that fails if the one
+    drain loop or the ticket branch ever diverges."""
 
-    def drive(sim_cls):
+    def program(sim_cls):
         sim = sim_cls()
+        if shard_rank is not None and sim_cls is Simulator:
+            sim.enable_shard_order(shard_rank)
         fired = []
         rng = random.Random(seed)
         events = []
 
+        def push(delay, *args):
+            how = rng.randrange(4) if mixed_api else 0
+            if how == 0:
+                events.append(sim.schedule(delay, cb, *args))
+            elif how == 1:
+                events.append(sim.at(sim.now + delay, cb, *args))
+            elif how == 2:
+                sim.call_later(delay, cb, *args)
+            else:
+                sim.call_at(sim.now + delay, cb, *args)
+
         def cb(tag):
             fired.append((sim.now, tag))
             if rng.random() < 0.3:
-                events.append(sim.schedule(rng.randrange(100), cb, f"n{tag}"))
+                push(rng.randrange(span), f"n{tag}")
             if rng.random() < 0.3 and events:
                 events[rng.randrange(len(events))].cancel()
 
         for i in range(n_events):
-            events.append(sim.schedule(rng.randrange(1000), cb, i))
-            if rng.random() < 0.25:
+            push(rng.randrange(10 * span), i)
+            if rng.random() < 0.25 and events:
                 events[rng.randrange(len(events))].cancel()
-        sim.run()
+        _drain(sim, drive, random.Random(seed + 1))
         return fired, sim.now, sim.events_processed
 
-    assert drive(Simulator) == drive(ReferenceSimulator)
+    assert program(Simulator) == program(ReferenceSimulator)
 
 
 # ---------------------------------------------------------------------------
