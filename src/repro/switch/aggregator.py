@@ -163,11 +163,22 @@ class AggregatorArray:
     def control_clear(self, index: int) -> None:
         self.registers.control_write(index, BLANK)
 
+    def control_occupied(self, start: int, stop: int) -> list[tuple[int, bytes, int]]:
+        """Bulk read: the occupied cells of ``[start, stop)`` as
+        ``(index, kPart, vPart)``, ascending.  An untouched range costs one
+        slice and one C-speed ``count``."""
+        cells = self.registers.control_read_range(start, stop)
+        if cells.count(BLANK) == len(cells):
+            return []
+        return [(i, c[0], c[1]) for i, c in enumerate(cells, start) if c[0] is not None]
+
+    def control_clear_range(self, start: int, stop: int) -> None:
+        """Blank ``[start, stop)`` in place."""
+        self.registers.control_reset(start, stop)
+
     def occupied_in(self, start: int, stop: int) -> int:
         """Occupied aggregators in ``[start, stop)`` — memory-utilization stat."""
-        return sum(
-            1 for i in range(start, stop) if self.registers.control_read(i)[0] is not None
-        )
+        return len(self.control_occupied(start, stop))
 
 
 class AggregatorPool:

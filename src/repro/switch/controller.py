@@ -10,8 +10,8 @@ The controller performs everything that does not happen per packet:
   host receiver drives during shadow-copy swaps and at task teardown (§3.4).
 
 Control-plane operations go through the switch CPU (PCIe), not the
-match-action pipeline, so they use the registers' control interface and are
-atomic with respect to packet passes (the simulator serializes events).
+match-action pipeline: a region read or clear is modelled as one bulk transfer
+per AA (a register slice), atomic with respect to packet passes.
 """
 
 from __future__ import annotations
@@ -245,38 +245,37 @@ class SwitchController:
             raise TaskStateError(f"task {task_id} holds no region")
         self.fetches += 1
         base = self.shadow.part_offset(part)
+        lo, hi = base + region.offset, base + region.end
         result: dict[bytes, int] = {}
         mask = self.config.value_mask
 
         for slot in range(self.layout.num_short_slots):
             aa = self.pool[slot]
-            for idx in range(base + region.offset, base + region.end):
-                key, value = aa.control_cell(idx)
-                if key is None:
-                    continue
+            for _, key, value in aa.control_occupied(lo, hi):
                 plain = unpad_key(key)
                 result[plain] = (result.get(plain, 0) + value) & mask
-                aa.control_clear(idx)
+            aa.control_clear_range(lo, hi)
 
         for group in range(self.layout.num_groups):
-            slots = self.layout.group_slots(group)
-            for idx in range(base + region.offset, base + region.end):
-                cells = [self.pool[s].control_cell(idx) for s in slots]
-                if any(cell[0] is None for cell in cells):
-                    continue
-                padded = b"".join(cell[0] for cell in cells)  # type: ignore[misc]
-                plain = unpad_key(padded)
-                value = cells[-1][1]
-                result[plain] = (result.get(plain, 0) + value) & mask
-                for s in slots:
-                    self.pool[s].control_clear(idx)
+            arrays = [self.pool[s] for s in self.layout.group_slots(group)]
+            columns = [
+                {idx: (key, value) for idx, key, value in aa.control_occupied(lo, hi)}
+                for aa in arrays
+            ]
+            # Partial rows (some segment cell blank) are neither fetched
+            # nor cleared, so complete rows are cleared cell by cell.
+            for idx in sorted(set(columns[0]).intersection(*columns[1:])):
+                cells = [col[idx] for col in columns]
+                plain = unpad_key(b"".join(key for key, _ in cells))
+                result[plain] = (result.get(plain, 0) + cells[-1][1]) & mask
+                for aa in arrays:
+                    aa.control_clear(idx)
         return result
 
     def _clear_region(self, region: Region, part: int) -> None:
         base = self.shadow.part_offset(part)
         for aa in self.pool.arrays:
-            for idx in range(base + region.offset, base + region.end):
-                aa.control_clear(idx)
+            aa.control_clear_range(base + region.offset, base + region.end)
 
     # ------------------------------------------------------------------
     def region_occupancy(self, task_id: int, part: int) -> float:
@@ -286,7 +285,7 @@ class SwitchController:
             raise TaskStateError(f"task {task_id} holds no region")
         base = self.shadow.part_offset(part)
         occupied = sum(
-            aa.occupied_in(base + region.offset, base + region.end)
+            len(aa.control_occupied(base + region.offset, base + region.end))
             for aa in self.pool.arrays
         )
         return occupied / (region.size * len(self.pool))

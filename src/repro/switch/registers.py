@@ -344,11 +344,17 @@ class RegisterArray(Generic[T]):
     def control_write(self, index: int, value: T) -> None:
         self._cells[index] = value
 
+    def control_read_range(self, start: int, stop: int) -> list[T]:
+        """Bulk read of cells ``[start, stop)`` — one out-of-band transfer."""
+        return self._cells[start:stop]
+
     def control_reset(self, start: int = 0, end: Optional[int] = None) -> None:
-        """Reset a range of cells to the initial value."""
+        """Reset a range of cells to the initial value, *in place*:
+        compiled channel programs and ``aggregate_fast`` hold ``_cells``."""
         stop = self.size if end is None else end
-        for i in range(start, stop):
-            self._cells[i] = self._initial
+        if start < 0 or stop > self.size:  # a longer slice would grow the list
+            raise IndexError(f"{self.name}[{start}:{stop}] out of range (size {self.size})")
+        self._cells[start:stop] = [self._initial] * (stop - start)
 
     def __len__(self) -> int:
         return self.size

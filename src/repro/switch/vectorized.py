@@ -147,9 +147,24 @@ class SoAAggregatorView:
         if pool.exotic:
             pool.exotic.pop((self.index, index), None)
 
-    def occupied_in(self, start: int, stop: int) -> int:
-        """Occupied aggregators in ``[start, stop)`` — one vector compare."""
-        return int(np.count_nonzero(self.pool.keys[self.index, start:stop] != _BLANK))
+    def control_occupied(self, start: int, stop: int) -> List[Tuple[int, bytes, int]]:
+        """Bulk read: occupied cells of ``[start, stop)`` as ``(index,
+        kPart, vPart)``, ascending — one vector compare on the key lane."""
+        pool, aa = self.pool, self.index
+        hits = np.flatnonzero(pool.keys[aa, start:stop] != _BLANK) + start
+        keys, values = pool.keys[aa, hits].tolist(), pool.values[aa, hits].tolist()
+        return [
+            (i, pool.exotic[(aa, i)] if k == _EXOTIC else k.to_bytes(pool.key_bytes, "big"), v)
+            for i, k, v in zip(hits.tolist(), keys, values)
+        ]
+
+    def control_clear_range(self, start: int, stop: int) -> None:
+        """Blank ``[start, stop)`` in place (lane-slice fill)."""
+        pool = self.pool
+        pool.keys[self.index, start:stop] = _BLANK
+        pool.values[self.index, start:stop] = 0
+        for cell in [c for c in pool.exotic if c[0] == self.index and start <= c[1] < stop]:
+            del pool.exotic[cell]
 
 
 class SoAPool:
@@ -294,9 +309,9 @@ class _FlushingController(SwitchController):
         self._flush()
         return super().fetch_and_reset(task_id, part)
 
-    def allocate_region(self, task_id: int, size: Optional[int] = None) -> Region:
+    def allocate_region(self, task_id: int, *args: Any, **kwargs: Any) -> Region:
         self._flush()
-        return super().allocate_region(task_id, size)
+        return super().allocate_region(task_id, *args, **kwargs)
 
     def deallocate(self, task_id: int) -> None:
         self._flush()

@@ -27,6 +27,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.core.keyspace import unpad_key
 from repro.net.simulator import SimulationError
 from repro.transport.window import WindowEntry
 
@@ -202,6 +203,35 @@ class ReferenceReceiveWindow:
         return True
 
 
+def reference_fetch_and_reset(controller: Any, task_id: int, part: int) -> dict[bytes, int]:
+    """Seed ``SwitchController.fetch_and_reset``: one ``control_cell`` per
+    aggregator of the region.  Oracle for the bulk register walk."""
+    region = controller._regions[task_id]
+    controller.fetches += 1
+    base = controller.shadow.part_offset(part)
+    pool, layout, mask = controller.pool, controller.layout, controller.config.value_mask
+    result: dict[bytes, int] = {}
+    for slot in range(layout.num_short_slots):
+        for idx in range(base + region.offset, base + region.end):
+            key, value = pool[slot].control_cell(idx)
+            if key is None:
+                continue
+            plain = unpad_key(key)
+            result[plain] = (result.get(plain, 0) + value) & mask
+            pool[slot].control_clear(idx)
+    for group in range(layout.num_groups):
+        slots = layout.group_slots(group)
+        for idx in range(base + region.offset, base + region.end):
+            cells = [pool[s].control_cell(idx) for s in slots]
+            if any(cell[0] is None for cell in cells):
+                continue
+            plain = unpad_key(b"".join(cell[0] for cell in cells))
+            result[plain] = (result.get(plain, 0) + cells[-1][1]) & mask
+            for s in slots:
+                pool[s].control_clear(idx)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Whole-fast-path baseline: reference_mode()
 # ---------------------------------------------------------------------------
@@ -242,7 +272,6 @@ def reference_mode():
     from repro.core.errors import ProtocolError
     from repro.core.hashing import _address_hash_uncached as address_hash
     from repro.core.hashing import _partition_hash_uncached
-    from repro.core.keyspace import unpad_key
     from repro.core.packet import AskPacket, PacketFlag
     from repro.net.fault import FaultDecision, FaultModel
     from repro.net.link import Link, gbps_to_bits_per_ns

@@ -3,14 +3,18 @@
 import pytest
 
 from repro.core.config import AskConfig
+from repro.core.controlplane import ControlPlane
 from repro.core.errors import RegionExhaustedError, TaskStateError
 from repro.core.hashing import address_hash
 from repro.core.keyspace import KeySpaceLayout, pad_key
+from repro.net.simulator import Simulator
 from repro.switch.aggregator import AggregatorPool
-from repro.switch.controller import SwitchController
+from repro.switch.controller import RegionSpec, SwitchController
 from repro.switch.pisa import Pipeline
 from repro.switch.registers import PassContext
 from repro.switch.shadow import ShadowDirectory
+from repro.switch.switch import AskSwitch
+from repro.switch.vectorized import VectorizedAskSwitch
 
 
 def _controller(config=None, max_tasks=4, max_channels=8):
@@ -159,3 +163,17 @@ def test_invalid_region_size():
     cfg, pool, ctrl = _controller()
     with pytest.raises(ValueError):
         ctrl.allocate_region(1, size=0)
+
+
+@pytest.mark.parametrize("switch_cls", [AskSwitch, VectorizedAskSwitch])
+def test_allocate_with_spec_sets_the_combiner_role(switch_cls):
+    # ControlPlane.allocate passes sources=/relay= by keyword whenever a
+    # RegionSpec is given; every controller flavour must accept them.
+    switch = switch_cls(AskConfig.small(), Simulator(), max_tasks=4)
+    control = ControlPlane()
+    control.register("spine", switch.controller)
+    spec = RegionSpec(sources=frozenset({"leaf0", "leaf1"}), relay=True)
+    region = control.allocate(1, ["spine"], size=4, specs={"spine": spec})["spine"]
+    assert region.sources == spec.sources
+    assert region.relay is True
+    assert switch.controller.lookup_region(1) is region

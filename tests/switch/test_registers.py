@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.config import AskConfig
+from repro.net.simulator import Simulator
 from repro.switch.registers import PassContext, RegisterAccessError, RegisterArray
+from repro.switch.switch import AskSwitch
 
 
 def test_single_access_per_pass_allowed():
@@ -137,3 +140,42 @@ def test_access_counter():
     array.read(PassContext(), 0)
     array.read(PassContext(), 1)
     assert array.accesses == 2
+
+
+def test_control_reset_and_range_read_work_in_place():
+    # aggregate_fast and compiled channel programs hold the ``_cells`` list:
+    # a reset that rebinds it would leave them reading stale storage.
+    array = RegisterArray("r", 6, 32, initial=0)
+    cells = array._cells
+    for i in range(6):
+        array.control_write(i, i + 1)
+    assert array.control_read_range(1, 4) == [2, 3, 4]
+    array.control_reset(2, 4)
+    assert array._cells is cells and cells == [1, 2, 0, 0, 5, 6]
+    array.control_reset()
+    assert array._cells is cells and cells == [0] * 6
+    for start, end in ((0, 7), (-1, 3)):  # a longer slice would grow the list
+        with pytest.raises(IndexError):
+            array.control_reset(start, end)
+    assert len(cells) == 6
+
+
+def test_reboot_wipe_reaches_a_compiled_channel_program():
+    switch = AskSwitch(AskConfig.small(), Simulator(), max_tasks=4)
+    program = switch.dedup.compile_channel(0)  # compiled before the reboot
+    aa = switch.pool[0]
+    regs = (switch.dedup.max_seq, switch.dedup.seen, switch.dedup.pkt_state, aa.registers)
+    storage = [reg._cells for reg in regs]
+    begin = switch.pipeline.begin_pass
+    assert program.check(begin(), 5) == 0  # fresh
+    assert program.check(begin(), 5) == 1  # observed
+    program.record_bitmap(begin(), 5, 0b1011)
+    assert aa.aggregate_fast(begin(), 3, b"key1", 7) == aa.RESERVED
+
+    switch.crash()
+    switch.restore()
+
+    assert all(reg._cells is old for reg, old in zip(regs, storage))
+    assert program.check(begin(), 5) == 0  # the old program sees the wipe
+    assert program.load_bitmap(begin(), 5) == 0
+    assert aa.aggregate_fast(begin(), 3, b"key2", 1) == aa.RESERVED
