@@ -40,10 +40,10 @@ class FabricTimeoutError(TaskStateError):
     """A real-time fabric run hit its wall-clock budget before the
     completion predicate held.
 
-    ``pending`` maps node name → how much work that node still had in
-    flight (unacked sender-window entries plus undelivered receive-queue
-    frames), so a stalled UDP run says *where* it stalled at the raise
-    site rather than at a downstream assertion.
+    ``pending`` maps node name → unacked sender-window entries, so a
+    stalled UDP run says *where* it stalled at the raise site rather than
+    at a downstream assertion.  (The fabric holds no frames of its own;
+    datagrams waiting in a kernel socket buffer are not visible to it.)
     """
 
     def __init__(self, message: str, pending: "dict[str, int]"):

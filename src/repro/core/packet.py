@@ -28,9 +28,10 @@ instances instead of allocating.  Recycling is *opt-in and owner-only*: a
 packet may be recycled only by code that provably holds the last reference
 (see docs/performance.md for the invariants).  The discrete-event fabric
 delivers packet objects by reference — and a faulty link may deliver the
-same object twice — so simulator components never recycle; the asyncio
-datagram path, where every packet is freshly decoded per datagram and
-consumed synchronously, is the intended user.
+same object twice — so simulator components never recycle.  Today only
+:meth:`AskPacket.snapshot` (the sharded outbox's cross-shard copy)
+acquires and nothing recycles; the wire codec does neither, because the
+node a decoded packet is handed to may keep it.
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
 """Real-time backend: ASK frames on localhost UDP under asyncio.
 
-The paper's host stack moves real datagrams with DPDK; this backend is
-the Python equivalent at reduced ambition.  Every node of a rack — each
-host daemon and the switch program — gets its own UDP socket on
-127.0.0.1 and its own asyncio task draining a receive queue, so frames
-really cross the kernel between sockets and arrive asynchronously.  The
+The paper's host stack is a DPDK daemon that polls an rx burst and runs
+each packet to completion; this backend is the Python equivalent at
+reduced ambition.  Every node of a rack — each host daemon and the
+switch program — gets its own non-blocking UDP socket on 127.0.0.1,
+registered with the loop's selector, so frames really cross the kernel
+between sockets and arrive asynchronously.  A readable socket is drained
+:data:`RX_BURST` datagrams at a time into one preallocated buffer; each
+goes decode → ``node.receive`` → whatever that sends in that one
+callback, so nothing is queued between the kernel and the node.  The
 protocol stack is unchanged: the same sender/receiver state machines run
 against :class:`AsyncioClock` (wall-clock nanoseconds, ``loop.call_later``
-timers) and recover real or injected packet loss exactly as they recover
-simulated loss.
+timers) and recover real or injected loss exactly as they do simulated.
 
 Fault injection happens at the fabric's transmit hook, before the
 datagram is handed to the kernel, with a per-direction
@@ -20,23 +23,30 @@ wall-clock arrival times vary run to run.
 One fabric owns one private event loop.  The public entry points
 (:meth:`AsyncioRunner.run_until`, :meth:`AsyncioRunner.run_forever`) are
 synchronous and drive that loop, so `AskService` keeps its blocking API
-on both backends.
+on both backends; they re-raise what a node raises from ``receive``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import socket
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.errors import FabricTimeoutError, TopologyError
 from repro.core.packet import AskPacket
 from repro.net.fault import FaultModel, corrupt_bytes
 from repro.net.trace import PacketTrace
-from repro.runtime.codec import VERSION, CodecError, decode_packet, encode_packet
+from repro.runtime.codec import VERSION, CodecError, decode_packet, encode_packet, name_prefix
 from repro.runtime.interfaces import Node, TimerHandle
 
 NS_PER_S = 1_000_000_000
+#: Datagrams one readable callback takes from its socket before it hands
+#: the loop back to the other sockets and the due timers (DPDK's rx burst).
+RX_BURST = 32
+#: No UDP payload is larger.  One receive buffer serves every socket: a
+#: datagram is decoded out of it before the next one is read.
+_MAX_DATAGRAM = 65536
 
 
 class AsyncioClock:
@@ -76,49 +86,61 @@ class AsyncioClock:
         self._loop.call_at(self._origin + time_ns / NS_PER_S, callback, *args)
 
 
-class _NodeEndpoint(asyncio.DatagramProtocol):
-    """One node's UDP socket plus its run-to-completion receive task."""
+class _NodeEndpoint:
+    """One node's UDP socket and the callback that drains it."""
 
     def __init__(self, fabric: "AsyncioFabric", node: Node) -> None:
         self.fabric = fabric
         self.node = node
-        self.transport: Optional[asyncio.DatagramTransport] = None
-        self.queue: asyncio.Queue[AskPacket] = asyncio.Queue()
-        self.task: Optional[asyncio.Task[None]] = None
-        self.address: Optional[Tuple[str, int]] = None
+        self.sock: Optional[socket.socket] = None
+        self.address: Optional[Tuple[Any, ...]] = None
 
-    # -- DatagramProtocol ----------------------------------------------
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = transport  # type: ignore[assignment]
-        self.address = transport.get_extra_info("sockname")
+    def open(self) -> None:
+        info = socket.getaddrinfo(self.fabric.bind_host, 0, type=socket.SOCK_DGRAM)[0]
+        self.sock = sock = socket.socket(*info[:3])  # close() owns it from here
+        sock.setblocking(False)
+        sock.bind(info[4])
+        self.address = sock.getsockname()
+        self.fabric.loop.add_reader(sock, self.drain, sock)
 
-    def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
-        try:
-            packet = decode_packet(data)
-        except CodecError as exc:
-            # The rejection is attributed per node and per reason (the
-            # CRC32 trailer turns wire corruption into a counted drop
-            # here); ``malformed_frames`` stays as the fabric-wide total.
-            self.fabric.malformed_frames += 1
-            robustness = getattr(self.node, "robustness", None)
-            if robustness is not None:
-                robustness.bump(exc.reason)
-            return
-        self.queue.put_nowait(packet)
+    def close(self) -> None:
+        if self.sock is not None:
+            self.fabric.loop.remove_reader(self.sock)
+            self.sock.close()
 
-    def error_received(self, exc: Exception) -> None:
-        self.fabric.socket_errors += 1
-
-    # -- the node's task -----------------------------------------------
-    async def pump(self) -> None:
-        """Drain the receive queue into the node, one frame at a time."""
-        while True:
-            packet = await self.queue.get()
-            if self.fabric.trace is not None:
-                self.fabric.trace.record(
-                    self.fabric.clock.now, self.node.name, "rx", packet
-                )
-            self.node.receive(packet)
+    def drain(self, sock: socket.socket) -> None:
+        """Run up to :data:`RX_BURST` waiting datagrams to completion; the
+        selector is level-triggered, so what a flooded socket has left is
+        picked up on the loop's next iteration, after everyone else."""
+        fabric, node, view = self.fabric, self.node, self.fabric._rx_view
+        for _ in range(RX_BURST):
+            try:
+                size = sock.recv_into(view)
+            except (BlockingIOError, InterruptedError):
+                return  # drained
+            except OSError:
+                fabric.socket_errors += 1
+                return
+            try:
+                packet = decode_packet(view[:size])
+            except CodecError as exc:
+                # Counted per node and per reason (the CRC32 trailer makes
+                # wire corruption a drop here) and in the fabric-wide total.
+                fabric.malformed_frames += 1
+                robustness = getattr(node, "robustness", None)
+                if robustness is not None:
+                    robustness.bump(exc.reason)
+                continue
+            if fabric.trace is not None:
+                fabric.trace.record(fabric.clock.now, node.name, "rx", packet)
+            try:
+                node.receive(packet)
+            except Exception as exc:
+                # The loop would only log it and spin on a task that can
+                # no longer finish; the runner re-raises it instead.
+                if not fabric._failed.done():
+                    fabric._failed.set_exception(exc)
+                return
 
 
 class _AsyncioRackView:
@@ -178,8 +200,12 @@ class AsyncioFabric:
         trace: Optional[PacketTrace] = None,
         frame_version: int = VERSION,
     ) -> None:
-        self.loop = asyncio.new_event_loop()
+        # A selector loop by name: the datagram path needs ``add_reader``.
+        self.loop = asyncio.SelectorEventLoop()
         self._clock = AsyncioClock(self.loop)
+        self._rx_view = memoryview(bytearray(_MAX_DATAGRAM))
+        #: Resolved with the first exception a node raises from ``receive``.
+        self._failed: asyncio.Future[None] = self.loop.create_future()
         self.fault = fault
         self.bind_host = bind_host
         self.trace = trace
@@ -188,6 +214,8 @@ class AsyncioFabric:
         #: when ``AskConfig.integrity_checks`` is disabled.
         self.frame_version = frame_version
         self._endpoints: Dict[str, _NodeEndpoint] = {}
+        #: Wire form of every registered node's name, for ``encode_packet``.
+        self._name_prefixes: Dict[str, bytes] = {}
         self._faults: Dict[Tuple[str, str], FaultModel] = {}
         self._switch_name: Optional[str] = None
         # Multi-rack / tree wiring (all empty in single-rack mode).
@@ -199,10 +227,9 @@ class AsyncioFabric:
         self._rack_hosts: Dict[str, list[str]] = {}
         self._started = False
         self._closed = False
-        # Frames sent before the sockets are open (timers that were already
-        # due when start() first ran the loop) are buffered and flushed the
-        # moment the endpoints are live — the protocol stack never sees a
-        # "not started" error, it just observes a slightly later delivery.
+        # Frames sent before the sockets are open (a task submitted before
+        # the first run) are buffered and flushed the moment the endpoints
+        # are live — the protocol stack never sees a "not started" error.
         self._pending: list[Tuple[str, str, AskPacket]] = []
         self._partitioned: set[str] = set()
         self.partition_drops = 0
@@ -324,6 +351,7 @@ class AsyncioFabric:
             raise RuntimeError("cannot attach nodes after the fabric started")
         if node.name in self._endpoints:
             raise ValueError(f"node {node.name!r} already attached")
+        self._name_prefixes[node.name] = name_prefix(node.name)
         self._endpoints[node.name] = _NodeEndpoint(self, node)
 
     @property
@@ -350,44 +378,28 @@ class AsyncioFabric:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Open every node's socket and start its receive task."""
+        """Open every node's socket and start draining it."""
         if self._started:
             return
         if self._closed:
             raise RuntimeError("fabric already closed")
         if self._switch_name is None and not self._rack_switch:
             raise RuntimeError("install_switch() must run before start()")
-        self.loop.run_until_complete(self._open_endpoints())
+        for endpoint in self._endpoints.values():
+            endpoint.open()
         self._started = True
         pending, self._pending = self._pending, []
         for src, dst, packet in pending:
             self._transmit(src, dst, packet)
 
-    async def _open_endpoints(self) -> None:
-        for endpoint in self._endpoints.values():
-            await self.loop.create_datagram_endpoint(
-                lambda ep=endpoint: ep, local_addr=(self.bind_host, 0)
-            )
-            endpoint.task = self.loop.create_task(
-                endpoint.pump(), name=f"ask-node-{endpoint.node.name}"
-            )
-
     def close(self) -> None:
-        """Stop tasks, close sockets, close the private loop."""
+        """Close the sockets and the private loop."""
         if self._closed:
             return
         self._closed = True
-        if self._started:
-            self.loop.run_until_complete(self._shutdown())
-        self.loop.close()
-
-    async def _shutdown(self) -> None:
         for endpoint in self._endpoints.values():
-            if endpoint.task is not None:
-                endpoint.task.cancel()
-            if endpoint.transport is not None:
-                endpoint.transport.close()
-        await asyncio.sleep(0)  # let cancellations and closes propagate
+            endpoint.close()
+        self.loop.close()
 
     # ------------------------------------------------------------------
     # Frame movement (the fault hook lives here, pre-kernel)
@@ -412,19 +424,15 @@ class AsyncioFabric:
             self.partition_drops += 1
             return
         try:
-            source = self._endpoints[src]
-            target = self._endpoints[dst]
+            sock, address = self._endpoints[src].sock, self._endpoints[dst].address
         except KeyError as exc:
             raise KeyError(f"unknown fabric node {exc.args[0]!r}") from None
-        transport, address = source.transport, target.address
-        if transport is None or address is None:
+        if sock is None or address is None:
             raise RuntimeError("fabric endpoints are not open")
-        if transport.is_closing():
-            return
         self.frames_sent += 1
         if self.trace is not None:
             self.trace.record(self._clock.now, f"{src}->{dst}", "tx", packet)
-        data = encode_packet(packet, self.frame_version)
+        data = encode_packet(packet, self.frame_version, self._name_prefixes)
         corrupted = False
         if self._corrupting and (src in self._corrupting or dst in self._corrupting):
             if self._chaos_rng.random() < self.corruption_rate:
@@ -434,12 +442,7 @@ class AsyncioFabric:
         slow_extra = self._slow_extra(src, dst)
         fault = self._direction_fault(src, dst)
         if fault is None:
-            if slow_extra:
-                self._clock.schedule(
-                    slow_extra, self._late_send, transport, data, address
-                )
-            else:
-                transport.sendto(data, address)
+            self._send(sock, data, address, slow_extra)
             return
         decision = fault.decide()
         if decision.drop:
@@ -451,36 +454,25 @@ class AsyncioFabric:
             # observed as loss and retransmission recovers it.
             data = fault.corrupt_payload(data)
             self.frames_corrupted += 1
-        if decision.extra_delay_ns or slow_extra:
-            self._clock.schedule(
-                decision.extra_delay_ns + slow_extra,
-                self._late_send,
-                transport,
-                data,
-                address,
-            )
-        else:
-            transport.sendto(data, address)
+        self._send(sock, data, address, decision.extra_delay_ns + slow_extra)
         if decision.duplicate:
             self.frames_duplicated += 1
-            self._clock.schedule(
-                max(1, decision.duplicate_delay_ns) + slow_extra,
-                self._late_send,
-                transport,
-                data,
-                address,
-            )
+            self._send(sock, data, address, max(1, decision.duplicate_delay_ns) + slow_extra)
 
-    def _late_send(
-        self,
-        transport: asyncio.DatagramTransport,
-        data: bytes,
-        address: Tuple[str, int],
+    def _send(
+        self, sock: socket.socket, data: bytes, address: Tuple[Any, ...], delay_ns: int = 0
     ) -> None:
-        """Deliver a delayed/duplicated frame unless the rack shut down."""
-        if self._closed or transport.is_closing():
-            return
-        transport.sendto(data, address)
+        """Hand one datagram to the kernel, now or ``delay_ns`` from now —
+        unless the rack shut down in between."""
+        if delay_ns:
+            self._clock.schedule(delay_ns, self._send, sock, data, address)
+        elif not self._closed:
+            try:
+                sock.sendto(data, address)
+            except OSError:
+                # ``BlockingIOError`` is a full socket buffer; nothing waits
+                # for it.  A counted drop, healed by §3.3 retransmission.
+                self.socket_errors += 1
 
     def send_to_switch(self, host: str, packet: AskPacket, size_bytes: int) -> None:
         if self._multirack:
@@ -616,18 +608,14 @@ class AsyncioFabric:
 
     # ------------------------------------------------------------------
     def pending_snapshot(self) -> Dict[str, int]:
-        """Per-node count of work still in flight: queued-but-undelivered
-        frames plus unacked sender window entries (diagnostics for
-        :class:`~repro.core.errors.FabricTimeoutError`)."""
+        """Per-node count of unacked sender window entries (diagnostics
+        for :class:`~repro.core.errors.FabricTimeoutError`).  The fabric
+        holds no frames itself, and datagrams still waiting in a kernel
+        socket buffer are invisible to it, so this is all there is."""
         snapshot: Dict[str, int] = {}
         for name, endpoint in self._endpoints.items():
-            pending = endpoint.queue.qsize()
-            channels = getattr(endpoint.node, "channels", None)
-            if channels is not None:
-                for channel in channels:
-                    window = getattr(channel, "window", None)
-                    if window is not None:
-                        pending += window.in_flight
+            channels = getattr(endpoint.node, "channels", ())
+            pending = sum(channel.window.in_flight for channel in channels)
             if pending:
                 snapshot[name] = pending
         return snapshot
@@ -659,7 +647,7 @@ class AsyncioRunner:
             delay_s = self.DEFAULT_SLICE_S
         else:
             delay_s = max(0.0, (until - self.fabric.clock.now) / NS_PER_S)
-        self.fabric.loop.run_until_complete(asyncio.sleep(delay_s))
+        self._drive(lambda: False, delay_s)
 
     def run_until(
         self,
@@ -671,29 +659,39 @@ class AsyncioRunner:
 
         Raises :class:`~repro.core.errors.FabricTimeoutError` if
         ``timeout_s`` (default :attr:`DEFAULT_TIMEOUT_S`) expires first;
-        the error carries each node's in-flight/unacked counts so a hung
+        the error carries each node's unacked window entries so a hung
         run says *where* the work stalled.
         """
         self.fabric.start()
         budget = self.DEFAULT_TIMEOUT_S if timeout_s is None else timeout_s
-        self.fabric.loop.run_until_complete(self._poll(done, budget))
+        self._drive(done, budget)
         if not done():
             pending = self.fabric.pending_snapshot()
             raise FabricTimeoutError(
-                f"asyncio fabric still busy after {budget:.1f}s "
-                f"(pending per node: {pending or 'none observable'})",
+                f"asyncio fabric still busy after {budget:.1f}s (unacked window entries "
+                f"per node: {pending or 'none'}; kernel socket buffers are not visible)",
                 pending=pending,
             )
 
-    async def _poll(self, done: Callable[[], bool], timeout_s: float) -> None:
-        deadline = self.fabric.loop.time() + timeout_s
-        while not done() and self.fabric.loop.time() < deadline:
+    def _drive(self, done: Callable[[], bool], budget_s: float) -> None:
+        """Poll ``done()`` for ``budget_s``; re-raise what a node raised."""
+        fabric = self.fabric
+        fabric.loop.run_until_complete(self._poll(done, budget_s))
+        if fabric._failed.done():
+            failed, fabric._failed = fabric._failed, fabric.loop.create_future()
+            failed.result()  # raises it, original traceback and all
+
+    async def _poll(self, done: Callable[[], bool], budget_s: float) -> None:
+        fabric = self.fabric
+        deadline = fabric.loop.time() + budget_s
+        while not (fabric._failed.done() or done()) and fabric.loop.time() < deadline:
             await asyncio.sleep(0.001)
 
     def run_forever(self) -> None:
-        """Serve until KeyboardInterrupt (the `repro serve` loop)."""
+        """Serve until KeyboardInterrupt (the `repro serve` loop) or
+        until a node raises from ``receive``."""
         self.fabric.start()
         try:
-            self.fabric.loop.run_forever()
+            self.fabric.loop.run_until_complete(self.fabric._failed)
         except KeyboardInterrupt:  # pragma: no cover - interactive only
             pass

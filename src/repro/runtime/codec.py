@@ -50,9 +50,11 @@ key on.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
-from typing import List, Optional
+from types import MappingProxyType
+from typing import Callable, List, Mapping, Optional, Union
 
 from repro.core.errors import AskError
 from repro.core.packet import AskPacket, PacketFlag, Slot
@@ -71,13 +73,21 @@ for _flag in PacketFlag:
     _DEFINED_FLAGS |= int(_flag)
 
 _FIXED = struct.Struct("!BBBBQqhQ")
-_SLOT_HEAD = struct.Struct("!H")
+_U16 = struct.Struct("!H")  # slot count, key length
 _VALUE = struct.Struct("!Q")
 _CRC = struct.Struct("!I")
 _VALUE_MASK = (1 << 64) - 1
 #: Batch container framing: frame count, then per-frame byte length.
 _BATCH_HEAD = struct.Struct("!I")
 _FRAME_LEN = struct.Struct("!I")
+
+_FIXED_SIZE = _FIXED.size
+_CRC_SIZE = _CRC.size
+_VALUE_SIZE = _VALUE.size
+_fixed_unpack_from = _FIXED.unpack_from
+_u16_unpack_from = _U16.unpack_from
+_value_unpack_from = _VALUE.unpack_from
+_crc_unpack_from = _CRC.unpack_from
 
 
 class CodecError(AskError, ValueError):
@@ -93,111 +103,116 @@ class CodecError(AskError, ValueError):
         self.reason = reason
 
 
-def encode_packet(packet: AskPacket, version: int = VERSION) -> bytes:
+def name_prefix(name: str) -> bytes:
+    """The wire form of an endpoint name: length byte, then UTF-8.
+
+    A fabric computes it once per registered node and hands the table to
+    :func:`encode_packet`; the table is never filled from wire bytes, so
+    a stray sender cannot grow it.
+    """
+    raw = name.encode("utf-8")
+    if len(raw) > 255:
+        raise CodecError("endpoint names longer than 255 bytes cannot be framed")
+    return bytes((len(raw),)) + raw
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_packer(key_len: int) -> Callable[..., bytes]:
+    """``present(1) key_len(2) key value(8)`` packed in one call.  Bounded:
+    a switch re-encodes keys it decoded, so lengths can come off the wire."""
+    if key_len > 0xFFFF:
+        raise CodecError(f"slot key of {key_len} bytes cannot be framed")
+    return struct.Struct(f"!BH{key_len}sQ").pack
+
+
+def encode_packet(
+    packet: AskPacket,
+    version: int = VERSION,
+    names: Mapping[str, bytes] = MappingProxyType({}),
+) -> bytes:
     """Serialize ``packet`` into one self-contained datagram payload.
 
     ``version=2`` (default) appends the CRC32 trailer; ``version=1``
-    emits the seed framing for integrity-disabled fabrics.
+    emits the seed framing for integrity-disabled fabrics.  ``names``
+    maps endpoint names to their :func:`name_prefix`; a name missing
+    from it is framed on the spot.
     """
-    if version not in (VERSION, VERSION_LEGACY):
+    if version != VERSION and version != VERSION_LEGACY:
         raise CodecError(f"cannot encode frame version {version}", reason="version")
-    src = packet.src.encode("utf-8")
-    dst = packet.dst.encode("utf-8")
-    if len(src) > 255 or len(dst) > 255:
-        raise CodecError("endpoint names longer than 255 bytes cannot be framed")
+    slots = packet.slots
     parts = [
         _FIXED.pack(
             MAGIC,
             version,
-            int(packet.flags) & 0xFF,
+            packet.flags & 0xFF,
             1 if packet.ecn else 0,
             packet.task_id & _VALUE_MASK,
             packet.seq,
             packet.channel_index,
             packet.bitmap & _VALUE_MASK,
         ),
-        bytes((len(src),)),
-        src,
-        bytes((len(dst),)),
-        dst,
-        _SLOT_HEAD.pack(len(packet.slots)),
+        names.get(packet.src) or name_prefix(packet.src),
+        names.get(packet.dst) or name_prefix(packet.dst),
+        _U16.pack(len(slots)),
     ]
-    for slot in packet.slots:
+    append = parts.append
+    for slot in slots:
         if slot is None:
-            parts.append(b"\x00")
+            append(b"\x00")
             continue
-        if len(slot.key) > 0xFFFF:
-            raise CodecError(f"slot key of {len(slot.key)} bytes cannot be framed")
-        parts.append(b"\x01")
-        parts.append(struct.pack("!H", len(slot.key)))
-        parts.append(slot.key)
-        parts.append(_VALUE.pack(slot.value & _VALUE_MASK))
+        key = slot.key
+        key_len = len(key)
+        append(_slot_packer(key_len)(1, key_len, key, slot.value & _VALUE_MASK))
     body = b"".join(parts)
     if version == VERSION_LEGACY:
         return body
     return body + _CRC.pack(zlib.crc32(body))
 
 
-class _Reader:
-    """Bounds-checked cursor over one datagram."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise CodecError(
-                f"truncated datagram: wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}",
-                reason="truncated",
-            )
-        chunk = self.data[self.pos : end]
-        self.pos = end
-        return chunk
-
-    def byte(self) -> int:
-        return self.take(1)[0]
+def _truncated(wanted: int, pos: int, end: int) -> CodecError:
+    return CodecError(
+        f"truncated datagram: wanted {wanted} bytes at offset {pos}, have {end - pos}",
+        reason="truncated",
+    )
 
 
-def decode_packet(data: bytes) -> AskPacket:
+def decode_packet(data: Union[bytes, bytearray, memoryview]) -> AskPacket:
     """Parse one datagram back into an :class:`AskPacket`.
 
     Accepts version-2 frames (CRC32 verified) and legacy version-1
     frames (no trailer).  Raises :class:`CodecError` on anything else.
+    ``data`` may be a view of a receive buffer that the caller reuses:
+    nothing in the returned packet aliases it.
     """
-    if len(data) < _FIXED.size:
+    end = len(data)
+    if end < _FIXED_SIZE:
         raise CodecError(
-            f"datagram of {len(data)} bytes is shorter than the fixed header",
+            f"datagram of {end} bytes is shorter than the fixed header",
             reason="truncated",
         )
-    magic, version, flags, ecn, task_id, seq, channel_index, bitmap = _FIXED.unpack(
-        data[: _FIXED.size]
+    magic, version, flags, ecn, task_id, seq, channel_index, bitmap = _fixed_unpack_from(
+        data, 0
     )
     if magic != MAGIC:
         raise CodecError(f"bad magic 0x{magic:02x} (not an ASK frame)", reason="magic")
     if version == VERSION:
         # Verify the trailer before trusting a single field: a corrupted
-        # frame must look exactly like a lost one.
-        if len(data) < _FIXED.size + _CRC.size:
+        # frame must look exactly like a lost one.  Sliced off a buffer
+        # view, the body is checksummed in place.
+        end -= _CRC_SIZE
+        if end < _FIXED_SIZE:
             raise CodecError(
                 "version-2 frame too short to carry its CRC32 trailer",
                 reason="truncated",
             )
-        body, trailer = data[: -_CRC.size], data[-_CRC.size :]
-        (expected,) = _CRC.unpack(trailer)
-        actual = zlib.crc32(body)
+        (expected,) = _crc_unpack_from(data, end)
+        actual = zlib.crc32(data[:end])
         if actual != expected:
             raise CodecError(
                 f"CRC32 mismatch: trailer 0x{expected:08x}, computed 0x{actual:08x}",
                 reason="checksum",
             )
-    elif version == VERSION_LEGACY:
-        body = data
-    else:
+    elif version != VERSION_LEGACY:
         raise CodecError(f"unsupported frame version {version}", reason="version")
     if flags & ~_DEFINED_FLAGS:
         raise CodecError(
@@ -206,38 +221,53 @@ def decode_packet(data: bytes) -> AskPacket:
         )
     if ecn > 1:
         raise CodecError(f"bad ECN byte {ecn} (must be 0 or 1)")
-    reader = _Reader(body)
-    reader.pos = _FIXED.size
-    try:
-        src = reader.take(reader.byte()).decode("utf-8")
-        dst = reader.take(reader.byte()).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"undecodable endpoint name: {exc}") from exc
-    (slot_count,) = _SLOT_HEAD.unpack(reader.take(_SLOT_HEAD.size))
+    # One copy of an accepted view: names and keys below are then plain
+    # ``bytes`` slices, half the price of slicing a view.
+    frame = data if isinstance(data, bytes) else bytes(data)
+    # ``pos`` walks the body ``frame[:end]``.  Every read is preceded by
+    # its own bound check against ``end`` (not ``len(frame)``: the trailer
+    # is not payload), in the order the fields sit on the wire.
+    pos = _FIXED_SIZE
+    names: List[str] = []
+    for _ in range(2):  # src, dst
+        if pos >= end:
+            raise _truncated(1, pos, end)
+        stop = pos + 1 + frame[pos]
+        if stop > end:
+            raise _truncated(stop - pos - 1, pos + 1, end)
+        try:
+            names.append(frame[pos + 1 : stop].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"undecodable endpoint name: {exc}") from exc
+        pos = stop
+    if pos + 2 > end:
+        raise _truncated(2, pos, end)
+    (slot_count,) = _u16_unpack_from(frame, pos)
+    pos += 2
     slots: List[Optional[Slot]] = []
+    append = slots.append
     for _ in range(slot_count):
-        present = reader.byte()
+        if pos >= end:
+            raise _truncated(1, pos, end)
+        present = frame[pos]
         if present == 0:
-            slots.append(None)
+            append(None)
+            pos += 1
         elif present == 1:
-            (key_len,) = struct.unpack("!H", reader.take(2))
-            key = reader.take(key_len)
-            (value,) = _VALUE.unpack(reader.take(_VALUE.size))
-            slots.append(Slot(key, value))
+            key_at = pos + 3
+            if key_at > end:
+                raise _truncated(2, pos + 1, end)
+            value_at = key_at + _u16_unpack_from(frame, pos + 1)[0]
+            pos = value_at + _VALUE_SIZE
+            if pos > end:
+                raise _truncated(pos - key_at, key_at, end)
+            append(Slot(frame[key_at:value_at], _value_unpack_from(data, value_at)[0]))
         else:
             raise CodecError(f"bad slot presence byte {present}")
-    if reader.pos != len(body):
-        raise CodecError(f"{len(body) - reader.pos} trailing bytes after packet")
+    if pos != end:
+        raise CodecError(f"{end - pos} trailing bytes after packet")
     return AskPacket(
-        flags=PacketFlag(flags),
-        task_id=task_id,
-        src=src,
-        dst=dst,
-        channel_index=channel_index,
-        seq=seq,
-        bitmap=bitmap,
-        slots=tuple(slots),
-        ecn=bool(ecn),
+        flags, task_id, names[0], names[1], channel_index, seq, bitmap, tuple(slots), ecn == 1
     )
 
 

@@ -79,7 +79,7 @@ def test_pool_acquired_packet_encodes_identically(fields):
     assert AskPacket.pool_size() == 0
     assert pooled == fresh
     assert encode_packet(pooled) == encode_packet(fresh)
-    # And the decode path (the codec's intended pool user) still agrees.
+    # And the decode path still agrees on a pooled instance's bytes.
     assert decode_packet(encode_packet(pooled)) == fresh
 
 
