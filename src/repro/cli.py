@@ -598,7 +598,10 @@ def _run_sharded_demo(seed: int) -> int:
     print(
         f"sharded PDES over {stats.shards} shards "
         f"(lookahead {stats.lookahead_ns} ns): "
-        f"{stats.windows} windows, {stats.messages} cross-shard messages"
+        f"{stats.windows} windows, {stats.messages} cross-shard messages; "
+        f"shard cpu {stats.worker_cpu_s:.3f} s, "
+        f"critical path {stats.critical_path_cpu_s:.3f} s, "
+        f"parallel bound {stats.parallel_bound:.2f}x"
     )
     for index, fingerprint in sorted(serial["tasks"].items()):
         digest = fingerprint["values_sha256"]

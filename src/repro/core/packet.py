@@ -97,6 +97,9 @@ class Slot:
     def __hash__(self) -> int:
         return hash((self.key, self.value))
 
+    def __reduce__(self) -> tuple:
+        return Slot, (self.key, self.value)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Slot(key={self.key!r}, value={self.value})"
 
@@ -290,6 +293,10 @@ class AskPacket:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    def __reduce__(self) -> tuple:
+        # Wire fields only; ``_init`` rebuilds the derived ones on load.
+        return AskPacket, self._key()
 
     # ------------------------------------------------------------------
     @property

@@ -380,6 +380,9 @@ class CorruptedFrame:
     def with_ecn(self) -> "CorruptedFrame":
         return self
 
+    def __reduce__(self) -> tuple:
+        return CorruptedFrame, (self.packet,)
+
     @property
     def src(self) -> Any:
         return self.packet.src

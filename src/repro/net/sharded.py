@@ -42,25 +42,34 @@ determinism
       the plain counter's causal-path order, which no shard can know;
     * a boundary link keeps *all* of its state (FIFO serialization, ECN,
       fault draws, counters) on the owning source shard — only the final
-      "deliver packet at t" edge crosses the cut, as a pickled frame
+      "deliver packet at t" edge crosses the cut, as a by-value frame
       stamped with the sender-claimed ticket (:class:`_OutboxSim`).
 
 Frames are snapshotted eagerly at emission time: packet objects are
 pooled (:mod:`repro.core.packet`), so a slot could be recycled by the
 time the barrier ships the outbox.  The snapshot is a shallow clone
-(``AskPacket.snapshot``; slots are immutable once built) rather than a
-pickle round-trip — in-process shards hand the clone straight to
-``inject``, and process-mode pipes pickle it in transit anyway.  Serial
-runs never mutate an in-flight packet, so the eager snapshot is
-semantically identical.
+(``AskPacket.snapshot``; slots are immutable once built).  Serial runs
+never mutate an in-flight packet, so the eager snapshot is semantically
+identical.
+
+the cut is crossed once
+    The boundary proxy appends into the outbox of its link's
+    *destination* shard, so a window's output is one :class:`Batch` per
+    destination.  The coordinator reads the batch header only
+    (destination, earliest arrival, count) and forwards the payload
+    unopened: the message list itself between in-process shards, or that
+    list pickled once by the forked worker that emitted it and unpickled
+    once by the one that injects it.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
+import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional
+from typing import Protocol, Sequence, Tuple, Union, cast
 
 from repro.core.errors import TopologyError
 from repro.net.multirack import MultiRackTopology, ShardPlan
@@ -74,9 +83,27 @@ from repro.net.simulator import (
 #: One cross-shard delivery: (arrival_ns, order_ticket, link_name, packet).
 #: The ticket was claimed on the sending shard; the link name resolves to
 #: the destination node's ``receive`` on the far side.  The packet is a
-#: by-value snapshot (see :class:`_OutboxSim`); process-mode pipes pickle
-#: it in transit like any other message field.
+#: by-value snapshot (see :class:`_OutboxSim`).
 Message = Tuple[int, int, str, Any]
+
+#: What a batch carries: the message list (in-process shards) or its
+#: pickle (forked workers).  Only the destination shard looks inside.
+Payload = Union[bytes, Sequence[Message]]
+
+
+class Batch(NamedTuple):
+    """One window's messages from one shard to one destination shard;
+    the coordinator reads the three header fields only."""
+
+    dest_rank: int
+    min_arrival_ns: int
+    count: int
+    payload: Payload
+
+
+#: One shard's barrier reply: its batches, its earliest pending event
+#: time, and the CPU seconds the window cost it (unpack + run + pack).
+WindowReply = Tuple[List[Batch], Optional[int], float]
 
 #: Hard cap on synchronization rounds — a runaway-loop backstop far above
 #: any real scenario (every round advances the global clock by >= 1 ns).
@@ -88,14 +115,14 @@ class ShardContext(Protocol):
 
     ``sim`` is the shard's simulator (shard ordering already enabled),
     ``inbound`` maps cross-shard link names to local delivery callbacks,
-    ``outbox`` accumulates this window's outgoing messages, and
-    ``finish()`` renders the shard's deterministic result payload once the
-    run is complete.
+    ``outbox`` accumulates this window's outgoing messages per
+    destination shard rank, and ``finish()`` renders the shard's
+    deterministic result payload once the run is complete.
     """
 
     sim: Simulator
     inbound: Dict[str, Callable[[Any], None]]
-    outbox: List[Message]
+    outbox: Dict[int, List[Message]]
 
     def finish(self) -> Any: ...
 
@@ -107,8 +134,8 @@ class _OutboxSim:
     ways — ``sim.now`` (serialization/ECN bookkeeping) and
     ``sim.call_at(arrival, deliver, packet)`` (the delivery push).  The
     proxy delegates ``now`` to the real shard simulator and converts the
-    delivery push into an outbox message: it claims an order ticket from
-    the real simulator (consuming the same ticket the serial run's
+    delivery push into a message in the destination shard's outbox: it
+    claims an order ticket from the real simulator (consuming the same ticket the serial run's
     ``call_at`` would have) and snapshots the packet by value —
     ``packet.snapshot()`` when available (a shallow clone; pooled packet
     slots may be re-initialized before the barrier ships the outbox),
@@ -227,13 +254,14 @@ def attach_boundaries(
     topology: MultiRackTopology,
     plan: ShardPlan,
     rank: int,
-    outbox: List[Message],
+    outbox: Dict[int, List[Message]],
 ) -> Dict[str, Callable[[Any], None]]:
     """Wire shard ``rank``'s replica for cross-shard traffic.
 
     Every cross-shard link whose *source* endpoint this shard owns gets
     the :class:`_OutboxSim` proxy (the link itself — serialization state,
-    fault stream, counters — stays local).  Returns the inbound map for
+    fault stream, counters — stays local), appending into ``outbox``'s
+    list for the link's destination rank.  Returns the inbound map for
     links whose *destination* is local: link name → the replica node's
     ``receive``.
     """
@@ -246,33 +274,41 @@ def attach_boundaries(
         if src_rank == dst_rank:
             continue
         if src_rank == rank:
-            nic.link.sim = _OutboxSim(topology.sim, name, outbox)
+            nic.link.sim = _OutboxSim(
+                topology.sim, name, outbox.setdefault(dst_rank, [])
+            )
         if dst_rank == rank:
             inbound[name] = targets[name]
     return inbound
 
 
 def run_window(
-    ctx: ShardContext, horizon_ns: Optional[int], messages: Sequence[Message]
-) -> Tuple[List[Message], Optional[int]]:
+    ctx: ShardContext, horizon_ns: Optional[int], inbound: Iterable[Sequence[Message]]
+) -> Tuple[List[Batch], Optional[int]]:
     """One conservative window on one shard: inject, drain, report.
 
     Injects this window's inbound cross-shard messages (each strictly
     beyond ``now`` by the horizon invariant), drains to the exclusive
     horizon (or fully, when ``horizon_ns`` is None — the no-cross-links
-    case), and returns ``(outbox, next_event_time)``.
+    case), and returns ``(batches, next_event_time)``: the outboxes as
+    :func:`attach_boundaries` grouped them, one batch per destination.
     """
     sim = ctx.sim
-    inbound = ctx.inbound
-    for arrival, ticket, link_name, frame in messages:
-        sim.inject(arrival, ticket, inbound[link_name], frame)
+    receivers = ctx.inbound
+    for messages in inbound:
+        for arrival, ticket, link_name, frame in messages:
+            sim.inject(arrival, ticket, receivers[link_name], frame)
     if horizon_ns is None:
         sim.run()
     else:
         sim.drain_until(horizon_ns)
-    outbox = list(ctx.outbox)
-    ctx.outbox.clear()
-    return outbox, sim.next_event_time()
+    batches: List[Batch] = []
+    for dest_rank, outbox in ctx.outbox.items():
+        if outbox:
+            earliest = min(message[0] for message in outbox)
+            batches.append(Batch(dest_rank, earliest, len(outbox), list(outbox)))
+            outbox.clear()  # in place: the boundary proxies hold this list
+    return batches, sim.next_event_time()
 
 
 # ----------------------------------------------------------------------
@@ -284,19 +320,24 @@ class InProcessShard:
     The reference execution mode: no fork, no pipes, fully steppable
     under a debugger, and what the hypothesis property drives (thousands
     of examples would be far too slow with per-example process spawns).
+    Speaks the same batch protocol as :class:`ProcessShard`; its payloads
+    are the message lists themselves.
     """
 
     def __init__(self, factory: Callable[[int], ShardContext], rank: int) -> None:
         self._ctx = factory(rank)
-        self._reply: Optional[Tuple[List[Message], Optional[int]]] = None
+        self._reply: Optional[WindowReply] = None
 
     def next_time(self) -> Optional[int]:
         return self._ctx.sim.next_event_time()
 
-    def send_window(self, horizon_ns: Optional[int], messages: Sequence[Message]) -> None:
-        self._reply = run_window(self._ctx, horizon_ns, messages)
+    def send_window(self, horizon_ns: Optional[int], payloads: Sequence[Payload]) -> None:
+        start = time.process_time()
+        messages = cast(Sequence[Sequence[Message]], payloads)
+        batches, next_time = run_window(self._ctx, horizon_ns, messages)
+        self._reply = (batches, next_time, time.process_time() - start)
 
-    def recv_window(self) -> Tuple[List[Message], Optional[int]]:
+    def recv_window(self) -> WindowReply:
         assert self._reply is not None
         reply, self._reply = self._reply, None
         return reply
@@ -311,7 +352,8 @@ class InProcessShard:
 def _shard_worker(
     conn: Any, factory: Callable[[int], ShardContext], rank: int
 ) -> None:
-    """Child-process loop: build the replica, then serve barrier commands.
+    """Child-process loop: build the replica, then serve barrier commands
+    — the one place a cross-shard message is pickled or unpickled.
 
     Runs with the cyclic GC paused (:func:`~repro.net.simulator.paused_gc`)
     — the child exists only to serve this loop, so the deferred collection
@@ -323,8 +365,16 @@ def _shard_worker(
             while True:
                 cmd, payload = conn.recv()
                 if cmd == "window":
-                    horizon_ns, messages = payload
-                    conn.send(("window", run_window(ctx, horizon_ns, messages)))
+                    start = time.process_time()
+                    horizon_ns, blobs = payload
+                    batches, next_time = run_window(
+                        ctx, horizon_ns, map(pickle.loads, blobs)
+                    )
+                    packed = [
+                        b._replace(payload=pickle.dumps(b.payload, pickle.HIGHEST_PROTOCOL))
+                        for b in batches
+                    ]
+                    conn.send(("window", (packed, next_time, time.process_time() - start)))
                 elif cmd == "finish":
                     conn.send(("finish", ctx.finish()))
                 elif cmd == "exit":
@@ -348,25 +398,38 @@ class ProcessShard:
     Fork is required (and available on every platform the simulator
     targets): the shard factory is a closure over live topology-building
     code and rides into the child by inheritance, never pickling.  Only
-    :data:`Message` tuples and the shard's ``finish()`` payload cross the
-    pipe.
+    :class:`Batch` headers with ``bytes`` payloads and the shard's
+    ``finish()`` payload cross the pipe.
     """
 
     def __init__(self, factory: Callable[[int], ShardContext], rank: int) -> None:
         ctx = mp.get_context("fork")
         parent, child = ctx.Pipe()
+        self._rank = rank
         self._conn = parent
         self._proc = ctx.Process(
             target=_shard_worker, args=(child, factory, rank), daemon=True
         )
         self._proc.start()
         child.close()
-        self._next = self._expect("ready")
+        try:
+            self._next = self._expect("ready")
+        except BaseException:
+            # Nobody holds this half-built handle yet: reap it here.
+            self.close()
+            raise
 
     def _expect(self, want: str) -> Any:
-        tag, payload = self._conn.recv()
+        try:
+            tag, payload = self._conn.recv()
+        except (EOFError, ConnectionResetError):
+            self._proc.join(timeout=10)
+            raise SimulationError(
+                f"shard {self._rank} worker exited with code "
+                f"{self._proc.exitcode} before replying to {want!r}"
+            ) from None
         if tag == "error":
-            raise SimulationError(f"shard process failed:\n{payload}")
+            raise SimulationError(f"shard {self._rank} process failed:\n{payload}")
         if tag != want:  # pragma: no cover - protocol bug guard
             raise SimulationError(f"expected {want!r} from shard, got {tag!r}")
         return payload
@@ -374,13 +437,13 @@ class ProcessShard:
     def next_time(self) -> Optional[int]:
         return self._next
 
-    def send_window(self, horizon_ns: Optional[int], messages: Sequence[Message]) -> None:
-        self._conn.send(("window", (horizon_ns, list(messages))))
+    def send_window(self, horizon_ns: Optional[int], payloads: Sequence[Payload]) -> None:
+        self._conn.send(("window", (horizon_ns, payloads)))
 
-    def recv_window(self) -> Tuple[List[Message], Optional[int]]:
-        outbox, next_time = self._expect("window")
-        self._next = next_time
-        return outbox, next_time
+    def recv_window(self) -> WindowReply:
+        reply: WindowReply = self._expect("window")
+        self._next = reply[1]
+        return reply
 
     def finish(self) -> Any:
         self._conn.send(("finish", None))
@@ -403,13 +466,16 @@ class ShardedSimulator:
 
     Drives N shard handles through synchronization rounds until every
     shard is drained and no cross-shard message remains undelivered, then
-    collects each shard's ``finish()`` payload.
+    collects each shard's ``finish()`` payload.  It routes :class:`Batch`
+    payloads by header and never opens one.
 
-    All pending messages are delivered at every barrier (not only those
+    All pending batches are delivered at every barrier (not only those
     below the new horizon): a message emitted during a window bounded by
     horizon ``H`` carries arrival ``>= H`` by the lookahead argument,
     while every shard sits at ``now == H - 1`` — so arrivals are always
     strictly in each receiver's future and injection never back-dates.
+    ``routes`` only feeds the "cross-shard links need a lookahead" guard;
+    batches carry their own destination.
     """
 
     def __init__(
@@ -424,11 +490,12 @@ class ShardedSimulator:
                 "multi-shard run with cross-shard links needs a lookahead"
             )
         self.handles = list(handles)
-        self.routes = routes
         self.lookahead_ns = lookahead_ns
         self.max_windows = max_windows
         self.windows = 0  #: synchronization rounds executed
         self.messages = 0  #: cross-shard messages delivered
+        self.worker_cpu_s = 0.0  #: shard CPU over all windows, summed
+        self.critical_path_cpu_s = 0.0  #: per-window slowest shard, summed
 
     def run(self) -> List[Any]:
         with paused_gc():
@@ -436,13 +503,12 @@ class ShardedSimulator:
 
     def _run(self) -> List[Any]:
         handles = self.handles
-        pending: List[List[Message]] = [[] for _ in handles]
+        pending: List[List[Payload]] = [[] for _ in handles]
+        arrivals: List[int] = []  # earliest arrival of each pending batch
         nexts: List[Optional[int]] = [h.next_time() for h in handles]
         while True:
             candidates = [t for t in nexts if t is not None]
-            candidates.extend(
-                msg[0] for shard_msgs in pending for msg in shard_msgs
-            )
+            candidates.extend(arrivals)
             if not candidates:
                 break
             if self.windows >= self.max_windows:
@@ -453,15 +519,22 @@ class ShardedSimulator:
             horizon: Optional[int] = None
             if self.lookahead_ns is not None:
                 horizon = min(candidates) + self.lookahead_ns
-            for handle, messages in zip(handles, pending):
-                handle.send_window(horizon, messages)
-                self.messages += len(messages)
+            for handle, payloads in zip(handles, pending):
+                handle.send_window(horizon, payloads)
             pending = [[] for _ in handles]
+            arrivals = []
+            slowest = 0.0
             for index, handle in enumerate(handles):
-                outbox, next_time = handle.recv_window()
-                nexts[index] = next_time
-                for message in outbox:
-                    pending[self.routes[message[2]]].append(message)
+                batches, nexts[index], cpu_s = handle.recv_window()
+                self.worker_cpu_s += cpu_s
+                slowest = max(slowest, cpu_s)
+                for dest_rank, min_arrival_ns, count, payload in batches:
+                    pending[dest_rank].append(payload)
+                    arrivals.append(min_arrival_ns)
+                    # Delivered at the next barrier, which always runs:
+                    # a pending arrival keeps the loop alive.
+                    self.messages += count
+            self.critical_path_cpu_s += slowest
         return [handle.finish() for handle in handles]
 
     def close(self) -> None:

@@ -214,6 +214,18 @@ class ShardedRunStats:
     windows: int
     messages: int
     lookahead_ns: Optional[int]
+    #: CPU seconds the shards spent inside windows (unpack + run + pack).
+    worker_cpu_s: float = 0.0
+    #: The same, counting only each window's slowest shard.
+    critical_path_cpu_s: float = 0.0
+
+    @property
+    def parallel_bound(self) -> float:
+        """Upper bound, in ``[1, shards]``, on the speed-up one core per
+        shard could give this run: shard CPU over its critical path."""
+        if self.critical_path_cpu_s <= 0.0:
+            return 1.0
+        return self.worker_cpu_s / self.critical_path_cpu_s
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +535,7 @@ class _ShardRun:
         service = _build_service(scenario)
         self.service = service
         self.sim: Simulator = service.sim
-        self.outbox: List[Message] = []
+        self.outbox: Dict[int, List[Message]] = {}
         self.inbound = attach_boundaries(
             service.fabric.topology, plan, rank, self.outbox
         )
@@ -627,6 +639,8 @@ def run_sharded(
         windows=coordinator.windows,
         messages=coordinator.messages,
         lookahead_ns=lookahead,
+        worker_cpu_s=coordinator.worker_cpu_s,
+        critical_path_cpu_s=coordinator.critical_path_cpu_s,
     )
 
 

@@ -8,13 +8,17 @@ deployment.  The serial==sharded end-to-end identity lives in
 """
 
 import gc
+import multiprocessing
+import os
 
 import pytest
 
 from repro.core.errors import TopologyError
 from repro.net.multirack import MultiRackTopology, ShardPlan, plan_rack_shards
 from repro.net.sharded import (
+    Batch,
     InProcessShard,
+    ProcessShard,
     ShardedSimulator,
     cross_shard_lookahead,
     cross_shard_routes,
@@ -310,7 +314,7 @@ class _BareShard:
     def __init__(self, sim):
         self.sim = sim
         self.inbound = {}
-        self.outbox = []
+        self.outbox = {}
 
     def finish(self):
         return self.sim.events_processed
@@ -344,3 +348,115 @@ def test_coordinator_requires_lookahead_when_routes_exist():
         ShardedSimulator(handles, routes={"core:r0->r1": 1}, lookahead_ns=None)
     for handle in handles:
         handle.close()
+
+
+# ----------------------------------------------------------------------
+# The coordinator routes batches by header and never opens a payload
+# ----------------------------------------------------------------------
+class _Sealed:
+    """A payload that fails the test if anything looks inside it."""
+
+    __slots__ = ()
+
+    def _opened(self, *args):
+        raise AssertionError("the coordinator opened a batch payload")
+
+    __iter__ = __len__ = __getattr__ = __reduce__ = __reduce_ex__ = _opened
+
+
+class _ScriptedShard:
+    """A handle that replays canned window replies and records what the
+    coordinator sent it."""
+
+    def __init__(self, first_event, replies):
+        self._next = first_event
+        self._replies = list(replies)
+        self.sent = []
+
+    def next_time(self):
+        return self._next
+
+    def send_window(self, horizon_ns, payloads):
+        self.sent.append((horizon_ns, list(payloads)))
+
+    def recv_window(self):
+        return self._replies.pop(0)
+
+    def finish(self):
+        return len(self.sent)
+
+    def close(self):
+        pass
+
+
+def test_coordinator_routes_sealed_payloads_by_header_alone():
+    a, b, c, d = _Sealed(), _Sealed(), _Sealed(), _Sealed()
+    handles = [
+        # Window 1 emits to two different destinations at once.
+        _ScriptedShard(1_000, [
+            ([Batch(1, 1_500, 3, a), Batch(2, 1_300, 2, b)], None, 0.25),
+            ([], None, 0.0),
+            ([], None, 0.0),
+        ]),
+        _ScriptedShard(None, [
+            ([], None, 0.5),
+            ([Batch(2, 1_450, 1, c)], None, 0.25),
+            ([], None, 0.125),
+        ]),
+        _ScriptedShard(None, [
+            ([], 5_000, 0.125),
+            ([Batch(1, 1_600, 4, d)], 5_000, 0.75),
+            ([], None, 0.5),
+        ]),
+    ]
+    coordinator = ShardedSimulator(
+        handles, routes={"core:r0->r1": 1}, lookahead_ns=100
+    )
+    assert coordinator.run() == [3, 3, 3]
+    # Horizons: first event, then the earliest pending batch arrival
+    # (1300 beats shard 2's own 5000), then 1450 — each plus lookahead.
+    assert [h for h, _ in handles[0].sent] == [1_100, 1_400, 1_550]
+    sent = [[payloads for _, payloads in handle.sent] for handle in handles]
+    assert sent[0] == [[], [], []]
+    assert sent[1] == [[], [a], [d]] and sent[1][1][0] is a
+    assert sent[2] == [[], [b], [c]] and sent[2][1][0] is b
+    assert coordinator.windows == 3
+    assert coordinator.messages == 3 + 2 + 1 + 4
+    assert coordinator.worker_cpu_s == 0.875 + 1.0 + 0.625
+    assert coordinator.critical_path_cpu_s == 0.5 + 0.75 + 0.5
+
+
+# ----------------------------------------------------------------------
+# A worker that dies without a word
+# ----------------------------------------------------------------------
+def _die(code):
+    os._exit(code)  # no "error" reply, no cleanup: what a kill/OOM looks like
+
+
+def test_worker_dying_before_ready_is_a_tagged_error_and_is_reaped():
+    with pytest.raises(SimulationError) as excinfo:
+        ProcessShard(lambda rank: _die(3), 1)
+    assert str(excinfo.value) == (
+        "shard 1 worker exited with code 3 before replying to 'ready'"
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_dying_mid_window_is_a_tagged_error_and_is_reaped():
+    def factory(rank):
+        sim = Simulator()
+        sim.enable_shard_order(rank)
+        sim.call_at(100, (lambda: _die(4)) if rank == 1 else (lambda: None))
+        return _BareShard(sim)
+
+    handles = [ProcessShard(factory, rank) for rank in range(2)]
+    coordinator = ShardedSimulator(handles, routes={}, lookahead_ns=50)
+    try:
+        with pytest.raises(SimulationError) as excinfo:
+            coordinator.run()
+    finally:
+        coordinator.close()
+    assert str(excinfo.value) == (
+        "shard 1 worker exited with code 4 before replying to 'window'"
+    )
+    assert multiprocessing.active_children() == []

@@ -1,0 +1,125 @@
+"""Property: everything that can cross the shard cut survives pickling.
+
+A forked shard worker pickles its outgoing messages once and the
+destination worker unpickles them once (``repro.net.sharded``); packets
+ship through a compact ``__reduce__`` that carries the wire fields only.
+For any packet the stack can build — and a ``CorruptedFrame`` around it —
+the loaded object must equal the original field by field *including* the
+derived ones the reduce tuple leaves out, be a distinct object that does
+not alias a pooled instance, and equal ``snapshot()`` (what in-process
+shards hand over instead).  No example budget of its own: tier-1 runs the
+default profile, CI's fuzz job the larger ``ci-fuzz`` one."""
+
+import pickle
+
+import pytest
+from hypothesis import given, settings
+
+from repro.core.packet import (
+    AskPacket,
+    PacketFlag,
+    Slot,
+    ack_for,
+    fin_packet,
+    swap_packet,
+)
+from repro.net.fault import CorruptedFrame
+from tests.runtime.test_codec_property import packets
+
+
+def _roundtrip(obj):
+    return pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+def _assert_same_packet(loaded, packet):
+    assert type(loaded) is AskPacket
+    assert loaded is not packet
+    assert loaded == packet
+    # Every slot, derived ones included (channel_key, is_*, _frame_bytes).
+    for name in AskPacket.__slots__:
+        assert getattr(loaded, name) == getattr(packet, name), name
+    assert loaded.wire_bytes() == packet.wire_bytes()
+    assert loaded.frame_bytes() == packet.frame_bytes()
+
+
+@settings(deadline=None)
+@given(fields=packets())
+def test_packet_pickle_roundtrip_keeps_every_field(fields):
+    packet = AskPacket(**fields)
+    snapshot = packet.snapshot()
+    blob = pickle.dumps(packet, pickle.HIGHEST_PROTOCOL)
+    # Derived fields are rebuilt on load, not shipped.
+    assert b"channel_key" not in blob and b"_frame_bytes" not in blob
+    loaded = pickle.loads(blob)
+    _assert_same_packet(loaded, packet)
+    _assert_same_packet(loaded, snapshot)
+    # Recycling the original re-uses its instance; the loaded copy must
+    # not notice.
+    AskPacket.pool_clear()
+    packet.recycle()
+    assert packet.slots == ()
+    assert loaded.slots == fields["slots"]
+    assert loaded == snapshot
+    AskPacket.pool_clear()
+
+
+@settings(deadline=None)
+@given(first=packets(), second=packets())
+def test_pooled_and_recycled_instance_pickles_its_current_fields(first, second):
+    AskPacket.pool_clear()
+    AskPacket(**first).recycle()
+    pooled = AskPacket.acquire(**second)  # the re-initialized instance
+    assert AskPacket.pool_size() == 0
+    _assert_same_packet(_roundtrip(pooled), AskPacket(**second))
+
+
+@settings(deadline=None)
+@given(fields=packets())
+def test_corrupted_frame_pickle_roundtrip(fields):
+    frame = CorruptedFrame(AskPacket(**fields))
+    loaded = _roundtrip(frame)
+    assert type(loaded) is CorruptedFrame
+    assert loaded is not frame
+    _assert_same_packet(loaded.packet, frame.packet)
+    assert (loaded.src, loaded.dst, loaded.ecn) == (frame.src, frame.dst, frame.ecn)
+    assert loaded.wire_bytes() == frame.wire_bytes()
+    assert loaded.with_ecn() is loaded
+
+
+_DATA = AskPacket(
+    PacketFlag.DATA, 7, "h0", "h3", 2, 41, 0b0101,
+    (Slot(b"k0\x00\x00", 5), None, Slot(b"k1\x00\x00", 9), None),
+)
+
+#: One of every kind the stack builds, by its own constructors.
+STACK_PACKETS = {
+    "data-with-blank-slots": _DATA,
+    "data-ecn-marked": _DATA.with_ecn(),
+    "data-bitmap-rewritten": _DATA.with_bitmap(0b0001),
+    "long": AskPacket(
+        PacketFlag.DATA | PacketFlag.LONG, 7, "h0", "h3", 2, 42, 0b1,
+        (Slot(b"a-long-key-past-the-slot-width", 3),),
+    ),
+    "bypass": AskPacket(
+        PacketFlag.DATA | PacketFlag.BYPASS, 7, "h0", "h3", 2, 43, 0b1,
+        (Slot(b"k0\x00\x00", 5),),
+    ),
+    "ack": ack_for(_DATA, "tor-r0"),
+    "ack-with-ecn-echo": ack_for(_DATA.with_ecn(), "h3"),
+    "fin": fin_packet(7, "h0", "h3", 2, 44),
+    "swap": swap_packet(7, "h3", "tor-r0", 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_PACKETS))
+def test_every_stack_packet_kind_roundtrips_bare_and_corrupted(kind):
+    packet = STACK_PACKETS[kind]
+    _assert_same_packet(_roundtrip(packet), packet)
+    _assert_same_packet(_roundtrip(CorruptedFrame(packet)).packet, packet)
+    # A message as the outbox ships it: a list of (arrival, ticket, link,
+    # frame) tuples in one dump.
+    messages = [(1_000, 17, "core:r0->r1", packet), (1_001, 18, "core:r0->r1", packet)]
+    loaded = _roundtrip(messages)
+    assert [m[:3] for m in loaded] == [m[:3] for m in messages]
+    for message in loaded:
+        _assert_same_packet(message[3], packet)

@@ -207,6 +207,75 @@ def test_process_mode_matches_in_process_mode():
     assert inproc == forked
 
 
+def _three_shard_scenario(seed=5, tuples=1_400):
+    """Six single-rack pods cut into three shards with spread spines: every
+    leaf-placed task transits spines owned by both other shards, so one
+    window emits batches to two destinations.  Per-link ``corrupt_rate``
+    wraps frames *on* the boundary links — the chaos ``corrupt`` window
+    alone breaks frames at the host uplink, where the TOR drops them
+    before the cut."""
+    import random
+
+    rng = random.Random(seed)
+    pods = {f"p{i}": {f"r{i}": (f"h{2 * i}", f"h{2 * i + 1}")} for i in range(6)}
+    tasks = tuple(
+        ShardedTask(
+            streams={
+                f"h{4 * shard}": _stream(rng, tuples, keyspace=64),
+                f"h{4 * shard + 2}": _stream(rng, tuples, keyspace=64),
+            },
+            receiver=f"h{4 * shard + 3}",
+            placement="leaf",
+            region_size=8,
+        )
+        for shard in range(3)
+    )
+    scenario = ShardedScenario(
+        config=AskConfig.small(window_size=32, retransmit_timeout_us=50.0),
+        pods=pods,
+        tasks=tasks,
+        chaos=(
+            ChaosAction(time_ns=40_000, kind="corrupt", target="h4"),
+            ChaosAction(time_ns=400_000, kind="cleanse", target="h4"),
+        ),
+        corruption_rate=0.2,
+        fault={
+            "loss_rate": 0.01,
+            "duplicate_rate": 0.01,
+            "reorder_rate": 0.03,
+            "corrupt_rate": 0.01,
+            "max_extra_delay_ns": 20_000,
+            "seed": seed,
+        },
+    )
+    return scenario, make_plan(scenario, 3, spread_spines=True)
+
+
+def test_forked_three_shard_run_with_corrupted_frames_across_the_cut():
+    scenario, plan = _three_shard_scenario()
+    serial = run_serial(scenario, plan)
+    inproc, inproc_stats = run_sharded(scenario, plan, processes=False)
+    forked, forked_stats = run_sharded(scenario, plan, processes=True)
+    assert serial == inproc == forked
+    assert inproc_stats.messages == forked_stats.messages >= 5_000
+    assert inproc_stats.windows == forked_stats.windows
+    assert all(t["phase"] == "complete" for t in serial["tasks"].values())
+    assert serial["chaos_corruption_injected"] > 0
+    # shard1 owns r2/r3 and spine-p1/p4: its up-link to spine-p2 lands in
+    # shard2 and its up-link to spine-p3 in shard0 — two destinations —
+    # and both carried frames the link itself corrupted (index 4), i.e.
+    # CorruptedFrame objects went through the pipe.
+    for link in ("up:r2->spine-p2", "up:r3->spine-p3"):
+        assert serial["links"][link][0] > 0
+        assert serial["links"][link][4] > 0
+    assert plan.rank_of_rack("r2") == plan.rank_of_rack("r3") == 1
+    assert (plan.rank_of_spine("spine-p2"), plan.rank_of_spine("spine-p3")) == (2, 0)
+    # Measurement side channel: sum over shards vs per-window slowest.
+    for stats in (inproc_stats, forked_stats):
+        assert 0.0 < stats.critical_path_cpu_s <= stats.worker_cpu_s
+        assert 1.0 <= stats.parallel_bound <= stats.shards
+
+
 def test_chaos_event_exactly_on_window_boundary():
     # Lookahead == core_latency_ns, so window horizons land on multiples
     # of it; chaos at exactly such an instant must replay identically.
