@@ -18,6 +18,12 @@ FNV_OFFSET_32 = 0x811C9DC5
 # address hash from the partition hash.
 _ADDR_OFFSET_32 = 0x5BCCB8A3
 
+#: Bound of every key-derived memo: the two hash memos here, the packer's
+#: routing cache and the switch program's address-hash table.  Keys can
+#: come off the wire (a ``repro serve`` switch hashes whatever it is
+#: sent), so no memo may grow with the number of distinct keys seen.
+MEMO_LIMIT = 1 << 16
+
 
 def fnv1a32(data: bytes, offset: int = FNV_OFFSET_32) -> int:
     """32-bit FNV-1a hash of ``data``."""
@@ -32,16 +38,16 @@ def _partition_hash_uncached(key: bytes) -> int:
     return fnv1a32(key, FNV_OFFSET_32)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_LIMIT)
 def partition_hash(key: bytes) -> int:
     """The key-space partition hash F (§3.2.2).
 
     ``partition_hash(key) % num_subspaces`` selects the packet slot / AA a
     key is dedicated to.  Must be uniform so subspaces are balanced.
 
-    Memoized: the hash is pure, streams revisit the same keys constantly
-    (the working set is the task's keyspace, which is bounded), and the
-    byte-wise FNV loop is a hot-path cost otherwise.
+    Memoized, least-recently-used beyond :data:`MEMO_LIMIT` keys: the hash
+    is pure, streams revisit the same keys constantly, and the byte-wise
+    FNV loop is a hot-path cost otherwise.
     """
     return _partition_hash_uncached(key)
 
@@ -66,7 +72,7 @@ def _address_hash_uncached(key: bytes) -> int:
     return _fmix32(fnv1a32(key, _ADDR_OFFSET_32))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_LIMIT)
 def address_hash(key: bytes) -> int:
     """The within-AA aggregator index hash (§3.2.1, ``hash(key)``).
 

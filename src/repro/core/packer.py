@@ -18,12 +18,14 @@ The sender assigns sequence numbers when payloads enter the sliding window.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice, starmap, zip_longest
+from operator import sub
 from typing import Iterable, Optional
 
 from repro.core.config import AskConfig
 from repro.core.errors import KeyTooLongError
+from repro.core.hashing import MEMO_LIMIT
 from repro.core.keyspace import KeyClass, KeySpaceLayout
 from repro.core.packet import Slot
 
@@ -81,61 +83,74 @@ class Packer:
     #: Routing-cache bound: streams usually cycle over a working set far
     #: smaller than this; an adversarial all-unique stream just stops
     #: caching instead of growing without limit.
-    _CACHE_LIMIT = 65536
+    _CACHE_LIMIT = MEMO_LIMIT
 
     def __init__(self, config: AskConfig) -> None:
         self.config = config
         self.layout = KeySpaceLayout(config)
         self.stats = PackStats()
-        self._short: list[deque] = [deque() for _ in range(self.layout.num_short_slots)]
-        self._groups: list[deque] = [deque() for _ in range(self.layout.num_groups)]
-        self._long: deque = deque()
-        # key -> precomputed routing entry.  ``layout.assign`` is pure and
+        # One queue per short slot, per medium group, and for long keys.
+        # Routes hold the queues' bound ``append``s, so the lists are only
+        # ever cleared in place, never rebound.
+        self._short: list[list] = [[] for _ in range(self.layout.num_short_slots)]
+        self._groups: list[list] = [[] for _ in range(self.layout.num_groups)]
+        self._long: list = []
+        # key -> (append, form).  ``layout.assign`` is pure and
         # deterministic (classify + pad + partition hash), so its outcome is
-        # computed once per distinct key instead of once per tuple:
-        #   (_SHORT, slot, padded) | (_MEDIUM, group, segments) | (_LONG,)
+        # computed once per distinct key instead of once per tuple: the
+        # queue the key's tuples join, and the form they are queued in —
+        # the padded key, the medium segments, or the long key itself.
         self._routes: dict[bytes, tuple] = {}
 
-    _SHORT, _MEDIUM, _LONG = 0, 1, 2
-
     def _route(self, key: bytes) -> tuple:
-        """Compute (and normalize) the routing entry for one key."""
+        """Compute the routing entry for one key."""
         try:
             assignment = self.layout.assign(key)
         except KeyTooLongError:
             # Covers both genuinely long keys and the rare full-width keys
             # whose padded form would be ambiguous (AmbiguousKeyError).
-            return (self._LONG,)
+            return (self._long.append, key)
         if assignment.key_class is KeyClass.SHORT:
-            return (self._SHORT, assignment.primary_slot, assignment.padded)
+            return (self._short[assignment.primary_slot].append, assignment.padded)
         group = self.layout.group_of_slot(assignment.primary_slot)
-        segments = self.layout.segments(assignment.padded)
-        return (self._MEDIUM, group, segments)
+        return (self._groups[group].append, self.layout.segments(assignment.padded))
+
+    def _queued(self) -> tuple[int, int, int]:
+        return (
+            sum(map(len, self._short)),
+            sum(map(len, self._groups)),
+            len(self._long),
+        )
 
     # ------------------------------------------------------------------
     def add(self, key: bytes, value: int) -> None:
         """Queue one key-value tuple."""
-        self.stats.tuples_in += 1
-        value &= self.config.value_mask
-        route = self._routes.get(key)
-        if route is None:
-            route = self._route(key)
-            if len(self._routes) < self._CACHE_LIMIT:
-                self._routes[key] = route
-        kind = route[0]
-        if kind == self._SHORT:
-            self.stats.short_tuples += 1
-            self._short[route[1]].append((route[2], value))
-        elif kind == self._MEDIUM:
-            self.stats.medium_tuples += 1
-            self._groups[route[1]].append((route[2], value))
-        else:
-            self.stats.long_tuples += 1
-            self._long.append((key, value))
+        self.add_stream(((key, value),))
 
     def add_stream(self, stream: Iterable[tuple[bytes, int]]) -> None:
-        for key, value in stream:
-            self.add(key, value)
+        """Queue every tuple of ``stream``: one loop over locally bound
+        state, with the class counters taken from the queue lengths once
+        the loop ends."""
+        routes = self._routes
+        route_of = self._route
+        limit = self._CACHE_LIMIT
+        mask = self.config.value_mask
+        before = self._queued()
+        try:
+            for key, value in stream:
+                route = routes.get(key)
+                if route is None:
+                    route = route_of(key)
+                    if len(routes) < limit:
+                        routes[key] = route
+                route[0]((route[1], value & mask))
+        finally:
+            short, medium, long = map(sub, self._queued(), before)
+            stats = self.stats
+            stats.short_tuples += short
+            stats.medium_tuples += medium
+            stats.long_tuples += long
+            stats.tuples_in += short + medium + long
 
     # ------------------------------------------------------------------
     @property
@@ -146,55 +161,69 @@ class Packer:
             or bool(self._long)
         )
 
-    def payloads(self) -> Iterable[PackedPayload]:
+    def payloads(self) -> list[PackedPayload]:
         """Drain the queues into payloads.
 
-        Normal payloads are emitted while any short/medium queue is
-        non-empty; long-key payloads follow, batched up to ``num_aas``
-        tuples per packet (the PktState bitmap width bounds the batch).
+        Packet *p* carries the *p*-th tuple of every queue that holds more
+        than *p* tuples, and leaves the other queues' slots blank.  So the
+        queues are transposed: one :class:`Slot` column per packet slot,
+        and ``zip_longest`` builds each packet's slot tuple.  Bitmap and
+        occupancy change only where a queue runs out, so they are taken
+        from the sorted queue lengths.  Long-key payloads follow, batched
+        up to ``num_aas`` tuples per packet (the PktState bitmap width
+        bounds the batch).
         """
         num_slots = self.config.num_aas
-        while any(self._short) or any(self._groups):
-            slots: list[Optional[Slot]] = [None] * num_slots
-            bitmap = 0
-            tuples_in_packet = 0
-            for index, queue in enumerate(self._short):
-                if not queue:
-                    continue
-                padded, value = queue.popleft()
-                slots[index] = Slot(padded, value)
-                bitmap |= 1 << index
-                tuples_in_packet += 1
-            for group, queue in enumerate(self._groups):
-                if not queue:
-                    continue
-                segments, value = queue.popleft()
-                group_slots = self.layout.group_slots(group)
-                last = len(group_slots) - 1
-                for pos, slot_index in enumerate(group_slots):
-                    slots[slot_index] = Slot(
-                        segments[pos], value if pos == last else 0
-                    )
-                    bitmap |= 1 << slot_index
-                tuples_in_packet += 1
-            self.stats.packets += 1
-            self.stats.blank_slots += num_slots - bitmap.bit_count()
-            # The histogram counts *logical* tuples: a medium key occupies
-            # m slots but is one key-value tuple (the paper's Fig. 8(b)
-            # metric, "non-blank key-value tuples per packet").
-            self.stats.occupancy_histogram[tuples_in_packet] = (
-                self.stats.occupancy_histogram.get(tuples_in_packet, 0) + 1
-            )
-            yield PackedPayload(tuple(slots), bitmap)
+        stats = self.stats
+        columns: list[list[Slot]] = []
+        # (queued tuples, bitmap bits) per non-empty short slot / group
+        lanes: list[tuple[int, int]] = []
+        for index, queue in enumerate(self._short):
+            if queue:
+                lanes.append((len(queue), 1 << index))
+            columns.append(list(starmap(Slot, queue)))
+            queue.clear()
+        width = self.layout.group_width
+        group_bits = ((1 << width) - 1) << self.layout.num_short_slots
+        for queue in self._groups:
+            if queue:
+                lanes.append((len(queue), group_bits))
+            # A medium key's value rides on its last segment (§3.2.3).
+            for pos in range(width - 1):
+                columns.append([Slot(segments[pos], 0) for segments, _ in queue])
+            columns.append([Slot(segments[-1], value) for segments, value in queue])
+            queue.clear()
+            group_bits <<= width
 
-        while self._long:
-            batch: list[Optional[Slot]] = []
-            while self._long and len(batch) < num_slots:
-                key, value = self._long.popleft()
-                batch.append(Slot(key, value))
-            bitmap = (1 << len(batch)) - 1
-            self.stats.long_packets += 1
-            yield PackedPayload(tuple(batch), bitmap, is_long=True)
+        out: list[PackedPayload] = []
+        rows = zip_longest(*columns)
+        bitmap = 0
+        for _, bits in lanes:
+            bitmap |= bits
+        # The histogram counts *logical* tuples: a medium key occupies m
+        # slots but is one key-value tuple (the paper's Fig. 8(b) metric,
+        # "non-blank key-value tuples per packet").
+        live = len(lanes)
+        histogram = stats.occupancy_histogram
+        built = 0
+        for length, bits in sorted(lanes):
+            if length > built:
+                count = length - built
+                out.extend([PackedPayload(row, bitmap) for row in islice(rows, count)])
+                stats.packets += count
+                stats.blank_slots += count * (num_slots - bitmap.bit_count())
+                histogram[live] = histogram.get(live, 0) + count
+                built = length
+            bitmap ^= bits
+            live -= 1
+
+        queue = self._long
+        for start in range(0, len(queue), num_slots):
+            batch = tuple(starmap(Slot, queue[start : start + num_slots]))
+            out.append(PackedPayload(batch, (1 << len(batch)) - 1, is_long=True))
+            stats.long_packets += 1
+        queue.clear()
+        return out
 
 
 def pack_stream(

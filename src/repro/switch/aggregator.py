@@ -113,8 +113,9 @@ class AggregatorArray:
         ``MATCHED`` / ``RESERVED``, the latter implying success) instead of
         allocating an :class:`AggregateOutcome`, and inlines the register
         access discipline instead of dispatching an ALU through
-        ``execute``.  This runs once per live tuple of every data packet —
-        the single hottest aggregation call in the pipeline.
+        ``execute``.  Medium groups call it once per segment; the
+        switch program's short-slot loop carries an inlined copy, which
+        ``tests/switch/test_aggregate_access_parity.py`` holds to this one.
         """
         reg = self.registers
         # Inlined RegisterArray access prologue (see registers.py).
@@ -216,19 +217,9 @@ class AggregatorPool:
         return len(self.arrays)
 
     # ------------------------------------------------------------------
-    def aggregate_short(
-        self, ctx: PassContext, slot: int, index: int, segment: bytes, value: int
-    ) -> bool:
-        """Aggregate a short key-value tuple in AA ``slot`` at ``index``."""
-        code = self.arrays[slot].aggregate_fast(ctx, index, segment, value)
-        if code:
-            self.tuples_aggregated += 1
-            if code == 2:
-                self.aggregators_reserved += 1
-            return True
-        self.tuples_failed += 1
-        return False
-
+    # Short keys are aggregated by ``AskSwitchProgram._aggregate``'s
+    # per-packet loop, which inlines ``aggregate_fast`` and adds its
+    # outcomes to the three counters above.
     def aggregate_group(
         self,
         ctx: PassContext,

@@ -25,13 +25,13 @@ from typing import Optional
 
 from repro.core.config import AskConfig
 from repro.core.errors import ProtocolError
-from repro.core.hashing import address_hash
+from repro.core.hashing import MEMO_LIMIT, address_hash
 from repro.core.keyspace import KeySpaceLayout
 from repro.core.packet import AskPacket, ack_for
 from repro.switch.aggregator import AggregatorPool
 from repro.switch.controller import Region, SwitchController
 from repro.switch.dedup import ChannelProgram, DedupUnit
-from repro.switch.registers import PassContext
+from repro.switch.registers import PassContext, RegisterAccessError
 from repro.switch.shadow import ShadowDirectory
 
 
@@ -121,6 +121,13 @@ class AskSwitchProgram:
         self._medium_mask = 0
         for _, gmask in self._group_info:
             self._medium_mask |= gmask
+        # The short-slot loop's bindings: each short slot's register array
+        # (the pool never rebinds them), and key -> address hash, which
+        # stops caching at MEMO_LIMIT keys like the packer's routes.
+        self._short_registers = [
+            pool[slot].registers for slot in range(self.layout.num_short_slots)
+        ]
+        self._hashes: dict[bytes, int] = {}
         self.switch_name = switch_name
         self.stats = ProgramStats()
         # Channel-key → compiled dedup microprogram.  Channel slots are
@@ -215,17 +222,76 @@ class AskSwitchProgram:
         bitmap = pkt.bitmap
 
         # Short-key slots: one AA each, walking only the set bits (lowest
-        # first — the same slot/stage order as the seed's full scan).
+        # first — the same slot/stage order as the seed's full scan).  One
+        # loop for the whole packet: it binds the pass once and runs each
+        # AA's single read-modify-write with ``aggregate_fast``'s register
+        # prologue inlined — same checks, same messages, same order.  The
+        # pass's stage and the pool counters live in locals until the loop
+        # ends or raises.
         short_bits = bitmap & self._short_mask
-        while short_bits:
-            slot = (short_bits & -short_bits).bit_length() - 1
-            short_bits &= short_bits - 1
-            tup = pkt.slots[slot]
-            if tup is None:
-                raise ProtocolError(f"bitmap bit {slot} set on a blank slot")
-            index = base + address_hash(tup.key) % region.size
-            if self.pool.aggregate_short(ctx, slot, index, tup.key, tup.value):
-                bitmap &= ~(1 << slot)
+        if short_bits:
+            registers = self._short_registers
+            hashes = self._hashes
+            slots = pkt.slots
+            size = region.size
+            mask = self.config.value_mask
+            pass_id = ctx._pass_id
+            stage_now = ctx._current_stage
+            aggregated = reserved = failed = 0
+            try:
+                while short_bits:
+                    bit = short_bits & -short_bits
+                    short_bits ^= bit
+                    slot = bit.bit_length() - 1
+                    tup = slots[slot]
+                    if tup is None:
+                        raise ProtocolError(f"bitmap bit {slot} set on a blank slot")
+                    key = tup.key
+                    digest = hashes.get(key)
+                    if digest is None:
+                        digest = address_hash(key)
+                        if len(hashes) < MEMO_LIMIT:
+                            hashes[key] = digest
+                    index = base + digest % size
+                    reg = registers[slot]
+                    if not reg.relax_access_limit:
+                        if reg._last_ctx is ctx and reg._last_pass == pass_id:
+                            raise RegisterAccessError(
+                                f"register array {reg.name!r} accessed twice in one pass"
+                                f"{' (' + ctx.label + ')' if ctx.label else ''}"
+                            )
+                        reg._last_ctx = ctx
+                        reg._last_pass = pass_id
+                    stage = reg.stage_index
+                    if stage is not None:
+                        if stage < stage_now:
+                            raise RegisterAccessError(
+                                f"pass moved backwards: array {reg.name!r} lives in stage "
+                                f"{stage} but stage {stage_now} was "
+                                "already visited"
+                            )
+                        stage_now = stage
+                    if not 0 <= index < reg.size:
+                        raise IndexError(f"{reg.name}[{index}] out of range (size {reg.size})")
+                    reg.accesses += 1
+                    cells = reg._cells
+                    stored = cells[index]
+                    if stored[0] is None:
+                        cells[index] = (key, tup.value & mask)
+                        reserved += 1
+                    elif stored[0] == key:
+                        cells[index] = (key, (stored[1] + tup.value) & mask)
+                    else:
+                        failed += 1
+                        continue
+                    aggregated += 1
+                    bitmap ^= bit
+            finally:
+                ctx._current_stage = stage_now
+                pool = self.pool
+                pool.tuples_aggregated += aggregated
+                pool.aggregators_reserved += reserved
+                pool.tuples_failed += failed
 
         # Medium-key groups: coalesced, unified index over the whole key.
         if bitmap & self._medium_mask:

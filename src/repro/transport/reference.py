@@ -610,11 +610,6 @@ def reference_mode():
     # seed shape dispatched a fresh closure per tuple via try_aggregate.
     # ChannelProgram binds register methods at compile time, so services
     # built inside this context pick these versions up automatically.
-    def _pool_aggregate_short(self, ctx, slot, index, segment, value):
-        outcome = self.arrays[slot].try_aggregate(ctx, index, segment, value)
-        self._count(outcome, 1)
-        return outcome.success
-
     def _pool_aggregate_group(self, ctx, slots, index, segments, value):
         if len(slots) != len(segments):
             raise ValueError("segment count must match the group width")
@@ -646,7 +641,9 @@ def reference_mode():
             if tup is None:
                 raise ProtocolError(f"bitmap bit {slot} set on a blank slot")
             index = base + address_hash(tup.key) % region.size
-            if self.pool.aggregate_short(ctx, slot, index, tup.key, tup.value):
+            outcome = self.pool.arrays[slot].try_aggregate(ctx, index, tup.key, tup.value)
+            self.pool._count(outcome, 1)
+            if outcome.success:
                 bitmap &= ~(1 << slot)
 
         for group in range(self.layout.num_groups):
@@ -746,7 +743,6 @@ def reference_mode():
         _patch(saved, RegisterArray, "set_bit", _reg_set_bit)
         _patch(saved, RegisterArray, "clr_bitc", _reg_clr_bitc)
         _patch(saved, RegisterArray, "rmw_max", _reg_rmw_max)
-        _patch(saved, AggregatorPool, "aggregate_short", _pool_aggregate_short)
         _patch(saved, AggregatorPool, "aggregate_group", _pool_aggregate_group)
         _patch(saved, AskSwitchProgram, "_aggregate", _program_aggregate)
         _patch(saved, receiver_mod.ReceiverEngine, "_merge_packet", _receiver_merge)

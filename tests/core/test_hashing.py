@@ -1,6 +1,14 @@
 """Tests for the stable hash functions."""
 
-from repro.core.hashing import address_hash, channel_hash, fnv1a32, partition_hash
+from repro.core.hashing import (
+    MEMO_LIMIT,
+    _address_hash_uncached,
+    _partition_hash_uncached,
+    address_hash,
+    channel_hash,
+    fnv1a32,
+    partition_hash,
+)
 
 
 def test_fnv1a32_known_vectors():
@@ -42,3 +50,21 @@ def test_channel_hash_spreads_task_ids():
 def test_hash_output_is_32_bit():
     for data in (b"", b"x", b"a-long-key" * 10):
         assert 0 <= fnv1a32(data) <= 0xFFFFFFFF
+
+
+def test_hash_memos_are_bounded():
+    """Keys can come off the wire, so neither memo may grow with the
+    number of distinct keys: twice the bound leaves both at the bound,
+    still returning the uncached values."""
+    keys = [b"bound-%d" % i for i in range(2 * MEMO_LIMIT)]
+    for index, key in enumerate(keys):
+        partition, address = partition_hash(key), address_hash(key)
+        if index % 61 == 0:
+            assert partition == _partition_hash_uncached(key)
+            assert address == _address_hash_uncached(key)
+    for memo in (partition_hash, address_hash):
+        info = memo.cache_info()
+        assert info.maxsize == MEMO_LIMIT
+        assert info.currsize <= MEMO_LIMIT
+    assert partition_hash(keys[0]) == _partition_hash_uncached(keys[0])
+    assert address_hash(keys[0]) == _address_hash_uncached(keys[0])

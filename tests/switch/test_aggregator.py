@@ -3,9 +3,13 @@
 import pytest
 
 from repro.core.config import AskConfig
+from repro.core.packer import pack_stream
+from repro.core.packet import AskPacket, PacketFlag
+from repro.net.simulator import Simulator
 from repro.switch.aggregator import AggregatorArray, AggregatorPool
 from repro.switch.pisa import Pipeline
 from repro.switch.registers import PassContext
+from repro.switch.switch import AskSwitch
 
 
 def _aa(size=16):
@@ -84,10 +88,17 @@ class TestPool:
         assert all(pool[i].size == 16 for i in range(4))
 
     def test_short_aggregation_counts_stats(self):
-        cfg, pool = self._pool()
-        assert pool.aggregate_short(PassContext(), 0, 2, b"k\x80\x00\x00"[:4], 1)
-        assert pool.tuples_aggregated == 1
-        assert pool.aggregators_reserved == 1
+        # Short tuples are aggregated by the switch program's per-packet
+        # loop, which adds its outcomes to the pool's counters.
+        cfg = AskConfig.small(shadow_copy=False)
+        switch = AskSwitch(cfg, Simulator(), max_tasks=4, max_channels=8)
+        switch.controller.allocate_region(1)
+        (payload,) = pack_stream([(b"k", 1)], cfg)[0]
+        pkt = AskPacket(PacketFlag.DATA, 1, "h0", "h1", 0, 0, payload.bitmap, payload.slots)
+        switch.program.process(switch.pipeline.begin_pass(), pkt)
+        assert switch.pool.tuples_aggregated == 1
+        assert switch.pool.aggregators_reserved == 1
+        assert switch.pool.tuples_failed == 0
 
     def test_group_all_or_nothing_on_blank_row(self):
         cfg, pool = self._pool()
@@ -120,7 +131,7 @@ class TestPool:
 
     def test_pool_occupancy_fraction(self):
         cfg, pool = self._pool()
-        pool.aggregate_short(PassContext(), 0, 0, b"aaaa", 1)
+        pool[0].aggregate_fast(PassContext(), 0, b"aaaa", 1)
         assert pool.occupancy(0, 16) == pytest.approx(1 / 64)
 
     def test_pool_respects_stage_budget_of_four_per_stage(self):

@@ -110,7 +110,7 @@ def test_fetch_and_reset_short_keys():
     layout = KeySpaceLayout(cfg)
     assignment = layout.assign(b"cat")
     index = region.offset + address_hash(assignment.padded) % region.size
-    pool.aggregate_short(PassContext(), assignment.primary_slot, index, assignment.padded, 7)
+    pool[assignment.primary_slot].aggregate_fast(PassContext(), index, assignment.padded, 7)
     fetched = ctrl.fetch_and_reset(1, part=0)
     assert fetched == {b"cat": 7}
     # Reset: a second fetch returns nothing.
@@ -142,7 +142,7 @@ def test_deallocate_clears_cells():
     layout = KeySpaceLayout(cfg)
     assignment = layout.assign(b"dog")
     index = region.offset + address_hash(assignment.padded) % region.size
-    pool.aggregate_short(PassContext(), assignment.primary_slot, index, assignment.padded, 3)
+    pool[assignment.primary_slot].aggregate_fast(PassContext(), index, assignment.padded, 3)
     ctrl.deallocate(1)
     region2 = ctrl.allocate_region(2)
     assert ctrl.fetch_and_reset(2, part=0) == {}
@@ -154,7 +154,7 @@ def test_region_occupancy_metric():
     layout = KeySpaceLayout(cfg)
     assignment = layout.assign(b"dog")
     index = region.offset + address_hash(assignment.padded) % region.size
-    pool.aggregate_short(PassContext(), assignment.primary_slot, index, assignment.padded, 3)
+    pool[assignment.primary_slot].aggregate_fast(PassContext(), index, assignment.padded, 3)
     occ = ctrl.region_occupancy(1, part=0)
     assert occ == pytest.approx(1 / (region.size * cfg.num_aas))
 

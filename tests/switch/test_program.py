@@ -209,3 +209,15 @@ def test_per_tuple_stats_accumulate():
     assert switch.stats.data_packets == 1
     assert switch.stats.packets_acked == 1
     assert switch.pool.tuples_aggregated == 2
+
+
+def test_address_hash_table_stops_caching_at_the_memo_limit():
+    from repro.core.hashing import MEMO_LIMIT
+
+    cfg, switch = _switch()
+    switch.controller.allocate_region(1)
+    full = dict.fromkeys((b"%05d" % i for i in range(MEMO_LIMIT)), 0)
+    switch.program._hashes = full
+    assert _process(switch, _data_packet(cfg, [(b"cat", 2)])).action is SwitchAction.ACK
+    assert len(full) == MEMO_LIMIT  # the new key was hashed, not cached
+    assert switch.controller.fetch_and_reset(1, part=0) == {b"cat": 2}
