@@ -2,7 +2,7 @@
 control, and the PISA-vs-Trio backend comparison."""
 
 from repro.core.config import AskConfig
-from repro.core.service import AskService, MultiRackService
+from repro.core.service import AskService
 from repro.perf.metrics import format_table
 from repro.switch.trio import TrioSwitch
 from repro.workloads.datasets import get_dataset
@@ -13,7 +13,7 @@ def test_multirack_core_traffic_reduction(benchmark, report):
 
     def run():
         cfg = AskConfig.small(aggregators_per_aa=2048, trace=True)
-        service = MultiRackService(
+        service = AskService(
             cfg, racks={"r0": ["a", "b"], "r1": ["c"], "r2": ["d"]}
         )
         streams = {

@@ -12,13 +12,13 @@ Run:
     python examples/advanced_deployment.py
 """
 
-from repro import AskConfig, AskService, MultiRackService, TrioSwitch, tenant_of
+from repro import AskConfig, AskService, TrioSwitch, tenant_of
 
 
 def multirack_demo() -> None:
     print("== multi-rack hierarchy (§7) ==")
     cfg = AskConfig.small(trace=True)
-    service = MultiRackService(
+    service = AskService(
         cfg, racks={"r0": ["a", "b"], "r1": ["c", "d"], "r2": ["e"]}
     )
     streams = {

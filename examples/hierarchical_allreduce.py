@@ -17,7 +17,7 @@ import numpy as np
 from repro.apps.training import ask_allreduce
 from repro.core.config import AskConfig
 from repro.core.results import values_sha256
-from repro.core.service import TreeAskService
+from repro.core.service import AskService
 
 #: 2 pods x 2 racks: workers gpu0..gpu6 plus the parameter server "ps".
 PODS = {
@@ -32,9 +32,7 @@ def run_backend(backend: str, gradients: dict) -> tuple[np.ndarray, str]:
         # Wall-clock UDP needs a humane retransmission timeout; see the
         # CLI demo for the same adjustment.
         config = dataclasses.replace(config, retransmit_timeout_us=2000)
-    service = TreeAskService(
-        config, pods=PODS, placement="both", backend=backend
-    )
+    service = AskService(config, backend=backend, pods=PODS, placement="both")
     try:
         start = getattr(service.fabric, "start", None)
         if start is not None:

@@ -29,7 +29,7 @@ from repro.core.errors import (
 )
 from repro.core.packet import AskPacket, PacketFlag, Slot
 from repro.core.results import AggregationResult, TaskStats, reference_aggregate
-from repro.core.service import AskService, MultiRackService, TreeAskService
+from repro.core.service import AskService, TreeAskService
 from repro.core.task import AggregationTask, TaskPhase
 from repro.core.tenancy import (
     AdmissionController,
@@ -54,7 +54,6 @@ __all__ = [
     "ConfigError",
     "FaultModel",
     "KeyTooLongError",
-    "MultiRackService",
     "PacketFlag",
     "QuotaAccountingError",
     "Slot",

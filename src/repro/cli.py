@@ -219,11 +219,11 @@ def _run_tree_chaos(backend: str, seed: int, report_path: str | None) -> int:
 
     from repro.chaos import ChaosOrchestrator, ChaosSchedule
     from repro.chaos.schedule import ChaosEvent
-    from repro.core.service import TreeAskService
+    from repro.core.service import SMALL_TREE, AskService
 
     sim = backend == "sim"
-    service = TreeAskService(
-        _chaos_config(backend), placement="both", backend=backend
+    service = AskService(
+        _chaos_config(backend), backend=backend, pods=SMALL_TREE, placement="both"
     )
     try:
         horizon = 250_000 if sim else 30_000_000

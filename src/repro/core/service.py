@@ -1,8 +1,10 @@
 """`AskService` — the user-facing facade that wires everything together.
 
-A service instance is one rack: one ASK switch, N hosts with daemons, and
-the fabric between them.  Applications submit aggregation tasks (a set of
-sender streams plus one receiver) and run the deployment until completion::
+A service is one ASK deployment over a :class:`RackLayout`: one rack
+(``hosts=``), a flat mesh of racks (``racks=``, §7) or a spine–leaf tree
+of pods (``pods=``), with host daemons and the fabric between them.
+Applications submit aggregation tasks (a set of sender streams plus one
+receiver) and run the deployment until completion::
 
     from repro import AskConfig, AskService
 
@@ -17,18 +19,18 @@ The full task workflow of Fig. 4 is followed: region allocation and sender
 notification cost one control-plane latency each before streaming begins,
 and teardown fetches the switch copies before the result is published.
 
-Since the runtime layer, the service is backend-agnostic: the default
-``backend="sim"`` runs on the deterministic discrete-event fabric exactly
-as before, while ``backend="asyncio"`` frames the same protocol onto real
-localhost UDP sockets under wall-clock time (see
-:mod:`repro.runtime.asyncio_fabric`).  All wiring is delegated to
+The service is backend-agnostic: the default ``backend="sim"`` runs on the
+deterministic discrete-event fabric, while ``backend="asyncio"`` frames
+the same protocol onto real localhost UDP sockets under wall-clock time
+(see :mod:`repro.runtime.asyncio_fabric`).  All wiring is delegated to
 :class:`~repro.runtime.builder.DeploymentBuilder`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import AskConfig
 from repro.core.daemon import HostDaemon
@@ -36,6 +38,7 @@ from repro.core.errors import (
     RegionExhaustedError,
     TaskFailedError,
     TaskStateError,
+    TopologyError,
 )
 from repro.core.results import AggregationResult, reference_aggregate
 from repro.core.task import AggregationTask, TaskPhase
@@ -46,11 +49,149 @@ from repro.core.tenancy import (
     encode_task_id,
 )
 from repro.net.fault import FaultModel
-from repro.runtime.builder import Deployment, DeploymentBuilder
+from repro.runtime.builder import DeploymentBuilder
 from repro.runtime.interfaces import Clock, TaskRunner
 from repro.switch.controller import RegionSpec
 
 Stream = Sequence[tuple[bytes, int]]
+
+#: Per-task aggregation placement policies of a spine–leaf layout.
+PLACEMENTS = ("leaf", "spine", "both")
+
+#: The smallest spine–leaf tree with a cross-pod path: 2 pods x 2 racks x
+#: 2 hosts.
+SMALL_TREE: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    "s0": {"r0": ("h0", "h1"), "r1": ("h2", "h3")},
+    "s1": {"r2": ("h4", "h5"), "r3": ("h6", "h7")},
+}
+
+RegionPlan = Tuple[Tuple[str, ...], Optional[Dict[str, RegionSpec]]]
+
+
+@dataclass(frozen=True)
+class RackLayout:
+    """Where a deployment's hosts, TORs and spines sit, in wiring order.
+
+    :meth:`of` builds it from one of three shapes: one rack (``hosts``), a
+    flat mesh (``racks``: rack → hosts) or a spine–leaf tree (``pods``:
+    pod → rack → hosts).  A mesh or tree names rack ``r``'s TOR ``tor-r``
+    and pod ``p``'s spine ``spine-p``; the one rack is ``r0`` under
+    ``switch_name``.  One rack and the flat mesh are the spineless case.
+    """
+
+    #: rack -> its host names
+    rack_hosts: Dict[str, Tuple[str, ...]]
+    #: host -> its rack
+    rack_of: Dict[str, str]
+    #: rack -> its TOR switch name
+    tor_of: Dict[str, str]
+    #: pod -> its spine switch name (empty without spines)
+    spines: Dict[str, str]
+    #: rack -> the spine switch above it (empty without spines)
+    spine_of: Dict[str, str]
+
+    @classmethod
+    def of(
+        cls,
+        hosts: Union[int, Iterable[str], None] = None,
+        racks: Optional[Mapping[str, Iterable[str]]] = None,
+        pods: Optional[Mapping[str, Mapping[str, Iterable[str]]]] = None,
+        switch_name: str = "switch",
+    ) -> "RackLayout":
+        if sum(shape is not None for shape in (hosts, racks, pods)) > 1:
+            raise ValueError(
+                "give one layout: hosts= (one rack), racks= (flat mesh) "
+                "or pods= (spine–leaf)"
+            )
+        spines: Dict[str, str] = {}
+        spine_of: Dict[str, str] = {}
+        if pods is not None:
+            racks = {
+                rack: names
+                for pod_racks in pods.values()
+                for rack, names in pod_racks.items()
+            }
+            for pod, pod_racks in pods.items():
+                spines[pod] = f"spine-{pod}"
+                spine_of.update(dict.fromkeys(pod_racks, spines[pod]))
+        if racks is None:
+            count_or_names = 2 if hosts is None else hosts
+            names = (
+                [f"h{i}" for i in range(count_or_names)]
+                if isinstance(count_or_names, int)
+                else count_or_names
+            )
+            rack_hosts = {"r0": tuple(names)}
+            tor_of = {"r0": switch_name}
+        else:
+            rack_hosts = {rack: tuple(names) for rack, names in racks.items()}
+            tor_of = {rack: f"tor-{rack}" for rack in rack_hosts}
+        rack_of = {host: rack for rack, names in rack_hosts.items() for host in names}
+        return cls(rack_hosts, rack_of, tor_of, spines, spine_of)
+
+    def placement(self, placement: Optional[str]) -> str:
+        """Check a placement policy against this layout.
+
+        ``None`` picks the layout's default: ``"both"`` under spines, else
+        ``"leaf"``.  An unknown name is a :class:`ValueError`; any explicit
+        placement on a spineless layout is a :class:`TopologyError`, since
+        there every region lives on the sender-side TORs.
+        """
+        if placement is None:
+            return "both" if self.spines else "leaf"
+        if placement not in PLACEMENTS:
+            raise ValueError(
+                f"unknown placement {placement!r}; pick one of {PLACEMENTS}"
+            )
+        if not self.spines:
+            raise TopologyError(
+                f"placement {placement!r} needs a spine–leaf layout (pods=)",
+                placement,
+            )
+        return placement
+
+    def region_plan(self, senders: Sequence[str], placement: str) -> RegionPlan:
+        """Where a task of ``senders`` keeps aggregation state: switch
+        names plus per-switch :class:`RegionSpec` roles (``None``: plain
+        regions).
+
+        ``"leaf"``
+            A plain region on every sender-side TOR.  This is the only
+            placement of a spineless layout; spines stay pure transit.
+        ``"spine"``
+            A combiner region on every sender-side spine, admitting that
+            pod's senders via its ``sources``; leaves run the program for
+            dedup but hold no aggregation state for the task.
+        ``"both"``
+            Relay regions on the sender-side TORs (absorb, then forward
+            even fully-absorbed packets up) plus those combiners — the
+            hierarchical pre-aggregation of Flare / SwitchAgg.
+
+        Sender-first-seen rack and spine orders keep allocation (and so
+        the whole schedule) deterministic for a given stream dict.
+        """
+        rack_of = self.rack_of
+        racks = list(dict.fromkeys(rack_of[sender] for sender in senders))
+        tors = tuple(self.tor_of[rack] for rack in racks)
+        if placement == "leaf":
+            return tors, None
+        rack_sources = {
+            rack: frozenset(s for s in senders if rack_of[s] == rack) for rack in racks
+        }
+        spine_sources: Dict[str, frozenset[str]] = {}
+        for rack in racks:
+            spine = self.spine_of[rack]
+            spine_sources[spine] = spine_sources.get(spine, frozenset()) | rack_sources[rack]
+        combiners = {
+            spine: RegionSpec(sources=sources) for spine, sources in spine_sources.items()
+        }
+        if placement == "spine":
+            return tuple(combiners), combiners
+        relays = {
+            tor: RegionSpec(sources=rack_sources[rack], relay=True)
+            for rack, tor in zip(racks, tors)
+        }
+        return tors + tuple(combiners), {**relays, **combiners}
 
 
 class StreamingSession:
@@ -120,18 +261,85 @@ class StreamingSession:
         return self.task.result
 
 
-class _AskServiceBase:
-    """The Fig. 4 task workflow over one wired :class:`Deployment`.
+#: What a task's senders start from once its regions are wired: the
+#: whole streams of a batch task, or a streaming session's live feeds.
+Feed = Union[Dict[str, Stream], StreamingSession]
 
-    Subclasses configure a :class:`DeploymentBuilder` (rack layout,
-    backend, switch factory) and hand the built deployment here; the full
-    application surface — ``submit`` / ``open_stream`` / ``run`` /
-    ``aggregate`` — is shared between the single- and multi-rack services
-    and between the sim and asyncio backends.
+
+class AskService:
+    """One ASK deployment — switches, hosts and fabric — over a layout.
+
+    Give at most one of ``hosts`` (one rack; a count or names, default
+    2), ``racks`` (a flat mesh: rack → host names) or ``pods`` (a
+    spine–leaf tree: pod → rack → host names); see :class:`RackLayout`
+    for the switch names each gets.
+
+    In a flat mesh every rack has its own TOR.  A task allocates a region
+    on every *sender-side* TOR, cross-rack traffic bypasses the
+    receiver's TOR (the routing rule in
+    :meth:`repro.switch.switch.AskSwitch._should_run_program`), swap
+    notifications broadcast to all involved TORs and teardown merges
+    every TOR's copies.  In a tree, inter-rack traffic routes leaf →
+    spine [→ spine] → leaf instead of over the core mesh, and the
+    *placement policy* (:meth:`RackLayout.region_plan`) decides where a
+    task's aggregation state lives.  ``placement`` sets the service-wide
+    default (``"both"``); :meth:`submit` and :meth:`open_stream` take a
+    per-task override.  Whatever the layout and policy, result values are
+    bit-identical to a one-rack run of the same workload (aggregation is
+    commutative mod 2^value_bits).
+
+    ``switch_factory`` selects the data-plane program: the default PISA
+    :class:`~repro.switch.switch.AskSwitch`, or the run-to-completion
+    :class:`~repro.switch.trio.TrioSwitch` (§6) — the host side is
+    identical either way.  ``backend`` selects the fabric: ``"sim"``
+    (deterministic discrete-event, the default) or ``"asyncio"`` (real
+    localhost UDP under wall-clock time).  ``core_bandwidth_gbps`` and
+    ``core_latency_ns`` price the switch-to-switch links.
     """
 
-    def __init__(self, deployment: Deployment) -> None:
-        self.deployment = deployment
+    def __init__(
+        self,
+        config: Optional[AskConfig] = None,
+        hosts: Union[int, Iterable[str], None] = None,
+        fault: Optional[FaultModel] = None,
+        switch_name: str = "switch",
+        max_tasks: int = 64,
+        max_channels: int = 256,
+        switch_factory: Optional[Any] = None,
+        backend: str = "sim",
+        bind_host: str = "127.0.0.1",
+        *,
+        racks: Optional[Mapping[str, Iterable[str]]] = None,
+        pods: Optional[Mapping[str, Mapping[str, Iterable[str]]]] = None,
+        placement: Optional[str] = None,
+        core_bandwidth_gbps: Optional[float] = 400.0,
+        core_latency_ns: int = 2_000,
+    ) -> None:
+        self.layout = layout = RackLayout.of(hosts, racks, pods, switch_name)
+        self.placement = layout.placement(placement)
+        builder = DeploymentBuilder(
+            config,
+            backend=backend,
+            fault=fault,
+            max_tasks=max_tasks,
+            max_channels=max_channels,
+            switch_factory=switch_factory,
+            core_bandwidth_gbps=core_bandwidth_gbps,
+            core_latency_ns=core_latency_ns,
+            bind_host=bind_host,
+        )
+        for spine in layout.spines.values():
+            builder.add_spine(spine)
+        for rack, names in layout.rack_hosts.items():
+            builder.add_rack(
+                list(names),
+                switch_name=layout.tor_of[rack],
+                rack=rack,
+                spine=layout.spine_of.get(rack),
+            )
+        self.deployment = deployment = builder.build(
+            on_task_complete=self._on_task_complete
+        )
         self.config: AskConfig = deployment.config
         self.backend: str = deployment.backend
         self.fabric = deployment.fabric
@@ -139,6 +347,14 @@ class _AskServiceBase:
         self.control = deployment.control
         self.daemons: Dict[str, HostDaemon] = deployment.daemons
         self.trace = deployment.trace
+        #: rack name -> that rack's TOR switch.
+        self.switches = {
+            rack: deployment.switches[tor] for rack, tor in layout.tor_of.items()
+        }
+        #: pod name -> that pod's spine switch (empty without spines).
+        self.spines = {
+            pod: deployment.switches[spine] for pod, spine in layout.spines.items()
+        }
         self._task_ids = itertools.count(1)
         self.tasks: dict[int, AggregationTask] = {}
         #: Failed task ids already surfaced via TaskFailedError: a loud
@@ -156,11 +372,16 @@ class _AskServiceBase:
     # Compatibility / convenience surfaces
     # ------------------------------------------------------------------
     @property
+    def switch(self) -> Any:
+        """The switch of a one-rack deployment."""
+        return self.deployment.switch
+
+    @property
     def clock(self) -> Clock:
         return self.fabric.clock
 
     @property
-    def sim(self):
+    def sim(self) -> Any:
         """The discrete-event simulator (sim backend only)."""
         sim = getattr(self.fabric, "sim", None)
         if sim is None:
@@ -170,7 +391,7 @@ class _AskServiceBase:
         return sim
 
     @property
-    def topology(self):
+    def topology(self) -> Any:
         """The concrete network topology (sim backend only)."""
         topology = getattr(self.fabric, "topology", None)
         if topology is None:
@@ -183,7 +404,7 @@ class _AskServiceBase:
         """Release backend resources (asyncio sockets/tasks; no-op sim)."""
         self.deployment.close()
 
-    def __enter__(self) -> "_AskServiceBase":
+    def __enter__(self) -> "AskService":
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -230,19 +451,6 @@ class _AskServiceBase:
     def hosts(self) -> list[str]:
         return list(self.daemons)
 
-    def _switches_for(self, senders: Iterable[str]) -> tuple[str, ...]:
-        """Switches that must hold a region for a task with ``senders``."""
-        raise NotImplementedError
-
-    def _region_plan(
-        self, task: AggregationTask
-    ) -> tuple[tuple[str, ...], Optional[Dict[str, RegionSpec]]]:
-        """Region placement for ``task``: switch names plus (optionally)
-        per-switch :class:`RegionSpec` roles.  The default — every switch
-        from :meth:`_switches_for`, no specs — is the flat deployment;
-        tree services override this with their placement policy."""
-        return self._switches_for(task.senders), None
-
     # ------------------------------------------------------------------
     # Task submission (Fig. 4 steps ①–⑧)
     # ------------------------------------------------------------------
@@ -253,6 +461,7 @@ class _AskServiceBase:
         region_size: Optional[int] = None,
         task_id: Optional[int] = None,
         tenant_id: int = DEFAULT_TENANT,
+        placement: Optional[str] = None,
     ) -> AggregationTask:
         """Submit an aggregation task.
 
@@ -260,45 +469,90 @@ class _AskServiceBase:
         the destination host (it may also appear among the senders, like the
         co-located mappers of §5.5).  ``tenant_id`` is encoded into the task
         ID (§7 multi-tenancy) so regions, channels and shared memory are
-        isolated per tenant, and switch-side quotas apply.  Returns the task
-        immediately; call :meth:`run` to drive it to completion.
+        isolated per tenant, and switch-side quotas apply.  ``placement``
+        overrides the service's placement policy for this task (spine–leaf
+        layouts only).  Returns the task immediately; call :meth:`run` to
+        drive it to completion.
         """
-        if receiver not in self.daemons:
-            raise KeyError(f"unknown receiver host {receiver!r}")
-        for host in streams:
-            if host not in self.daemons:
-                raise KeyError(f"unknown sender host {host!r}")
-        if not streams:
-            raise ValueError("a task needs at least one sender stream")
-        if task_id is None:
-            task_id = encode_task_id(tenant_id, next(self._task_ids))
-        elif task_id in self.tasks:
-            raise TaskStateError(f"task id {task_id} already in use")
-
-        task = AggregationTask(
-            task_id=task_id,
-            receiver=receiver,
-            senders=tuple(streams),
-            region_size=region_size,
+        task, placement = self._new_task(
+            tuple(streams), receiver, region_size, task_id, tenant_id, placement
         )
-        task.stats.submitted_at_ns = self.clock.now
         task.stats.input_tuples = sum(len(s) for s in streams.values())
         task.stats.input_bytes = sum(
             len(k) + 4 for s in streams.values() for k, _ in s
         )
-        self.tasks[task_id] = task
+        self._schedule_setup(task, placement, dict(streams))
+        return task
 
+    def open_stream(
+        self,
+        senders: Sequence[str],
+        receiver: str,
+        region_size: Optional[int] = None,
+        tenant_id: int = DEFAULT_TENANT,
+        placement: Optional[str] = None,
+    ) -> StreamingSession:
+        """Open an aggregation task whose streams are fed incrementally.
+
+        Real-time sources (the paper's streaming-processing motivation)
+        do not know their data up front; a streaming session keeps every
+        sender's channel live until :meth:`StreamingSession.close`.
+        """
+        task, placement = self._new_task(
+            tuple(senders), receiver, region_size, None, tenant_id, placement
+        )
+        session = StreamingSession(task, task.senders)
+        self._schedule_setup(task, placement, session)
+        return session
+
+    def _new_task(
+        self,
+        senders: tuple[str, ...],
+        receiver: str,
+        region_size: Optional[int],
+        task_id: Optional[int],
+        tenant_id: int,
+        placement: Optional[str],
+    ) -> tuple[AggregationTask, str]:
+        """Validate a submission; returns the task and its placement."""
+        placement = self.placement if placement is None else self.layout.placement(placement)
+        if receiver not in self.daemons:
+            raise KeyError(f"unknown receiver host {receiver!r}")
+        for host in senders:
+            if host not in self.daemons:
+                raise KeyError(f"unknown sender host {host!r}")
+        if not senders:
+            raise ValueError("a task needs at least one sender")
+        if len(set(senders)) != len(senders):
+            raise ValueError(f"a task's senders must be distinct, got {senders}")
+        if task_id is None:
+            # Skip ids an explicit submit already took.
+            task_id = encode_task_id(tenant_id, next(self._task_ids))
+            while task_id in self.tasks:
+                task_id = encode_task_id(tenant_id, next(self._task_ids))
+        elif task_id in self.tasks:
+            raise TaskStateError(f"task id {task_id} already in use")
+        task = AggregationTask(
+            task_id=task_id,
+            receiver=receiver,
+            senders=senders,
+            region_size=region_size,
+        )
+        task.stats.submitted_at_ns = self.clock.now
+        return task, placement
+
+    def _schedule_setup(self, task: AggregationTask, placement: str, feed: Feed) -> None:
+        self.tasks[task.task_id] = task
         # Step ②③ after one control-plane latency: shared memory + region.
         self.clock.schedule(
-            self.config.control_latency_ns, self._setup_task, task, dict(streams)
+            self.config.control_latency_ns, self._setup_task, task, placement, feed
         )
         if self.supervisor is not None:
             self.supervisor.notice_activity()
-        return task
 
-    def _setup_task(self, task: AggregationTask, streams: dict[str, Stream]) -> None:
+    def _setup_task(self, task: AggregationTask, placement: str, feed: Feed) -> None:
         try:
-            switches, specs = self._region_plan(task)
+            switches, specs = self.layout.region_plan(task.senders, placement)
             regions = self.control.allocate(
                 task.task_id, switches, task.region_size, specs=specs
             )
@@ -308,7 +562,7 @@ class _AskServiceBase:
             # closures re-run the allocation and the sender kickoff when
             # memory frees up (or flip to bypass at the deadline).
             if self.admission is not None:
-                self._queue_for_admission(task, switches, specs, streams=streams)
+                self._queue_for_admission(task, switches, specs, feed)
                 return
             self._fail_allocation(task, exc)
             raise
@@ -321,11 +575,14 @@ class _AskServiceBase:
             # fully reusable, and let the error surface.
             self._fail_allocation(task, exc)
             raise
+        self._wire(task, regions, feed, bypass=False)
+
+    def _wire(self, task: AggregationTask, regions, feed: Feed, bypass: bool) -> None:
         self.daemons[task.receiver].open_receive_task(task, regions)
         task.advance(TaskPhase.SETUP)
         # Step ④⑤: notify every sender over the control channel.
         self.clock.schedule(
-            self.config.control_latency_ns, self._start_senders, task, streams
+            self.config.control_latency_ns, self._start_senders, task, feed, bypass
         )
 
     def _fail_allocation(self, task: AggregationTask, exc: Exception) -> None:
@@ -337,28 +594,13 @@ class _AskServiceBase:
         self,
         task: AggregationTask,
         switches: tuple[str, ...],
-        specs,
-        streams: Optional[dict[str, Stream]] = None,
-        session: Optional["StreamingSession"] = None,
+        specs: Optional[Dict[str, RegionSpec]],
+        feed: Feed,
     ) -> None:
         """Enqueue a task whose allocation failed on the admission
         controller.  The region plan is captured once — it is a pure
         function of the task's senders, so re-planning at grant time
         would only recompute the same placement."""
-
-        def _wire(regions, bypass: bool) -> None:
-            self.daemons[task.receiver].open_receive_task(task, regions)
-            task.advance(TaskPhase.SETUP)
-            if session is None:
-                self.clock.schedule(
-                    self.config.control_latency_ns,
-                    self._start_senders, task, streams, bypass,
-                )
-            else:
-                self.clock.schedule(
-                    self.config.control_latency_ns,
-                    self._attach_streams, task, session, bypass,
-                )
 
         def grant() -> bool:
             try:
@@ -367,7 +609,7 @@ class _AskServiceBase:
                 )
             except (RegionExhaustedError, TenantQuotaError):
                 return False
-            _wire(regions, bypass=False)
+            self._wire(task, regions, feed, bypass=False)
             return True
 
         def degrade() -> None:
@@ -376,7 +618,7 @@ class _AskServiceBase:
             # them untouched, and the receiver completes from its residual
             # alone — exactly-once and bit-exact, just without offload.
             task.stats.degraded_to_bypass = True
-            _wire({}, bypass=True)
+            self._wire(task, {}, feed, bypass=True)
 
         def reject(reason: str) -> None:
             task.failure_reason = reason
@@ -394,91 +636,16 @@ class _AskServiceBase:
             # this very waiter) alive while the task waits.
             self.supervisor.notice_activity()
 
-    def _start_senders(
-        self,
-        task: AggregationTask,
-        streams: dict[str, Stream],
-        bypass: bool = False,
-    ) -> None:
+    def _start_senders(self, task: AggregationTask, feed: Feed, bypass: bool) -> None:
         task.advance(TaskPhase.STREAMING)
-        for host, stream in streams.items():
-            self.daemons[host].start_sending(
-                task, list(stream), force_bypass=bypass
-            )
-
-    # ------------------------------------------------------------------
-    # Streaming tasks (unbounded key-value streams)
-    # ------------------------------------------------------------------
-    def open_stream(
-        self,
-        senders: Sequence[str],
-        receiver: str,
-        region_size: Optional[int] = None,
-        tenant_id: int = DEFAULT_TENANT,
-    ) -> StreamingSession:
-        """Open an aggregation task whose streams are fed incrementally.
-
-        Real-time sources (the paper's streaming-processing motivation)
-        do not know their data up front; a streaming session keeps every
-        sender's channel live until :meth:`StreamingSession.close`.
-        """
-        if receiver not in self.daemons:
-            raise KeyError(f"unknown receiver host {receiver!r}")
-        for host in senders:
-            if host not in self.daemons:
-                raise KeyError(f"unknown sender host {host!r}")
-        if not senders:
-            raise ValueError("a streaming session needs at least one sender")
-        task_id = encode_task_id(tenant_id, next(self._task_ids))
-        task = AggregationTask(
-            task_id=task_id,
-            receiver=receiver,
-            senders=tuple(senders),
-            region_size=region_size,
-        )
-        task.stats.submitted_at_ns = self.clock.now
-        self.tasks[task_id] = task
-        session = StreamingSession(task, tuple(senders))
-        self.clock.schedule(
-            self.config.control_latency_ns, self._setup_streaming, task, session
-        )
-        if self.supervisor is not None:
-            self.supervisor.notice_activity()
-        return session
-
-    def _setup_streaming(self, task: AggregationTask, session: StreamingSession) -> None:
-        try:
-            switches, specs = self._region_plan(task)
-            regions = self.control.allocate(
-                task.task_id, switches, task.region_size, specs=specs
-            )
-        except (RegionExhaustedError, TenantQuotaError) as exc:
-            if self.admission is not None:
-                self._queue_for_admission(task, switches, specs, session=session)
-                return
-            self._fail_allocation(task, exc)
-            raise
-        except Exception as exc:
-            self._fail_allocation(task, exc)
-            raise
-        self.daemons[task.receiver].open_receive_task(task, regions)
-        task.advance(TaskPhase.SETUP)
-        self.clock.schedule(
-            self.config.control_latency_ns, self._attach_streams, task, session
-        )
-
-    def _attach_streams(
-        self,
-        task: AggregationTask,
-        session: StreamingSession,
-        bypass: bool = False,
-    ) -> None:
-        task.advance(TaskPhase.STREAMING)
-        for host in session.senders:
-            session._attach(
-                host,
-                self.daemons[host].start_streaming(task, force_bypass=bypass),
-            )
+        if isinstance(feed, StreamingSession):
+            for host in feed.senders:
+                feed._attach(
+                    host, self.daemons[host].start_streaming(task, force_bypass=bypass)
+                )
+            return
+        for host, stream in feed.items():
+            self.daemons[host].start_sending(task, list(stream), force_bypass=bypass)
 
     # ------------------------------------------------------------------
     # Driving the deployment
@@ -559,300 +726,29 @@ class _AskServiceBase:
         return task.result
 
 
-class AskService(_AskServiceBase):
-    """One ASK deployment: switch + hosts + fabric.
-
-    ``switch_factory`` selects the data-plane program: the default PISA
-    :class:`~repro.switch.switch.AskSwitch`, or the run-to-completion
-    :class:`~repro.switch.trio.TrioSwitch` (§6) — the host side is
-    identical either way.  ``backend`` selects the fabric: ``"sim"``
-    (deterministic discrete-event, the default) or ``"asyncio"`` (real
-    localhost UDP under wall-clock time).
-    """
-
-    def __init__(
-        self,
-        config: Optional[AskConfig] = None,
-        hosts: Union[int, Iterable[str]] = 2,
-        fault: Optional[FaultModel] = None,
-        switch_name: str = "switch",
-        max_tasks: int = 64,
-        max_channels: int = 256,
-        switch_factory: Optional[Any] = None,
-        backend: str = "sim",
-        bind_host: str = "127.0.0.1",
-    ) -> None:
-        builder = DeploymentBuilder(
-            config,
-            backend=backend,
-            fault=fault,
-            max_tasks=max_tasks,
-            max_channels=max_channels,
-            switch_factory=switch_factory,
-            bind_host=bind_host,
-        )
-        builder.add_rack(hosts, switch_name=switch_name)
-        super().__init__(builder.build(on_task_complete=self._on_task_complete))
-        self.switch = self.deployment.switch
-
-    def _switches_for(self, senders: Iterable[str]) -> tuple[str, ...]:
-        """A single-rack task always lives on the one rack switch."""
-        return (self.switch.name,)
-
-
-class MultiRackService(_AskServiceBase):
-    """An ASK deployment spanning several racks (§7).
-
-    Every rack has its own TOR switch; a task allocates a region on every
-    *sender-side* TOR, cross-rack traffic bypasses the receiver's TOR (the
-    routing rule in :meth:`repro.switch.switch.AskSwitch._should_run_program`),
-    swap notifications broadcast to all involved TORs and teardown merges
-    every TOR's copies.  Multi-rack deployments run on the sim backend.
-    """
-
-    def __init__(
-        self,
-        config: Optional[AskConfig] = None,
-        racks: Optional[Dict[str, Iterable[str]]] = None,
-        fault: Optional[FaultModel] = None,
-        max_tasks: int = 64,
-        max_channels: int = 256,
-        core_bandwidth_gbps: Optional[float] = 400.0,
-        core_latency_ns: int = 2_000,
-    ) -> None:
-        if not racks:
-            racks = {"r0": ["h0", "h1"], "r1": ["h2", "h3"]}
-        builder = DeploymentBuilder(
-            config,
-            backend="sim",
-            fault=fault,
-            max_tasks=max_tasks,
-            max_channels=max_channels,
-            core_bandwidth_gbps=core_bandwidth_gbps,
-            core_latency_ns=core_latency_ns,
-        )
-        for rack, host_names in racks.items():
-            builder.add_rack(list(host_names), switch_name=f"tor-{rack}", rack=rack)
-        super().__init__(builder.build(on_task_complete=self._on_task_complete))
-        #: rack name -> that rack's TOR switch (the historical keying).
-        self.switches = {
-            rack: self.deployment.switches[f"tor-{rack}"] for rack in self.deployment.racks
-        }
-
-    # ------------------------------------------------------------------
-    def switch_of_host(self, host: str):
-        return self.switches[self.fabric.rack_of_host(host)]
-
-    def _switches_for(self, senders: Iterable[str]) -> tuple[str, ...]:
-        """Every sender-side TOR of the task, deduplicated, rack order."""
-        racks = []
-        for sender in senders:
-            rack = self.fabric.rack_of_host(sender)
-            if rack not in racks:
-                racks.append(rack)
-        return tuple(self.switches[rack].name for rack in racks)
-
-
-#: Valid per-task aggregation placement policies for a tree deployment.
-PLACEMENTS = ("leaf", "spine", "both")
-
-
-class TreeAskService(_AskServiceBase):
-    """A spine–leaf ASK deployment: pods of racks under spine combiners.
-
-    ``pods`` maps pod name → {rack name → host names}; each pod gets one
-    spine switch (``spine-<pod>``), each rack its leaf TOR
-    (``tor-<rack>``).  Inter-rack traffic routes leaf → spine [→ spine]
-    → leaf → host instead of the flat §7 core mesh, and the *placement
-    policy* decides where a task's aggregation state lives:
-
-    ``"leaf"``
-        Regions on the sender-side leaf TORs only (the flat policy on tree
-        routing); spines are pure transit.
-    ``"spine"``
-        Regions on the senders' pod spines only, each admitting the pod's
-        senders via its region ``sources``; leaves run the program for
-        dedup but hold no aggregation state for the task.
-    ``"both"``
-        Relay regions on the sender-side leaves (absorb, then forward even
-        fully-absorbed packets up) plus terminal combiner regions on the
-        pod spines — the full hierarchical pre-aggregation of Flare /
-        SwitchAgg.
-
-    The service-wide default is set at construction; :meth:`submit` and
-    :meth:`open_stream` accept a per-task override.  Whatever the tree and
-    policy, result values are bit-identical to a flat single-switch run of
-    the same workload (aggregation is commutative mod 2^value_bits).
-    """
-
-    def __init__(
-        self,
-        config: Optional[AskConfig] = None,
-        pods: Optional[Dict[str, Dict[str, Iterable[str]]]] = None,
-        placement: str = "both",
-        fault: Optional[FaultModel] = None,
-        max_tasks: int = 64,
-        max_channels: int = 256,
-        core_bandwidth_gbps: Optional[float] = 400.0,
-        core_latency_ns: int = 2_000,
-        backend: str = "sim",
-        bind_host: str = "127.0.0.1",
-    ) -> None:
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; pick one of {PLACEMENTS}"
-            )
-        if not pods:
-            pods = {
-                "s0": {"r0": ["h0", "h1"], "r1": ["h2", "h3"]},
-                "s1": {"r2": ["h4", "h5"], "r3": ["h6", "h7"]},
-            }
-        self.placement = placement
-        self._task_placement: Dict[int, str] = {}
-        self._pod_of_rack: Dict[str, str] = {}
-        self._rack_hosts: Dict[str, tuple[str, ...]] = {}
-        builder = DeploymentBuilder(
-            config,
-            backend=backend,
-            fault=fault,
-            max_tasks=max_tasks,
-            max_channels=max_channels,
-            core_bandwidth_gbps=core_bandwidth_gbps,
-            core_latency_ns=core_latency_ns,
-            bind_host=bind_host,
-        )
-        for pod, pod_racks in pods.items():
-            spine_name = builder.add_spine(f"spine-{pod}")
-            for rack, host_names in pod_racks.items():
-                names = tuple(host_names)
-                builder.add_rack(
-                    list(names), switch_name=f"tor-{rack}", rack=rack, spine=spine_name
-                )
-                self._pod_of_rack[rack] = pod
-                self._rack_hosts[rack] = names
-        super().__init__(builder.build(on_task_complete=self._on_task_complete))
-        #: rack name -> that rack's leaf TOR switch.
-        self.switches = {
-            rack: self.deployment.switches[f"tor-{rack}"]
-            for rack in self.deployment.racks
-        }
-        #: pod name -> that pod's spine switch.
-        self.spines = {pod: self.deployment.switches[f"spine-{pod}"] for pod in pods}
-
-    # ------------------------------------------------------------------
-    def switch_of_host(self, host: str):
-        """The leaf TOR serving ``host``'s rack."""
-        return self.switches[self.fabric.rack_of_host(host)]
-
-    def spine_of_host(self, host: str):
-        """The spine combiner above ``host``'s rack."""
-        return self.spines[self._pod_of_rack[self.fabric.rack_of_host(host)]]
-
-    def _switches_for(self, senders: Iterable[str]) -> tuple[str, ...]:
-        """Sender-side leaf TORs, deduplicated, sender-first-seen order."""
-        racks = []
-        for sender in senders:
-            rack = self.fabric.rack_of_host(sender)
-            if rack not in racks:
-                racks.append(rack)
-        return tuple(self.switches[rack].name for rack in racks)
-
-    def _region_plan(
-        self, task: AggregationTask
-    ) -> tuple[tuple[str, ...], Optional[Dict[str, RegionSpec]]]:
-        placement = self._task_placement.get(task.task_id, self.placement)
-        senders = task.senders
-        # Sender-first-seen rack and pod orders keep allocation (and so
-        # the whole schedule) deterministic for a given stream dict.
-        racks: list[str] = []
-        for sender in senders:
-            rack = self.fabric.rack_of_host(sender)
-            if rack not in racks:
-                racks.append(rack)
-        pods: list[str] = []
-        for rack in racks:
-            pod = self._pod_of_rack[rack]
-            if pod not in pods:
-                pods.append(pod)
-        rack_senders = {
-            rack: frozenset(
-                s for s in senders if self.fabric.rack_of_host(s) == rack
-            )
-            for rack in racks
-        }
-        pod_senders = {
-            pod: frozenset(
-                s
-                for rack in racks
-                if self._pod_of_rack[rack] == pod
-                for s in rack_senders[rack]
-            )
-            for pod in pods
-        }
-        leaves = tuple(self.switches[rack].name for rack in racks)
-        spine_names = tuple(self.spines[pod].name for pod in pods)
-        if placement == "leaf":
-            return leaves, None
-        if placement == "spine":
-            specs = {
-                self.spines[pod].name: RegionSpec(sources=pod_senders[pod])
-                for pod in pods
-            }
-            return spine_names, specs
-        specs = {
-            self.switches[rack].name: RegionSpec(
-                sources=rack_senders[rack], relay=True
-            )
-            for rack in racks
-        }
-        for pod in pods:
-            specs[self.spines[pod].name] = RegionSpec(sources=pod_senders[pod])
-        return leaves + spine_names, specs
-
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        streams: dict[str, Stream],
-        receiver: str,
-        region_size: Optional[int] = None,
-        task_id: Optional[int] = None,
-        tenant_id: int = DEFAULT_TENANT,
-        placement: Optional[str] = None,
-    ) -> AggregationTask:
-        """Submit a task, optionally overriding the placement policy for
-        it (``"leaf"`` / ``"spine"`` / ``"both"``).  Region allocation
-        happens one control latency later, so the override is recorded
-        before :meth:`_region_plan` consults it."""
-        if placement is not None and placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; pick one of {PLACEMENTS}"
-            )
-        task = super().submit(
-            streams,
-            receiver,
-            region_size=region_size,
-            task_id=task_id,
-            tenant_id=tenant_id,
-        )
-        if placement is not None:
-            self._task_placement[task.task_id] = placement
-        return task
-
-    def open_stream(
-        self,
-        senders: Sequence[str],
-        receiver: str,
-        region_size: Optional[int] = None,
-        tenant_id: int = DEFAULT_TENANT,
-        placement: Optional[str] = None,
-    ) -> StreamingSession:
-        if placement is not None and placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; pick one of {PLACEMENTS}"
-            )
-        session = super().open_stream(
-            senders, receiver, region_size=region_size, tenant_id=tenant_id
-        )
-        if placement is not None:
-            self._task_placement[session.task.task_id] = placement
-        return session
+def TreeAskService(
+    config: Optional[AskConfig] = None,
+    pods: Optional[Mapping[str, Mapping[str, Iterable[str]]]] = None,
+    placement: str = "both",
+    fault: Optional[FaultModel] = None,
+    max_tasks: int = 64,
+    max_channels: int = 256,
+    core_bandwidth_gbps: Optional[float] = 400.0,
+    core_latency_ns: int = 2_000,
+    backend: str = "sim",
+    bind_host: str = "127.0.0.1",
+) -> AskService:
+    """A spine–leaf :class:`AskService` under its historical name and
+    argument order; ``pods`` defaults to :data:`SMALL_TREE`."""
+    return AskService(
+        config,
+        fault=fault,
+        max_tasks=max_tasks,
+        max_channels=max_channels,
+        backend=backend,
+        bind_host=bind_host,
+        pods=pods or SMALL_TREE,
+        placement=placement,
+        core_bandwidth_gbps=core_bandwidth_gbps,
+        core_latency_ns=core_latency_ns,
+    )

@@ -97,7 +97,7 @@ def _run_functional() -> dict[str, tuple[str, int, int]]:
     placement policy on the sim backend and fingerprint the results."""
     from repro.core.config import AskConfig
     from repro.core.results import reference_aggregate, values_sha256
-    from repro.core.service import PLACEMENTS, TreeAskService
+    from repro.core.service import PLACEMENTS, SMALL_TREE, AskService
 
     streams = {
         f"h{i}": [(b"k%d" % (j % 11), i + j) for j in range(60)]
@@ -105,7 +105,7 @@ def _run_functional() -> dict[str, tuple[str, int, int]]:
     }
     out: dict[str, tuple[str, int, int]] = {}
     for placement in PLACEMENTS:
-        service = TreeAskService(AskConfig.small(), placement=placement)
+        service = AskService(AskConfig.small(), pods=SMALL_TREE, placement=placement)
         try:
             result = service.aggregate(streams, receiver="h7", check=True)
             expected = reference_aggregate(streams, service.config.value_mask)

@@ -1,10 +1,9 @@
 """Run reports: one readable summary of everything a service run did.
 
 ``service_report`` condenses the switch counters, per-link statistics and
-per-task outcomes of an :class:`~repro.core.service.AskService` (or
-:class:`~repro.core.service.MultiRackService`) run — the
-observability surface an operator of the real system would want, and what
-the examples print after a run.
+per-task outcomes of an :class:`~repro.core.service.AskService` run, on
+any layout — the observability surface an operator of the real system
+would want, and what the examples print after a run.
 """
 
 from __future__ import annotations
@@ -86,13 +85,9 @@ def service_report(service) -> str:
         )
     )
 
-    # Switches (single- or multi-rack)
-    switches = getattr(service, "switches", None)
-    if switches is not None:
-        for rack, switch in switches.items():
-            lines.extend(_switch_block(f"tor-{rack}", switch))
-    else:
-        lines.extend(_switch_block(service.switch.name, service.switch))
+    # Switches (every TOR, and the spines of a tree)
+    for name, switch in service.deployment.switches.items():
+        lines.extend(_switch_block(name, switch))
 
     # Links (star topologies expose per-host ports; multirack nests them)
     topology = service.topology

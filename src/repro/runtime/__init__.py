@@ -26,8 +26,8 @@ Two backends ship:
 
 :class:`~repro.runtime.builder.DeploymentBuilder` assembles either
 backend into a ready deployment (switches + control plane + daemons) and
-is the single place rack wiring happens — `AskService`,
-`MultiRackService` and backend-comparison harnesses all build through it.
+is the single place rack wiring happens — `AskService` (on every rack
+layout) and backend-comparison harnesses all build through it.
 """
 
 from typing import Any

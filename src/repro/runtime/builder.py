@@ -1,11 +1,6 @@
 """`DeploymentBuilder` — the one place rack wiring happens.
 
-Before the runtime layer, `AskService` and `MultiRackService` each
-hand-wired simulator, trace, switch, topology, control plane and daemons
-— six call sites to edit for every new backend or topology.  The builder
-folds that into one component: declare racks, pick a backend, build.
-
-::
+Declare racks (and spines), pick a backend, build::
 
     deployment = (
         DeploymentBuilder(config, backend="asyncio", fault=fault)
@@ -14,10 +9,8 @@ folds that into one component: declare racks, pick a backend, build.
     )
     deployment.daemons["h0"] ...
 
-Wiring order is part of the determinism contract and mirrors the
-pre-runtime services exactly (fabric, then per rack: switch → install →
-register → hosts in order), so a sim-backed build is schedule-identical
-to the old hand wiring.
+Wiring order is part of the determinism contract: fabric, then every
+spine, then per rack: switch → install → register → hosts in order.
 """
 
 from __future__ import annotations
@@ -122,9 +115,10 @@ class Deployment:
 class DeploymentBuilder:
     """Assemble an ASK deployment on a chosen backend.
 
-    One ``add_rack`` call builds the classic single-rack service; several
-    build the §7 multi-rack deployment (sim backend only — the asyncio
-    backend currently frames one rack onto UDP).
+    One ``add_rack`` call builds the classic single-rack deployment;
+    several build the §7 flat multi-rack mesh, and racks declared under
+    ``add_spine`` switches a spine–leaf tree.  Every shape wires on every
+    backend.
     """
 
     def __init__(

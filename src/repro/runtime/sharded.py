@@ -55,7 +55,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import AskConfig
 from repro.core.errors import TopologyError
-from repro.core.service import PLACEMENTS, MultiRackService, TreeAskService
+from repro.core.service import AskService, RackLayout
 from repro.core.task import AggregationTask
 from repro.net.fault import FaultModel
 from repro.net.multirack import MultiRackTopology, ShardPlan, plan_rack_shards
@@ -138,14 +138,16 @@ class ShardedScenario:
 
     Exactly one of ``racks`` (flat mesh: rack → host names) or ``pods``
     (spine–leaf: pod → rack → host names) must be set, with at least two
-    racks.  ``fault`` holds :class:`~repro.net.fault.FaultModel` kwargs —
+    racks; ``placement`` is the tree's default placement policy (``None``:
+    the layout's default, see :meth:`~repro.core.service.RackLayout.placement`).
+    ``fault`` holds :class:`~repro.net.fault.FaultModel` kwargs —
     the model itself is stateful, so every build constructs a fresh one.
     """
 
     config: AskConfig
     racks: Optional[Mapping[str, Tuple[str, ...]]] = None
     pods: Optional[Mapping[str, Mapping[str, Tuple[str, ...]]]] = None
-    placement: str = "both"
+    placement: Optional[str] = None
     tasks: Tuple[ShardedTask, ...] = ()
     chaos: Tuple[ChaosAction, ...] = ()
     fault: Optional[Mapping[str, Any]] = None
@@ -164,45 +166,21 @@ class ShardedScenario:
     def __post_init__(self) -> None:
         if (self.racks is None) == (self.pods is None):
             raise ValueError("set exactly one of racks= (flat) or pods= (tree)")
-        if len(self.rack_hosts()) < 2:
+        layout = self.layout
+        if len(layout.rack_hosts) < 2:
             raise ValueError("a sharded scenario needs at least two racks")
-        if self.placement not in PLACEMENTS:
-            raise ValueError(f"unknown placement {self.placement!r}")
+        layout.placement(self.placement)
         for action in self.chaos:
             if action.kind not in CHAOS_KINDS:
                 raise ValueError(f"unknown chaos kind {action.kind!r}")
             if action.time_ns < 0:
                 raise ValueError(f"chaos action at negative time {action.time_ns}")
 
-    # -- structural lookups (no build required) ------------------------
-    def rack_hosts(self) -> Dict[str, Tuple[str, ...]]:
-        """rack name → host names, declaration order."""
-        if self.pods is not None:
-            return {
-                rack: tuple(hosts)
-                for pod_racks in self.pods.values()
-                for rack, hosts in pod_racks.items()
-            }
-        assert self.racks is not None
-        return {rack: tuple(hosts) for rack, hosts in self.racks.items()}
-
-    def rack_of(self) -> Dict[str, str]:
-        """host name → rack name."""
-        return {
-            host: rack
-            for rack, hosts in self.rack_hosts().items()
-            for host in hosts
-        }
-
-    def spine_of(self) -> Dict[str, str]:
-        """rack name → its pod's spine switch name (tree only, else empty)."""
-        if self.pods is None:
-            return {}
-        return {
-            rack: f"spine-{pod}"
-            for pod, pod_racks in self.pods.items()
-            for rack in pod_racks
-        }
+    @property
+    def layout(self) -> RackLayout:
+        """Hosts, racks and switch names, exactly as the service wires them
+        (no build required)."""
+        return RackLayout.of(racks=self.racks, pods=self.pods)
 
 
 @dataclass(frozen=True)
@@ -236,18 +214,20 @@ def make_plan(
 ) -> ShardPlan:
     """Cut the scenario's racks into ``shards`` contiguous balanced shards
     (see :func:`~repro.net.multirack.plan_rack_shards`)."""
-    racks = list(scenario.rack_hosts())
-    spine_of = scenario.spine_of()
+    layout = scenario.layout
     return plan_rack_shards(
-        racks, shards, spine_of=spine_of or None, spread_spines=spread_spines
+        list(layout.rack_hosts),
+        shards,
+        spine_of=layout.spine_of or None,
+        spread_spines=spread_spines,
     )
 
 
 def task_homes(scenario: ShardedScenario, plan: ShardPlan) -> List[int]:
     """Home shard rank per task, enforcing the task closure rule."""
-    rack_of = scenario.rack_of()
-    spine_of = scenario.spine_of()
-    tree = scenario.pods is not None
+    layout = scenario.layout
+    rack_of = layout.rack_of
+    default = layout.placement(scenario.placement)
     homes: List[int] = []
     for index, task in enumerate(scenario.tasks):
         if task.receiver not in rack_of:
@@ -255,11 +235,7 @@ def task_homes(scenario: ShardedScenario, plan: ShardPlan) -> List[int]:
                 f"task {index}: unknown receiver {task.receiver!r}", task.receiver
             )
         home = plan.rank_of_rack(rack_of[task.receiver])
-        if task.placement is not None and not tree:
-            raise TopologyError(
-                f"task {index}: placement overrides need a spine–leaf scenario",
-                task.receiver,
-            )
+        placement = default if task.placement is None else layout.placement(task.placement)
         for sender in task.streams:
             if sender not in rack_of:
                 raise TopologyError(
@@ -274,10 +250,9 @@ def task_homes(scenario: ShardedScenario, plan: ShardPlan) -> List[int]:
                     "(allocation, kickoff, teardown) cannot cross the shard cut",
                     sender,
                 )
-        placement = task.placement if task.placement is not None else scenario.placement
-        if tree and placement in ("spine", "both"):
+        if placement != "leaf":
             for sender in task.streams:
-                spine = spine_of[rack_of[sender]]
+                spine = layout.spine_of[rack_of[sender]]
                 rank = plan.rank_of_spine(spine)
                 if rank != home:
                     raise TopologyError(
@@ -307,36 +282,21 @@ def submission_order(scenario: ShardedScenario, plan: ShardPlan) -> List[int]:
 # ----------------------------------------------------------------------
 # Building and driving one deployment (serial, or one shard's replica)
 # ----------------------------------------------------------------------
-def _build_service(scenario: ShardedScenario) -> Any:
+def _build_service(scenario: ShardedScenario) -> AskService:
     fault = (
         FaultModel(**dict(scenario.fault)) if scenario.fault is not None else None
     )
-    service: Any
-    if scenario.pods is not None:
-        service = TreeAskService(
-            scenario.config,
-            pods={
-                pod: {rack: list(hosts) for rack, hosts in pod_racks.items()}
-                for pod, pod_racks in scenario.pods.items()
-            },
-            placement=scenario.placement,
-            fault=fault,
-            max_tasks=scenario.max_tasks,
-            max_channels=scenario.max_channels,
-            core_bandwidth_gbps=scenario.core_bandwidth_gbps,
-            core_latency_ns=scenario.core_latency_ns,
-        )
-    else:
-        assert scenario.racks is not None
-        service = MultiRackService(
-            scenario.config,
-            racks={rack: list(hosts) for rack, hosts in scenario.racks.items()},
-            fault=fault,
-            max_tasks=scenario.max_tasks,
-            max_channels=scenario.max_channels,
-            core_bandwidth_gbps=scenario.core_bandwidth_gbps,
-            core_latency_ns=scenario.core_latency_ns,
-        )
+    service = AskService(
+        scenario.config,
+        fault=fault,
+        max_tasks=scenario.max_tasks,
+        max_channels=scenario.max_channels,
+        racks=scenario.racks,
+        pods=scenario.pods,
+        placement=scenario.placement,
+        core_bandwidth_gbps=scenario.core_bandwidth_gbps,
+        core_latency_ns=scenario.core_latency_ns,
+    )
     if scenario.corruption_rate is not None:
         service.fabric.corruption_rate = scenario.corruption_rate
     service.fabric.slow_multiplier = scenario.slow_multiplier
@@ -369,17 +329,10 @@ def _schedule_chaos(
             sim.call_at(action.time_ns, method, action.target)
 
 
-def _submit(service: Any, task: ShardedTask) -> AggregationTask:
+def _submit(service: AskService, task: ShardedTask) -> AggregationTask:
     streams = {host: list(stream) for host, stream in task.streams.items()}
-    if task.placement is not None:
-        return service.submit(  # type: ignore[no-any-return]
-            streams,
-            task.receiver,
-            region_size=task.region_size,
-            placement=task.placement,
-        )
-    return service.submit(  # type: ignore[no-any-return]
-        streams, task.receiver, region_size=task.region_size
+    return service.submit(
+        streams, task.receiver, region_size=task.region_size, placement=task.placement
     )
 
 
@@ -565,9 +518,8 @@ class _ProbeNode:
 
 def _probe_topology(scenario: ShardedScenario) -> MultiRackTopology:
     """A host-less replica of the scenario's fabric, for lookahead and
-    route computation without building a full deployment.  Switch and
-    link naming must match the real build (services name leaves
-    ``tor-<rack>`` and spines ``spine-<pod>``)."""
+    route computation without building a full deployment: the layout's
+    switch names, wired in the builder's order (spines, then racks)."""
     topology = MultiRackTopology(
         Simulator(),
         bandwidth_gbps=scenario.config.link_bandwidth_gbps,
@@ -575,17 +527,11 @@ def _probe_topology(scenario: ShardedScenario) -> MultiRackTopology:
         core_bandwidth_gbps=scenario.core_bandwidth_gbps,
         core_latency_ns=scenario.core_latency_ns,
     )
-    if scenario.pods is not None:
-        for pod, pod_racks in scenario.pods.items():
-            topology.add_spine(_ProbeNode(f"spine-{pod}"))
-            for rack in pod_racks:
-                topology.add_rack(
-                    rack, _ProbeNode(f"tor-{rack}"), spine=f"spine-{pod}"
-                )
-    else:
-        assert scenario.racks is not None
-        for rack in scenario.racks:
-            topology.add_rack(rack, _ProbeNode(f"tor-{rack}"))
+    layout = scenario.layout
+    for spine in layout.spines.values():
+        topology.add_spine(_ProbeNode(spine))
+    for rack, tor in layout.tor_of.items():
+        topology.add_rack(rack, _ProbeNode(tor), spine=layout.spine_of.get(rack))
     return topology
 
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.config import AskConfig
-from repro.core.errors import TaskStateError
-from repro.core.service import AskService
+from repro.core.errors import TaskStateError, TopologyError
+from repro.core.service import AskService, TreeAskService
 from repro.core.task import TaskPhase
 from repro.workloads.stream import exact_aggregate
 
@@ -181,3 +181,63 @@ def test_failed_allocation_tears_down_and_leaves_service_reusable():
     )
     service.run_to_completion()
     assert retry.result is not None and retry.result[b"b"] == 100
+
+
+def test_open_stream_rejects_repeated_sender():
+    service = AskService(AskConfig.small(), hosts=3)
+    with pytest.raises(ValueError, match="distinct"):
+        service.open_stream(["h0", "h0"], receiver="h2")
+    assert not service.tasks
+
+
+def test_auto_task_ids_skip_explicit_ones():
+    service = AskService(AskConfig.small(), hosts=2)
+    explicit = service.submit(
+        {"h0": [(b"a", 1)]}, receiver="h1", region_size=8, task_id=1
+    )
+    auto = service.submit({"h0": [(b"a", 2)]}, receiver="h1", region_size=8)
+    assert auto.task_id != explicit.task_id
+    assert set(service.tasks) == {explicit.task_id, auto.task_id}
+    service.run_to_completion()
+    assert explicit.result[b"a"] == 1 and auto.result[b"a"] == 2
+
+
+def test_placement_is_checked_against_the_layout():
+    pods = {"p0": {"r0": ["h0", "h1"]}, "p1": {"r1": ["h2", "h3"]}}
+    with pytest.raises(ValueError, match="unknown placement"):
+        AskService(AskConfig.small(), pods=pods, placement="root")
+    tree = AskService(AskConfig.small(), pods=pods)
+    assert tree.placement == "both"
+    with pytest.raises(ValueError, match="unknown placement"):
+        tree.submit({"h0": [(b"a", 1)]}, receiver="h3", placement="root")
+    # Without spines there is nothing to place: every region lives on the
+    # sender-side TORs, so an explicit placement is a topology error.
+    for service in (
+        AskService(AskConfig.small(), hosts=2),
+        AskService(AskConfig.small(), racks={"r0": ["h0"], "r1": ["h1"]}),
+    ):
+        assert service.placement == "leaf"
+        with pytest.raises(TopologyError):
+            service.submit({"h0": [(b"a", 1)]}, receiver="h1", placement="leaf")
+        with pytest.raises(TopologyError):
+            service.open_stream(["h0"], receiver="h1", placement="spine")
+        assert not service.tasks
+    with pytest.raises(TopologyError):
+        AskService(AskConfig.small(), hosts=2, placement="spine")
+
+
+def test_one_layout_per_service():
+    with pytest.raises(ValueError, match="one layout"):
+        AskService(AskConfig.small(), hosts=2, racks={"r0": ["a"], "r1": ["b"]})
+
+
+def test_layouts_name_their_switches():
+    rack = AskService(AskConfig.small(), hosts=["a", "b"], switch_name="tor")
+    assert set(rack.switches) == {"r0"} and rack.switch.name == "tor"
+    mesh = AskService(AskConfig.small(), racks={"x": ["a"], "y": ["b"]})
+    assert {r: s.name for r, s in mesh.switches.items()} == {"x": "tor-x", "y": "tor-y"}
+    assert mesh.spines == {}
+    tree = TreeAskService(AskConfig.small(), None, "spine")
+    assert tree.placement == "spine"
+    assert {p: s.name for p, s in tree.spines.items()} == {"s0": "spine-s0", "s1": "spine-s1"}
+    assert len(tree.switches) == 4 and len(tree.hosts) == 8

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AskConfig
-from repro.core.service import AskService, MultiRackService
+from repro.core.service import AskService
 from repro.net.fault import FaultModel
 from repro.workloads.stream import exact_aggregate, merge_results
 
@@ -74,7 +74,7 @@ def test_multirack_chaos_property(seed):
         reorder_rate=rng.uniform(0, 0.15),
         seed=seed,
     )
-    service = MultiRackService(
+    service = AskService(
         AskConfig.small(swap_threshold_packets=16),
         racks={"r0": ["a", "b"], "r1": ["c", "d"]},
         fault=fault,

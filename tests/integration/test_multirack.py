@@ -5,14 +5,14 @@ import pytest
 from repro.core.config import AskConfig
 from repro.core.controlplane import ControlPlane
 from repro.core.errors import RegionExhaustedError, TaskStateError
-from repro.core.service import MultiRackService
+from repro.core.service import AskService
 from repro.net.fault import FaultModel
 from repro.workloads.stream import exact_aggregate, merge_results
 
 
 def _service(fault=None, **cfg_overrides):
     cfg = AskConfig.small(**cfg_overrides)
-    return MultiRackService(
+    return AskService(
         cfg,
         racks={"r0": ["a", "b"], "r1": ["c", "d"]},
         fault=fault,
@@ -119,7 +119,7 @@ def test_rack_local_task_works_too():
 def test_core_traffic_reduced_by_rack_local_aggregation():
     """The hierarchy's point: the core carries only residuals + control."""
     cfg = AskConfig.small(aggregators_per_aa=2048, trace=True)
-    service = MultiRackService(cfg, racks={"r0": ["a", "b"], "r1": ["c", "d"]})
+    service = AskService(cfg, racks={"r0": ["a", "b"], "r1": ["c", "d"]})
     stream = [(("k%02d" % (i % 20)).encode(), 1) for i in range(1000)]
     result = service.aggregate({"c": stream}, receiver="a", check=True)
     data_sent = result.stats.data_packets_sent

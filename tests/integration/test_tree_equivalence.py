@@ -5,10 +5,11 @@ produce the exact aggregate of a flat single-switch run — aggregation is
 commutative and associative mod 2^value_bits, so *where* the merging
 happens (leaf, spine, receiver host) can never change *what* is merged.
 The property below drives generated workloads through every placement
-policy and compares ``values_sha256`` fingerprints against the
-single-switch reference; the crash drills then assert the contract holds
-through a spine failure on both backends (exactly-once under subtree
-bypass + replay).
+policy, and through the spineless flat mesh of the same racks, and
+compares ``values_sha256`` fingerprints against the single-switch
+reference on both backends; the crash drills then assert the contract
+holds through a spine failure on both backends (exactly-once under
+subtree bypass + replay).
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.config import AskConfig
 from repro.core.errors import ConfigError
 from repro.core.results import reference_aggregate, values_sha256
-from repro.core.service import PLACEMENTS, AskService, TreeAskService
+from repro.core.service import PLACEMENTS, AskService
 from repro.net.fault import FaultModel
 from repro.runtime.builder import DeploymentBuilder
 
@@ -30,7 +31,12 @@ PODS = {
     "s0": {"r0": ["h0", "h1"], "r1": ["h2", "h3"]},
     "s1": {"r2": ["h4", "h5"], "r3": ["h6", "h7"]},
 }
+#: The same racks as a spineless flat mesh.
+RACKS = {rack: hosts for pod_racks in PODS.values() for rack, hosts in pod_racks.items()}
 SENDERS = ("h0", "h2", "h4", "h6")  # one per rack, both pods
+#: Every multi-switch layout of those racks: the tree under each placement
+#: policy, then the flat mesh (``None``).
+LAYOUTS = PLACEMENTS + (None,)
 
 
 def _flat_fingerprint(streams, config):
@@ -42,15 +48,31 @@ def _flat_fingerprint(streams, config):
         service.close()
 
 
-def _tree_fingerprint(streams, config, placement, fault=None, backend="sim"):
-    service = TreeAskService(
-        config, pods=PODS, placement=placement, fault=fault, backend=backend
-    )
+def _layout_fingerprint(streams, config, placement, fault=None, backend="sim"):
+    layout = {"racks": RACKS} if placement is None else {"pods": PODS, "placement": placement}
+    service = AskService(config, fault=fault, backend=backend, **layout)
     try:
+        start = getattr(service.fabric, "start", None)
+        if start is not None:
+            start()
         result = service.aggregate(streams, receiver="h7", check=True)
         return values_sha256(result.values)
     finally:
         service.close()
+
+
+def _check_layout_matches_flat(seed, num_keys, tuples, placement, backend, config):
+    rng = random.Random(seed)
+    keys = [b"k%02d" % i for i in range(num_keys)]
+    streams = {
+        sender: [(rng.choice(keys), rng.randint(0, 2**20)) for _ in range(tuples)]
+        for sender in SENDERS
+    }
+    flat = _flat_fingerprint(streams, config)
+    fault = FaultModel(loss_rate=0.05, duplicate_rate=0.05, seed=seed)
+    assert _layout_fingerprint(streams, config, placement, fault, backend) == flat
+    expected = reference_aggregate(streams, config.value_mask)
+    assert flat == values_sha256(expected)
 
 
 @settings(
@@ -62,21 +84,30 @@ def _tree_fingerprint(streams, config, placement, fault=None, backend="sim"):
     seed=st.integers(0, 1000),
     num_keys=st.integers(1, 20),
     tuples=st.integers(1, 120),
-    placement=st.sampled_from(PLACEMENTS),
+    placement=st.sampled_from(LAYOUTS),
 )
 def test_tree_matches_flat_single_switch_reference(seed, num_keys, tuples, placement):
-    rng = random.Random(seed)
-    keys = [b"k%02d" % i for i in range(num_keys)]
-    streams = {
-        sender: [(rng.choice(keys), rng.randint(0, 2**20)) for _ in range(tuples)]
-        for sender in SENDERS
-    }
-    config = AskConfig.small()
-    flat = _flat_fingerprint(streams, config)
-    fault = FaultModel(loss_rate=0.05, duplicate_rate=0.05, seed=seed)
-    assert _tree_fingerprint(streams, config, placement, fault=fault) == flat
-    expected = reference_aggregate(streams, config.value_mask)
-    assert flat == values_sha256(expected)
+    _check_layout_matches_flat(seed, num_keys, tuples, placement, "sim", AskConfig.small())
+
+
+@pytest.mark.parametrize("placement", LAYOUTS, ids=lambda p: p or "mesh")
+@settings(
+    max_examples=2,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 1000),
+    num_keys=st.integers(1, 20),
+    tuples=st.integers(1, 60),
+)
+def test_layouts_match_flat_single_switch_reference_over_udp(
+    placement, seed, num_keys, tuples
+):
+    """The same property on the asyncio backend: real sockets, wall-clock
+    timers, the fault model on every datagram."""
+    config = dataclasses.replace(AskConfig.small(), retransmit_timeout_us=2_000.0)
+    _check_layout_matches_flat(seed, num_keys, tuples, placement, "asyncio", config)
 
 
 # ----------------------------------------------------------------------
@@ -111,8 +142,8 @@ def test_spine_crash_mid_task_stays_exactly_once(backend, placement):
 
     sim = backend == "sim"
     horizon = 250_000 if sim else 30_000_000
-    service = TreeAskService(
-        _crash_config(backend), pods=PODS, placement=placement, backend=backend
+    service = AskService(
+        _crash_config(backend), backend=backend, pods=PODS, placement=placement
     )
     try:
         schedule = ChaosSchedule(
@@ -145,7 +176,7 @@ def test_leaf_crash_under_spine_placement_stays_exactly_once():
     from repro.chaos import ChaosOrchestrator, ChaosSchedule
     from repro.chaos.schedule import ChaosEvent
 
-    service = TreeAskService(_crash_config("sim"), pods=PODS, placement="spine")
+    service = AskService(_crash_config("sim"), pods=PODS, placement="spine")
     try:
         schedule = ChaosSchedule(
             seed=0,

@@ -1,7 +1,7 @@
 """Tests for the run-report generator."""
 
 from repro.core.config import AskConfig
-from repro.core.service import AskService, MultiRackService
+from repro.core.service import AskService
 from repro.net.fault import FaultModel
 from repro.perf.report import service_report
 
@@ -39,7 +39,7 @@ def test_report_shows_ecn_marks_when_cc_enabled():
 
 
 def test_report_works_for_multirack():
-    service = MultiRackService(
+    service = AskService(
         AskConfig.small(), racks={"r0": ["a", "b"], "r1": ["c"]}
     )
     service.aggregate({"a": [(b"x", 1)] * 40, "c": [(b"x", 2)] * 40}, receiver="b")

@@ -82,9 +82,8 @@ def sharded_scenarios(draw):
 
     scenario_probe = ShardedScenario(config=_config(), **topo_kwargs)
     plan = make_plan(scenario_probe, shards, spread_spines=spread)
-    rack_hosts = scenario_probe.rack_hosts()
-    rack_of = scenario_probe.rack_of()
-    spine_of = scenario_probe.spine_of()
+    layout = scenario_probe.layout
+    rack_hosts, rack_of, spine_of = layout.rack_hosts, layout.rack_of, layout.spine_of
 
     tasks = []
     for _ in range(draw(st.integers(1, 3))):

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro import AskConfig, AskService, FaultModel, TreeAskService
+from repro import AskConfig, AskService, FaultModel
 from repro.chaos import ChaosEvent, ChaosOrchestrator, ChaosSchedule
 from repro.core.errors import TaskFailedError
 
@@ -54,7 +54,7 @@ def _small_tree():
         "p0": {"r0": ["h0", "h1"], "r1": ["h2", "h3"]},
         "p1": {"r2": ["h4", "h5"], "r3": ["h6", "h7"]},
     }
-    service = TreeAskService(
+    service = AskService(
         AskConfig.small(aggregators_per_aa=256),
         pods=pods,
         placement="both",
