@@ -11,8 +11,10 @@ for that fabric.  It provides:
   reordering / extra-delay injection,
 - :class:`~repro.net.nic.Nic` — per-port packets-per-second and bandwidth
   caps,
-- :class:`~repro.net.topology.StarTopology` — hosts wired to a single
-  top-of-rack switch, the deployment the paper recommends (§7),
+- :class:`~repro.net.multirack.MultiRackTopology` — racks of hosts
+  behind per-rack TOR switches: one rack (the deployment the paper
+  recommends, §7), a flat mesh or a spine–leaf tree; each rack is a
+  :class:`~repro.net.topology.StarTopology` of hosts around its TOR,
 - :class:`~repro.net.trace.PacketTrace` — event recording for tests.
 
 Nothing in this package knows about ASK semantics: it moves opaque payloads

@@ -1,8 +1,9 @@
-"""Multi-rack topology: per-rack ASK TOR switches, flat mesh or spine–leaf.
+"""Rack topology: per-rack ASK TOR switches, one rack, flat mesh or spine–leaf.
 
-Every host is wired to its rack's TOR switch exactly as in
-:class:`~repro.net.topology.StarTopology`.  Racks interconnect one of two
-ways:
+Every simulated deployment is one :class:`MultiRackTopology`.  Every host
+is wired to its rack's TOR switch by that rack's
+:class:`~repro.net.topology.StarTopology`.  One rack is the spineless
+case with no interconnect at all.  Racks interconnect one of two ways:
 
 Flat mesh (the §7 deployment, a depth-1 tree)
     TOR switches are wired pairwise with (faster, wider) core links.  This
@@ -18,15 +19,16 @@ Spine–leaf tree
     which is what lets a spine ``AskSwitch`` act as a combiner for
     already-partially-aggregated slots.
 
-Each switch sees the fabric through a view exposing the same interface a
-single-rack switch gets from its star topology — ``host_names`` (the §7
+Each switch sees the fabric through a view — ``host_names`` (the §7
 bypass rule keys on it; empty for spines) and ``send_to_host`` (which
 transparently routes anywhere, including control packets addressed to a
 remote switch by name).
 
 Link fault streams derive from stable names (``rack:<rack>``,
 ``core:<a>-><b>``, ``up:<rack>-><spine>``, ``down:<spine>-><rack>``), so
-they do not depend on wiring order.
+they do not depend on wiring order.  A topology built for one spineless
+rack (:attr:`MultiRackTopology.one_rack`) is the exception: its host
+links draw from the template itself.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.net.trace import PacketTrace
 
 
 class RackView:
-    """One leaf switch's view of a multi-rack fabric.
+    """One TOR (leaf) switch's view of the fabric.
 
     Implements the topology interface :class:`~repro.switch.switch.AskSwitch`
     binds to: local ``host_names`` plus ``send_to_host`` that routes
@@ -229,7 +231,8 @@ def plan_rack_shards(
 
 
 class MultiRackTopology:
-    """Racks of hosts behind per-rack switches: flat mesh or spine–leaf."""
+    """Racks of hosts behind per-rack switches: one rack, flat mesh or
+    spine–leaf."""
 
     def __init__(
         self,
@@ -263,6 +266,9 @@ class MultiRackTopology:
         self._up_nics: Dict[str, Nic] = {}  # rack -> uplink toward its spine
         self._down_nics: Dict[str, Nic] = {}  # rack -> downlink from its spine
         self._spine_core: Dict[tuple[str, str], Nic] = {}
+        #: The fault-stream naming rule (see :meth:`add_rack`).  The
+        #: deployment builder sets it for a layout of one spineless rack.
+        self.one_rack = False
 
     # ------------------------------------------------------------------
     def _make_fault(self, label: str) -> Optional[FaultModel]:
@@ -310,16 +316,23 @@ class MultiRackTopology:
             )
         if spine is not None and spine not in self._spine_switches:
             raise TopologyError(f"unknown spine {spine!r}", spine)
-        # Each rack's star derives per-link fault streams keyed by rack
-        # name, so racks differ but stay reproducible and independent of
-        # the order racks were added.
+        # Fault-stream naming.  Each rack's star derives its per-link fault
+        # streams under ``rack:<rack>``, so racks differ but stay
+        # reproducible and independent of the order racks were added.  A
+        # layout of one spineless rack (``one_rack``) instead draws from
+        # the template itself, as ``fault.derive("h0->switch")``: the
+        # names every one-rack schedule has always been drawn with.
+        if self.one_rack and (self._stars or spine is not None):
+            raise TopologyError(
+                f"rack {rack!r}: this topology holds one spineless rack", rack
+            )
         star = StarTopology(
             self.sim,
             switch,
             bandwidth_gbps=self.bandwidth_gbps,
             latency_ns=self.latency_ns,
             host_max_pps=self.host_max_pps,
-            fault=self._make_fault(f"rack:{rack}"),
+            fault=self._fault_template if self.one_rack else self._make_fault(f"rack:{rack}"),
             trace=self.trace,
             ecn_threshold_bytes=self.ecn_threshold_bytes,
         )
@@ -381,6 +394,22 @@ class MultiRackTopology:
     def host_node(self, host: str) -> NetworkNode:
         """The attached node object for ``host`` (fault injection)."""
         return self._stars[self.rack_of_host(host)].host(host)
+
+    def node(self, name: str) -> NetworkNode:
+        """The host, TOR or spine switch called ``name``."""
+        if name in self._switch_rack:
+            return self._switches[self._switch_rack[name]]
+        if name in self._spine_switches:
+            return self._spine_switches[name]
+        return self.host_node(name)
+
+    def uplink(self, host: str) -> Any:
+        """The host→TOR port of ``host`` (its ``.link`` holds the counters)."""
+        return self._stars[self.rack_of_host(host)].uplink(host)
+
+    def downlink(self, host: str) -> Any:
+        """The TOR→host port of ``host``."""
+        return self._stars[self.rack_of_host(host)].downlink(host)
 
     def rack_of_switch(self, switch_name: str) -> str:
         return self._switch_rack[switch_name]

@@ -4,7 +4,9 @@ The paper deploys ASK on a TOR switch serving the hosts of one rack (§7,
 "Deployment in Multi-rack networks").  :class:`StarTopology` builds exactly
 that: N hosts, each with an uplink to and a downlink from the switch, every
 link owning its own fault model so tests can, e.g., make only the
-switch→receiver direction lossy.
+switch→receiver direction lossy.  It is the per-rack part of
+:class:`~repro.net.multirack.MultiRackTopology`, which every simulated
+deployment — one rack included — is built on.
 """
 
 from __future__ import annotations

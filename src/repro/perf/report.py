@@ -55,21 +55,24 @@ def _switch_block(name: str, switch) -> list[str]:
 
 
 def _link_rows(topology) -> list[list[object]]:
-    rows = []
-    for host in topology.host_names:
-        for direction, port in (("up", topology.uplink(host)), ("down", topology.downlink(host))):
-            link = port.link
-            rows.append(
-                [
-                    link.name,
-                    link.packets_sent,
-                    link.packets_dropped,
-                    link.packets_duplicated,
-                    link.packets_marked,
-                    f"{link.bytes_sent / 1024:.1f}",
-                ]
-            )
-    return rows
+    """Every host's uplink and downlink, then the switch interconnect."""
+    links = [
+        port.link
+        for host in topology.host_names
+        for port in (topology.uplink(host), topology.downlink(host))
+    ]
+    links += [nic.link for _name, _src, _dst, nic in topology.interconnect_links()]
+    return [
+        [
+            link.name,
+            link.packets_sent,
+            link.packets_dropped,
+            link.packets_duplicated,
+            link.packets_marked,
+            f"{link.bytes_sent / 1024:.1f}",
+        ]
+        for link in links
+    ]
 
 
 def service_report(service) -> str:
@@ -89,14 +92,12 @@ def service_report(service) -> str:
     for name, switch in service.deployment.switches.items():
         lines.extend(_switch_block(name, switch))
 
-    # Links (star topologies expose per-host ports; multirack nests them)
-    topology = service.topology
-    if hasattr(topology, "uplink"):
-        lines.append(
-            format_table(
-                ["link", "pkts", "dropped", "dup'd", "ECN-marked", "KiB"],
-                _link_rows(topology),
-                title="links",
-            )
+    # Links, on every layout
+    lines.append(
+        format_table(
+            ["link", "pkts", "dropped", "dup'd", "ECN-marked", "KiB"],
+            _link_rows(service.topology),
+            title="links",
         )
+    )
     return "\n".join(lines)

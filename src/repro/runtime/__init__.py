@@ -6,23 +6,26 @@ interfaces defined here:
 
 - :class:`~repro.runtime.interfaces.Clock` — ``now`` / ``schedule`` /
   ``at`` / cancellation, the only time surface the stack uses;
-- :class:`~repro.runtime.interfaces.Fabric` — attach nodes, send frames
-  host→switch and switch→host, fault hooks;
+- :class:`~repro.runtime.interfaces.Fabric` — install each rack's TOR
+  (and any spines), attach hosts to their racks, send frames host→TOR,
+  fault hooks; each switch egresses through its own
+  :class:`~repro.runtime.interfaces.SwitchFabricView`;
 - :class:`~repro.runtime.interfaces.TaskRunner` — run-to-completion vs
   run-forever execution of a deployment.
 
-Two backends ship:
+Two backends ship, one fabric each, and each wires every rack layout —
+one rack, a flat mesh, a spine–leaf tree — the same way (one rack is the
+spineless one-rack case):
 
-- :class:`~repro.runtime.sim.SimFabric` /
-  :class:`~repro.runtime.sim.SimMultiRackFabric` — wrappers over the
-  deterministic discrete-event stack (`Simulator`, `StarTopology`,
-  `Link`, `Nic`).  Behaviour-identical to the pre-runtime wiring: the
-  same seed produces the same schedule, stats and retransmission counts.
+- :class:`~repro.runtime.sim.SimFabric` — a wrapper over the
+  deterministic discrete-event stack (`Simulator`, `MultiRackTopology`,
+  `Link`, `Nic`).  The same seed produces the same schedule, stats and
+  retransmission counts.
 - :class:`~repro.runtime.asyncio_fabric.AsyncioFabric` — a real-time
   backend that frames :class:`~repro.core.packet.AskPacket` onto UDP
-  sockets between asyncio endpoints (one per host daemon plus one for
-  the switch program), with wall-clock timers and real packet loss
-  tolerated by the unchanged reliability layer.
+  sockets between asyncio endpoints (one per host daemon and one per
+  switch), with wall-clock timers and real packet loss tolerated by the
+  unchanged reliability layer.
 
 :class:`~repro.runtime.builder.DeploymentBuilder` assembles either
 backend into a ready deployment (switches + control plane + daemons) and
@@ -59,7 +62,6 @@ _LAZY = {
     # protocol stack can reference it without importing a backend.
     "FabricTimeoutError": "repro.core.errors",
     "SimFabric": "repro.runtime.sim",
-    "SimMultiRackFabric": "repro.runtime.sim",
     "SimRunner": "repro.runtime.sim",
 }
 
@@ -90,7 +92,6 @@ __all__ = [
     "FabricTimeoutError",
     "Node",
     "SimFabric",
-    "SimMultiRackFabric",
     "SimRunner",
     "SwitchFabricView",
     "TaskRunner",

@@ -140,8 +140,9 @@ class _NodeEndpoint:
 
 
 class _AsyncioRackView:
-    """A leaf switch's fabric view in the asyncio multi-rack mode: local
-    ``host_names`` plus tree/mesh routing for everything egressing."""
+    """A TOR (leaf) switch's fabric view: its rack's ``host_names`` plus
+    next-hop routing, within the rack or across the mesh or tree, for
+    everything egressing."""
 
     def __init__(self, fabric: "AsyncioFabric", rack: str) -> None:
         self._fabric = fabric
@@ -174,17 +175,14 @@ class _AsyncioSpineView:
 class AsyncioFabric:
     """One ASK deployment on localhost UDP sockets.
 
-    Two wiring modes share the same datagram machinery:
-
-    - *single-rack* (the historical mode, unchanged): one switch, the
-      fabric itself is the switch's view, every frame is host↔switch.
-    - *multi-rack / tree*: ``install_switch(switch, rack=...)`` (plus
-      optional ``install_spine``) gives every switch its own
-      :class:`_AsyncioRackView`/:class:`_AsyncioSpineView` and frames hop
-      name-to-name along the same leaf→spine→leaf paths the simulated
-      :class:`~repro.net.multirack.MultiRackTopology` takes.  Each hop is
-      a real kernel datagram with its own per-direction fault stream
-      (``fault.derive("src->dst")``), so per-hop loss falls out for free.
+    ``install_switch(switch, rack, spine=...)`` (after any
+    ``install_spine``) gives every switch its own
+    :class:`_AsyncioRackView`/:class:`_AsyncioSpineView`, and frames hop
+    name-to-name along the same host→TOR→[spine→]TOR→host paths the
+    simulated :class:`~repro.net.multirack.MultiRackTopology` takes; one
+    rack is the spineless case where every frame is host↔TOR.  Each hop
+    is a real kernel datagram with its own per-direction fault stream
+    (``fault.derive("src->dst")``), so per-hop loss falls out for free.
     """
 
     backend = "asyncio"
@@ -214,13 +212,12 @@ class AsyncioFabric:
         #: Wire form of every registered node's name, for ``encode_packet``.
         self._name_prefixes: Dict[str, bytes] = {}
         self._faults: Dict[Tuple[str, str], FaultModel] = {}
-        self._switch_name: Optional[str] = None
-        # Multi-rack / tree wiring (all empty in single-rack mode).
-        self._rack_switch: Dict[str, str] = {}  # rack -> leaf switch name
-        self._switch_rack: Dict[str, str] = {}  # leaf switch name -> rack
-        self._rack_spine: Dict[str, str] = {}  # rack -> spine switch name
+        self._rack_switch: Dict[str, str] = {}  # rack -> TOR switch name
+        self._switch_rack: Dict[str, str] = {}  # TOR switch name -> rack
+        self._rack_spine: Dict[str, str] = {}  # rack -> spine (trees only)
         self._spines: set[str] = set()
         self._host_rack: Dict[str, str] = {}
+        self._host_tor: Dict[str, str] = {}  # host -> its TOR's name
         self._rack_hosts: Dict[str, list[str]] = {}
         self._started = False
         self._closed = False
@@ -281,29 +278,10 @@ class AsyncioFabric:
     # Wiring
     # ------------------------------------------------------------------
     def install_switch(
-        self, switch: Node, rack: Optional[str] = None, spine: Optional[str] = None
-    ) -> None:
-        """Install a switch.  ``rack=None`` keeps the historical
-        single-switch mode (the fabric itself is the switch's view);
-        naming a rack enters multi-rack mode, optionally hanging the rack
-        under an already-installed ``spine``."""
-        if rack is None:
-            if spine is not None:
-                raise TopologyError("a single-rack switch takes no spine", switch.name)
-            if self._multirack:
-                raise RuntimeError(
-                    "fabric already in multi-rack mode; pass rack= to install_switch"
-                )
-            if self._switch_name is not None:
-                raise RuntimeError("fabric already has a switch installed")
-            self._register(switch)
-            self._switch_name = switch.name
-            bind = getattr(switch, "bind", None)
-            if bind is not None:
-                bind(self)
-            return
-        if self._switch_name is not None:
-            raise RuntimeError("fabric already has a single-rack switch installed")
+        self, switch: Node, rack: str, spine: Optional[str] = None
+    ) -> "_AsyncioRackView":
+        """Install ``rack``'s TOR ``switch`` and bind it to its view,
+        optionally hanging the rack under an already-installed ``spine``."""
         if rack in self._rack_switch:
             raise TopologyError(f"rack {rack!r} already exists", rack)
         if spine is None and self._rack_spine:
@@ -318,43 +296,33 @@ class AsyncioFabric:
         self._rack_hosts[rack] = []
         if spine is not None:
             self._rack_spine[rack] = spine
+        view = _AsyncioRackView(self, rack)
         bind = getattr(switch, "bind", None)
         if bind is not None:
-            bind(_AsyncioRackView(self, rack))
+            bind(view)
+        return view
 
-    def install_spine(self, switch: Node) -> None:
-        """Declare a spine switch (multi-rack tree mode only)."""
-        if self._switch_name is not None:
-            raise RuntimeError("fabric already has a single-rack switch installed")
+    def install_spine(self, switch: Node) -> "_AsyncioSpineView":
+        """Declare a spine switch (trees; before its racks) and bind its view."""
         if self._rack_switch and len(self._rack_spine) != len(self._rack_switch):
             raise TopologyError(
                 "cannot add a spine to a flat multi-rack fabric", switch.name
             )
         self._register(switch)
         self._spines.add(switch.name)
+        view = _AsyncioSpineView(self, switch.name)
         bind = getattr(switch, "bind", None)
         if bind is not None:
-            bind(_AsyncioSpineView(self, switch.name))
+            bind(view)
+        return view
 
-    @property
-    def _multirack(self) -> bool:
-        return bool(self._rack_switch or self._spines)
-
-    def attach_host(self, host: Node, rack: Optional[str] = None) -> None:
-        if self._multirack:
-            if rack is None:
-                raise ValueError("a multi-rack fabric needs the host's rack")
-            if rack not in self._rack_switch:
-                raise TopologyError(f"unknown rack {rack!r}", rack)
-            if host.name in self._host_rack:
-                raise TopologyError(f"host {host.name!r} already attached", host.name)
-            self._register(host)
-            self._host_rack[host.name] = rack
-            self._rack_hosts[rack].append(host.name)
-            return
-        if self._switch_name is not None and host.name == self._switch_name:
-            raise ValueError(f"{host.name!r} is already the switch")
+    def attach_host(self, host: Node, rack: str) -> None:
+        if rack not in self._rack_switch:
+            raise TopologyError(f"unknown rack {rack!r}", rack)
         self._register(host)
+        self._host_rack[host.name] = rack
+        self._host_tor[host.name] = self._rack_switch[rack]
+        self._rack_hosts[rack].append(host.name)
 
     def _register(self, node: Node) -> None:
         if self._started:
@@ -366,9 +334,7 @@ class AsyncioFabric:
 
     @property
     def host_names(self) -> list[str]:
-        if self._multirack:
-            return list(self._host_rack)
-        return [name for name in self._endpoints if name != self._switch_name]
+        return list(self._host_rack)
 
     def hosts_of(self, rack: str) -> list[str]:
         return list(self._rack_hosts[rack])
@@ -393,7 +359,7 @@ class AsyncioFabric:
             return
         if self._closed:
             raise RuntimeError("fabric already closed")
-        if self._switch_name is None and not self._rack_switch:
+        if not self._rack_switch:
             raise RuntimeError("install_switch() must run before start()")
         for endpoint in self._endpoints.values():
             endpoint.open()
@@ -485,25 +451,10 @@ class AsyncioFabric:
                 self.socket_errors += 1
 
     def send_to_switch(self, host: str, packet: AskPacket, size_bytes: int) -> None:
-        if self._multirack:
-            self._transmit(host, self._rack_switch[self.rack_of_host(host)], packet)
-            return
-        if self._switch_name is None:
-            raise RuntimeError("no switch installed")
-        self._transmit(host, self._switch_name, packet)
-
-    def send_to_host(self, host: str, packet: AskPacket, size_bytes: int) -> None:
-        if self._multirack:
-            # Route from the host's own TOR (tests/tools; switches route
-            # through their bound views instead).
-            self.route_from_switch(self.rack_of_host(host), host, packet)
-            return
-        if self._switch_name is None:
-            raise RuntimeError("no switch installed")
-        self._transmit(self._switch_name, host, packet)
+        self._transmit(host, self._host_tor[host], packet)
 
     # ------------------------------------------------------------------
-    # Multi-rack / tree routing (name-level next hops over _transmit)
+    # Switch egress: name-level next hops over _transmit (the views)
     # ------------------------------------------------------------------
     def route_from_switch(self, rack: str, destination: str, packet: AskPacket) -> None:
         """Next hop for a packet leaving ``rack``'s leaf switch."""

@@ -31,7 +31,7 @@ from repro.net.trace import PacketTrace
 from repro.runtime.asyncio_fabric import AsyncioFabric
 from repro.runtime.codec import VERSION, VERSION_LEGACY
 from repro.runtime.interfaces import Clock, TaskRunner
-from repro.runtime.sim import SimFabric, SimMultiRackFabric
+from repro.runtime.sim import SimFabric
 
 #: ``"sim-sharded"`` wires the exact same deterministic sim fabric as
 #: ``"sim"`` — sharding happens one layer up (:mod:`repro.runtime.sharded`
@@ -117,8 +117,8 @@ class DeploymentBuilder:
 
     One ``add_rack`` call builds the classic single-rack deployment;
     several build the §7 flat multi-rack mesh, and racks declared under
-    ``add_spine`` switches a spine–leaf tree.  Every shape wires on every
-    backend.
+    ``add_spine`` switches a spine–leaf tree.  Every shape wires the same
+    way on every backend: one rack is the spineless one-rack case.
     """
 
     def __init__(
@@ -213,25 +213,21 @@ class DeploymentBuilder:
                 trace=trace,
                 frame_version=frame_version,
             )
-        if len(self._racks) > 1 or self._spines:
-            return SimMultiRackFabric(
-                bandwidth_gbps=config.link_bandwidth_gbps,
-                latency_ns=config.link_latency_ns,
-                core_bandwidth_gbps=self.core_bandwidth_gbps,
-                core_latency_ns=self.core_latency_ns,
-                host_max_pps=config.host_max_pps,
-                fault=self.fault,
-                trace=trace,
-                ecn_threshold_bytes=ecn,
-            )
-        return SimFabric(
+        fabric = SimFabric(
             bandwidth_gbps=config.link_bandwidth_gbps,
             latency_ns=config.link_latency_ns,
+            core_bandwidth_gbps=self.core_bandwidth_gbps,
+            core_latency_ns=self.core_latency_ns,
             host_max_pps=config.host_max_pps,
             fault=self.fault,
             trace=trace,
             ecn_threshold_bytes=ecn,
         )
+        # The fault-stream naming rule (MultiRackTopology.add_rack): only a
+        # layout of one spineless rack draws its host-link streams from the
+        # template itself, under the names one-rack schedules were recorded with.
+        fabric.topology.one_rack = len(self._racks) == 1 and not self._spines
+        return fabric
 
     def _sender_for(self, fabric: Any, host: str) -> Callable[[AskPacket], None]:
         def send(packet: AskPacket) -> None:
@@ -258,7 +254,6 @@ class DeploymentBuilder:
         trace = PacketTrace(enabled=self.config.trace)
         active_trace = trace if self.config.trace else None
         fabric = self._make_fabric(active_trace)
-        multirack = len(self._racks) > 1 or bool(self._spines)
         control = ControlPlane()
         switches: Dict[str, Any] = {}
         daemons: Dict[str, HostDaemon] = {}
@@ -288,10 +283,7 @@ class DeploymentBuilder:
                 max_channels=self.max_channels,
                 trace=active_trace,
             )
-            if multirack:
-                fabric.install_switch(switch, rack, spine=spine)
-            else:
-                fabric.install_switch(switch)
+            fabric.install_switch(switch, rack, spine=spine)
             switches[switch_name] = switch
             control.register(switch_name, switch.controller)
             racks[rack] = list(host_names)
@@ -305,10 +297,7 @@ class DeploymentBuilder:
                     on_task_complete=on_task_complete,
                 )
                 daemons[name] = daemon
-                if multirack:
-                    fabric.attach_host(daemon, rack)
-                else:
-                    fabric.attach_host(daemon)
+                fabric.attach_host(daemon, rack)
 
         if self._spines:
             # Combiner dedup baselining: whenever a job first activates on

@@ -14,10 +14,12 @@ three protocols below instead of any concrete event loop or network:
     running asyncio loop's wall clock.
 
 ``Fabric``
-    Frame movement: attach host nodes, send a frame from a host toward the
-    switch, and send a frame from the switch toward a host.  Fault
-    injection is a backend construction concern (the ``fault`` template
-    each backend derives per-direction models from), not a per-send one.
+    Wiring and host egress over a rack layout: install each rack's TOR
+    (and any spines), attach hosts to their racks, and send a frame from
+    a host toward its TOR.  Each switch gets a ``SwitchFabricView`` for
+    its own egress.  Fault injection is a backend construction concern
+    (the ``fault`` template each backend derives per-direction models
+    from), not a per-send one.
 
 ``TaskRunner``
     Execution: drive the deployment either to completion of a predicate
@@ -108,8 +110,10 @@ class Node(Protocol):
 
 @runtime_checkable
 class Fabric(Protocol):
-    """Frame movement between host daemons and the rack switch.
+    """One deployment's racks: TORs, optional spines, and their hosts.
 
+    One rack is the spineless one-rack case of the same wiring as a flat
+    mesh or a spine–leaf tree; there is no separate single-switch mode.
     A fabric owns its clock; every component of one deployment schedules
     on ``fabric.clock`` so simulated and real time never mix.
     """
@@ -119,21 +123,26 @@ class Fabric(Protocol):
         """The clock every node of this fabric schedules on."""
         ...
 
-    @property
-    def host_names(self) -> list[str]:
-        """Names of the attached hosts (the switch bypass rule keys on it)."""
+    def install_switch(
+        self, switch: Node, rack: str, spine: Optional[str] = None
+    ) -> SwitchFabricView:
+        """Create ``rack`` around its TOR ``switch`` and bind the switch to
+        the returned view.  ``spine`` hangs the rack under a spine that
+        :meth:`install_spine` already installed; without it the rack
+        joins the flat mesh of spineless racks."""
         ...
 
-    def attach_host(self, host: Node) -> None:
-        """Wire a host node into the fabric (uplink + downlink)."""
+    def install_spine(self, switch: Node) -> SwitchFabricView:
+        """Install a spine switch (before its racks) and bind it to the
+        returned view."""
+        ...
+
+    def attach_host(self, host: Node, rack: str) -> None:
+        """Wire a host node to its rack's TOR (uplink + downlink)."""
         ...
 
     def send_to_switch(self, host: str, packet: Any, size_bytes: int) -> None:
-        """Transmit a frame from ``host`` toward its switch."""
-        ...
-
-    def send_to_host(self, host: str, packet: Any, size_bytes: int) -> None:
-        """Transmit a frame from the switch toward ``host``."""
+        """Transmit a frame from ``host`` toward its own TOR."""
         ...
 
     def partition(self, name: str) -> None:
@@ -152,10 +161,14 @@ class Fabric(Protocol):
 class SwitchFabricView(Protocol):
     """What a switch program sees of its fabric.
 
-    The §7 bypass rule keys on ``host_names`` (the switch's own rack);
-    egress — aggregation results, ACKs, routed transit traffic — goes
-    through ``send_to_host``.  A full :class:`Fabric` satisfies this, and
-    so does the per-rack :class:`~repro.net.multirack.RackView`.
+    :meth:`Fabric.install_switch` and :meth:`Fabric.install_spine` hand
+    each switch its own view: the sim backend's per-rack
+    :class:`~repro.net.multirack.RackView` or per-spine
+    :class:`~repro.net.multirack.SpineView`, or their asyncio
+    counterparts.  The §7 bypass rule keys on ``host_names`` (the
+    switch's own rack; empty for a spine); egress — aggregation results,
+    ACKs, routed transit traffic — goes through ``send_to_host``, which
+    routes toward any host or switch of the fabric.
     """
 
     @property
@@ -164,7 +177,8 @@ class SwitchFabricView(Protocol):
         ...
 
     def send_to_host(self, host: str, packet: Any, size_bytes: int) -> None:
-        """Route a frame leaving this switch toward ``host``."""
+        """Route a frame leaving this switch toward ``host`` (or toward
+        another switch, by name)."""
         ...
 
 

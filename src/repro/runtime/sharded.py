@@ -383,17 +383,12 @@ def _collect(
     for rack in topology.racks:
         if rank is not None and plan.rank_of_rack(rack) != rank:
             continue
-        star = topology._stars[rack]  # noqa: SLF001 - fingerprinting owns the fabric
         for host in topology.hosts_of(rack):
             daemon = service.daemons[host]
             accepted, duplicates = daemon.receiver_packets()
             hosts[host] = (daemon.sender_packets(), accepted, duplicates)
-            links[f"{host}->switch"] = _link_counters(
-                star._uplinks[host].link  # noqa: SLF001
-            )
-            links[f"switch->{host}"] = _link_counters(
-                star._downlinks[host].link  # noqa: SLF001
-            )
+            links[f"{host}->switch"] = _link_counters(topology.uplink(host).link)
+            links[f"switch->{host}"] = _link_counters(topology.downlink(host).link)
     for name, src, _dst, nic in topology.interconnect_links():
         if rank is not None and plan.rank_of(src) != rank:
             continue

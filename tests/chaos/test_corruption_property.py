@@ -15,6 +15,7 @@ soup — and still demands exactness on both backends.
 
 import dataclasses
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from repro.core.packet import AskPacket, Slot
 from repro.core.results import reference_aggregate
 from repro.core.service import AskService
 from repro.net.fault import CorruptedFrame, FaultModel, GilbertElliott
+from tests.conftest import fuzz_budget
 
 
 def _streams():
@@ -55,7 +57,7 @@ def _robustness_books(deployment):
 # Sim backend: field-mutation corruption on every link
 # ----------------------------------------------------------------------
 @settings(
-    max_examples=12,
+    max_examples=fuzz_budget(12),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -111,6 +113,31 @@ def test_integrity_off_is_the_negative_control():
     service.run()
     assert daemon.robustness.total == 0
     assert switch.robustness.get("checksum") == 0
+
+
+@pytest.mark.parametrize(
+    "layout, tor",
+    [
+        ({"hosts": 3}, "switch"),
+        ({"racks": {"r0": ("h0", "h1"), "r1": ("h2",)}}, "tor-r0"),
+        ({"pods": {"p0": {"r0": ("h0", "h1")}, "p1": {"r1": ("h2",)}}}, "tor-r0"),
+    ],
+)
+def test_tor_window_breaks_its_racks_uplink_frames_on_every_layout(layout, tor):
+    """A chaos window on a TOR puts every frame its rack's hosts send at
+    risk — one rack, flat mesh or tree alike.  Each corrupted frame is
+    refused and counted at its first ingress: mostly that TOR, plus the
+    other racks' TORs for frames addressed to it."""
+    service = AskService(AskConfig.small(), **layout)
+    service.fabric.corrupt(tor)
+    streams = _streams()
+    expected = _expected(service, streams)
+    result = service.aggregate(streams, receiver="h2")
+    assert result.values == expected
+    injected = service.fabric.corruption_injected
+    assert service.deployment.switches[tor].robustness.get("checksum") > 500
+    drops, quarantined = _robustness_books(service.deployment)
+    assert (drops, quarantined) == (injected, 0)
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,14 @@ if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
+def fuzz_budget(tier1_examples: int) -> int:
+    """``max_examples`` for a property that pins a small tier-1 budget:
+    that budget by default, the loaded profile's under ``ci-fuzz``."""
+    if os.environ.get("HYPOTHESIS_PROFILE") == "ci-fuzz":
+        return settings.default.max_examples
+    return tier1_examples
+
+
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()

@@ -84,7 +84,6 @@ def test_runtime_public_surface_is_locked():
         "FabricTimeoutError",
         "Node",
         "SimFabric",
-        "SimMultiRackFabric",
         "SimRunner",
         "SwitchFabricView",
         "TaskRunner",

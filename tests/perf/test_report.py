@@ -1,7 +1,7 @@
 """Tests for the run-report generator."""
 
 from repro.core.config import AskConfig
-from repro.core.service import AskService
+from repro.core.service import SMALL_TREE, AskService
 from repro.net.fault import FaultModel
 from repro.perf.report import service_report
 
@@ -45,6 +45,19 @@ def test_report_works_for_multirack():
     service.aggregate({"a": [(b"x", 1)] * 40, "c": [(b"x", 2)] * 40}, receiver="b")
     report = service_report(service)
     assert "switch tor-r0:" in report and "switch tor-r1:" in report
+
+
+def test_report_lists_every_link_on_a_tree():
+    """Host links and the interconnect, on a spine–leaf layout too."""
+    service = AskService(AskConfig.small(), pods=SMALL_TREE)
+    service.aggregate({"h0": [(b"x", 1)] * 40, "h4": [(b"x", 2)] * 40}, receiver="h7")
+    report = service_report(service)
+    for host in service.hosts:
+        assert f"{host}->switch" in report and f"switch->{host}" in report
+    interconnect = [name for name, _, _, _ in service.topology.interconnect_links()]
+    assert "up:r0->spine-s0" in interconnect and "core:spine-s0->spine-s1" in interconnect
+    for name in interconnect:
+        assert name in report
 
 
 def test_report_on_unfinished_service_is_safe():

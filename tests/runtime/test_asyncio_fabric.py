@@ -44,13 +44,14 @@ class RecordingNode:
 
 
 def stub_rack(*hosts):
-    """A started fabric over stub nodes: ``(fabric, {name: node})``."""
+    """A started one-rack fabric over stub nodes: ``(fabric, {name: node})``.
+    The switch stub keeps the view it was bound to as ``.view``."""
     fabric = AsyncioFabric()
     nodes = {"switch": RecordingNode("switch")}
-    fabric.install_switch(nodes["switch"])
+    nodes["switch"].view = fabric.install_switch(nodes["switch"], "r0")
     for host in hosts:
         nodes[host.name] = host
-        fabric.attach_host(host)
+        fabric.attach_host(host, "r0")
     fabric.start()
     return fabric, nodes
 
@@ -204,10 +205,12 @@ def test_raising_node_fails_the_run_instead_of_hanging_it():
                 raise LookupError("no handler for the third frame")
 
     host = ThirdFrameRaises("h0")
-    fabric, _ = stub_rack(host)
+    fabric, nodes = stub_rack(host)
     try:
         for seq in range(5):
-            fabric.send_to_host("h0", AskPacket(PacketFlag.ACK, 1, "switch", "h0", 0, seq), 0)
+            nodes["switch"].view.send_to_host(
+                "h0", AskPacket(PacketFlag.ACK, 1, "switch", "h0", 0, seq), 0
+            )
         started = time.monotonic()
         with pytest.raises(LookupError, match="third frame") as excinfo:
             fabric.runner().run_until(lambda: len(host.received) == 5, timeout_s=30.0)
@@ -228,9 +231,11 @@ def test_raising_node_fails_a_plain_run_slice_too():
         def receive(self, packet):
             raise LookupError("boom")
 
-    fabric, _ = stub_rack(AlwaysRaises("h0"))
+    fabric, nodes = stub_rack(AlwaysRaises("h0"))
     try:
-        fabric.send_to_host("h0", AskPacket(PacketFlag.ACK, 1, "switch", "h0", 0, 0), 0)
+        nodes["switch"].view.send_to_host(
+            "h0", AskPacket(PacketFlag.ACK, 1, "switch", "h0", 0, 0), 0
+        )
         started = time.monotonic()
         with pytest.raises(LookupError, match="boom"):
             fabric.runner().run(until=fabric.clock.now + 30_000_000_000)
@@ -339,11 +344,11 @@ def test_attach_after_start_rejected():
             pass
 
     try:
-        fabric.install_switch(Node("switch"))
-        fabric.attach_host(Node("h0"))
+        fabric.install_switch(Node("switch"), "r0")
+        fabric.attach_host(Node("h0"), "r0")
         fabric.start()
         with pytest.raises(RuntimeError, match="started"):
-            fabric.attach_host(Node("h1"))
+            fabric.attach_host(Node("h1"), "r0")
     finally:
         fabric.close()
 
@@ -352,15 +357,19 @@ def test_duplicate_names_rejected():
     fabric = AsyncioFabric()
 
     class Node:
-        name = "h0"
+        def __init__(self, name):
+            self.name = name
 
         def receive(self, packet):
             pass
 
     try:
-        fabric.attach_host(Node())
+        fabric.install_switch(Node("switch"), "r0")
+        fabric.attach_host(Node("h0"), "r0")
         with pytest.raises(ValueError, match="already"):
-            fabric.attach_host(Node())
+            fabric.attach_host(Node("h0"), "r0")
+        with pytest.raises(ValueError, match="already"):
+            fabric.attach_host(Node("switch"), "r0")
     finally:
         fabric.close()
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.config import AskConfig
+from repro.core.errors import TopologyError
+from repro.core.service import SMALL_TREE, AskService
 from repro.net.fault import FaultModel
 from repro.runtime import DeploymentBuilder, SimFabric
 
@@ -78,17 +80,19 @@ def test_daemons_see_only_switches_registered_so_far():
 
 
 def test_sim_fabric_rejects_second_switch():
+    """A rack has one TOR: installing a second switch into it is refused."""
     fabric = SimFabric()
 
     class Sw:
-        name = "switch"
+        def __init__(self, name):
+            self.name = name
 
         def receive(self, packet):
             pass
 
-    fabric.install_switch(Sw())
-    with pytest.raises(RuntimeError, match="already"):
-        fabric.install_switch(Sw())
+    fabric.install_switch(Sw("switch"), "r0")
+    with pytest.raises(TopologyError, match="already"):
+        fabric.install_switch(Sw("tor-r0"), "r0")
 
 
 def test_same_seed_same_deployment_schedule():
@@ -96,8 +100,6 @@ def test_same_seed_same_deployment_schedule():
     produces an identical schedule, stats and retransmission counts."""
 
     def fingerprint():
-        from repro.core.service import AskService
-
         service = AskService(
             AskConfig.small(),
             hosts=3,
@@ -117,3 +119,31 @@ def test_same_seed_same_deployment_schedule():
         )
 
     assert fingerprint() == fingerprint()
+
+
+def _draws(model, n=200):
+    return [model.decide() for _ in range(n)]
+
+
+def test_fault_stream_naming_rule():
+    """A layout of one spineless rack draws its host-link fault streams
+    from the template itself; every other layout scopes rack ``r``'s
+    under ``rack:r``.  Every recorded one-rack schedule (``bench/``'s
+    ``rack_lossy`` fingerprint among them) was drawn with the first
+    names, every mesh and tree schedule with the second."""
+    fault = dict(loss_rate=0.2, duplicate_rate=0.1, reorder_rate=0.2, seed=7)
+    template = FaultModel(**fault)
+    one_rack = {"r0": ("h0", "h1")}
+    for layout in ({"hosts": 2}, {"racks": one_rack}):
+        topology = AskService(AskConfig.small(), fault=FaultModel(**fault), **layout).topology
+        for port, name in ((topology.uplink, "h0->switch"), (topology.downlink, "switch->h0")):
+            assert _draws(port("h0").link.fault) == _draws(template.derive(name))
+    scoped = template.derive("rack:r0")
+    for layout in (
+        {"racks": {**one_rack, "r1": ("h2",)}},
+        {"pods": {"p0": one_rack}},
+        {"pods": SMALL_TREE},
+    ):
+        topology = AskService(AskConfig.small(), fault=FaultModel(**fault), **layout).topology
+        for port, name in ((topology.uplink, "h0->switch"), (topology.downlink, "switch->h0")):
+            assert _draws(port("h0").link.fault) == _draws(scoped.derive(name))

@@ -22,10 +22,20 @@ def test_simulator_is_a_clock():
     handle.cancel()  # idempotent
 
 
+class _Switch:
+    def __init__(self, name):
+        self.name = name
+
+    def receive(self, packet):
+        pass
+
+
 def test_sim_fabric_satisfies_fabric_and_switch_view():
+    """The fabric is a Fabric; what each switch is handed is its view."""
     fabric = SimFabric()
     assert isinstance(fabric, Fabric)
-    assert isinstance(fabric, SwitchFabricView)
+    assert isinstance(fabric.install_spine(_Switch("spine")), SwitchFabricView)
+    assert isinstance(fabric.install_switch(_Switch("tor"), "r0", spine="spine"), SwitchFabricView)
     assert isinstance(fabric.runner(), TaskRunner)
     assert isinstance(fabric.clock, Clock)
 
@@ -34,7 +44,10 @@ def test_asyncio_fabric_satisfies_fabric_and_switch_view():
     fabric = AsyncioFabric()
     try:
         assert isinstance(fabric, Fabric)
-        assert isinstance(fabric, SwitchFabricView)
+        assert isinstance(fabric.install_spine(_Switch("spine")), SwitchFabricView)
+        assert isinstance(
+            fabric.install_switch(_Switch("tor"), "r0", spine="spine"), SwitchFabricView
+        )
         assert isinstance(fabric.runner(), TaskRunner)
         assert isinstance(fabric.clock, Clock)
     finally:

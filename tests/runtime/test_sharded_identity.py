@@ -26,6 +26,7 @@ from repro.runtime.sharded import (
     submission_order,
     task_homes,
 )
+from tests.conftest import fuzz_budget
 
 CORE_LATENCY_NS = 4_000
 
@@ -127,7 +128,6 @@ def sharded_scenarios(draw):
     chaos = []
     all_hosts = [h for hosts in rack_hosts.values() for h in hosts]
     for _ in range(draw(st.integers(0, 2))):
-        target = draw(st.sampled_from(all_hosts))
         # Boundary-aligned times: multiples of the cross-shard lookahead,
         # the exact timestamps a conservative window barrier lands on.
         start = draw(st.integers(1, 20)) * CORE_LATENCY_NS
@@ -135,6 +135,10 @@ def sharded_scenarios(draw):
         kind = draw(
             st.sampled_from(["partition", "corrupt", "slow", "straggle"])
         )
+        # A corruption window on a TOR puts its whole rack's uplink frames
+        # at risk, each drawn from its sending host's stream.
+        targets = all_hosts + list(layout.tor_of.values()) if kind == "corrupt" else all_hosts
+        target = draw(st.sampled_from(targets))
         undo = {
             "partition": "heal",
             "corrupt": "cleanse",
@@ -170,7 +174,7 @@ def sharded_scenarios(draw):
 
 
 @settings(
-    max_examples=15,
+    max_examples=fuzz_budget(15),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
