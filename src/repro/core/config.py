@@ -136,12 +136,6 @@ class AskConfig:
     ecn_threshold_bytes: int = 30_000
     cwnd_initial: float = 8.0
 
-    # Switch data-plane backend.  ``vectorized=True`` selects the
-    # structure-of-arrays batch pipeline
-    # (:class:`repro.switch.vectorized.VectorizedAskSwitch`); the scalar
-    # compiled path stays available as the equivalence oracle.
-    vectorized: bool = False
-
     # Host / daemon
     data_channels_per_host: int = 4
 
@@ -239,30 +233,6 @@ class AskConfig:
                 "admission_deadline_us must be >= admission_retry_us "
                 "(a waiter must get at least one timed retry)"
             )
-        if self.vectorized:
-            # The SoA engine packs key segments and values into int64
-            # lanes and per-AA bit positions into one int64 bitmap word;
-            # geometries outside those envelopes must use the scalar path.
-            if not self.use_compact_seen:
-                raise ConfigError(
-                    "vectorized=True requires use_compact_seen=True (the "
-                    "SoA dedup sweep implements the W-bit compact design)"
-                )
-            if self.key_bits > 56:
-                raise ConfigError(
-                    "vectorized=True requires key_bits <= 56 (kParts are "
-                    "packed into signed 64-bit lanes with sentinel room)"
-                )
-            if self.value_bits > 60:
-                raise ConfigError(
-                    "vectorized=True requires value_bits <= 60 (vParts are "
-                    "accumulated in signed 64-bit lanes)"
-                )
-            if self.num_aas > 62:
-                raise ConfigError(
-                    "vectorized=True requires num_aas <= 62 (slot bitmaps "
-                    "are swept as one signed 64-bit word)"
-                )
         if self.congestion_control:
             if self.ecn_threshold_bytes < 1:
                 raise ConfigError("ecn_threshold_bytes must be >= 1")
@@ -366,7 +336,16 @@ class AskConfig:
         8 AAs (2 medium groups of 2, 4 short slots), 64 aggregators per AA,
         window 16.  Semantically identical to the full geometry, ~3 orders
         of magnitude cheaper to simulate.
+
+        ``vectorized=False`` is accepted and ignored: ``bench/workloads.py``
+        still passes it, from when a second switch data plane existed.
+        ``vectorized=True`` raises.
         """
+        if overrides.pop("vectorized", False):
+            raise ConfigError(
+                "vectorized=True: the numpy switch data plane was removed; "
+                "the scalar AskSwitch is the only data plane"
+            )
         params: dict = dict(
             num_aas=8,
             aggregators_per_aa=64,

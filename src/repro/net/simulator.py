@@ -144,9 +144,6 @@ class ShardContextCall:
     owning shard's context before running; the serial boundary shim wraps
     cross-shard deliveries a second time to re-home them to the
     destination shard.
-    Equality delegates to ``(rank, callback)`` so batch-feeder identity
-    checks coalesce consecutive deliveries exactly as the plain
-    callbacks would.
     """
 
     __slots__ = ("_sim", "rank", "callback")
@@ -159,16 +156,6 @@ class ShardContextCall:
     def __call__(self, *args: Any) -> None:
         self._sim._shard_rank = self.rank
         self.callback(*args)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is ShardContextCall
-            and self.rank == other.rank
-            and self.callback == other.callback
-        )
-
-    def __hash__(self) -> int:
-        return hash((ShardContextCall, self.rank, self.callback))
 
 
 class Simulator:
@@ -205,11 +192,6 @@ class Simulator:
         self._live = 0  #: non-cancelled events currently queued
         self._cancelled_in_heap = 0
         self.compactions = 0
-        #: the single open coalescing bucket, or None:
-        #: [deliver, time_ns, items, feeder_cb] (see call_at_batch).
-        self._open_batch: Optional[list] = None
-        #: callback of the event currently executing (batch feeder identity).
-        self._current_cb: Any = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -285,58 +267,6 @@ class Simulator:
         self._live += 1
 
     # ------------------------------------------------------------------
-    # Batch coalescing
-    # ------------------------------------------------------------------
-    def call_at_batch(self, time_ns: int, deliver: Callable[[list], Any], item: Any) -> None:
-        """Coalesce ``item`` into one ``deliver(items)`` call at the
-        current instant.
-
-        The bucket absorbs items only across *consecutive* events that
-        share the current event's callback — in practice, back-to-back
-        deliveries on one link at one timestamp.  The event loop flushes
-        the bucket (a direct ``deliver(items)`` call, not a scheduled
-        event) the moment any other event is about to run, the clock is
-        about to advance, or the queues drain.  Because a buffered
-        delivery schedules nothing, every future event the batch produces
-        is pushed at exactly the point in the execution sequence where a
-        per-item consumer would have pushed it — same-timestamp FIFO
-        tie-breaking downstream is preserved bit-for-bit.
-
-        ``deliver`` receives the items in append order (heap delivery
-        order).  Only the current instant may be batched; anything else
-        raises :class:`SimulationError`.
-        """
-        time_ns = int(time_ns)
-        if time_ns != self.now:
-            raise SimulationError(
-                f"can only batch at the current instant t={self.now}, got t={time_ns}"
-            )
-        ob = self._open_batch
-        if ob is not None:
-            if ob[0] == deliver and ob[1] == time_ns:
-                ob[2].append(item)
-                return
-            self._flush_open()  # defensive: a different consumer's bucket
-        self._open_batch = [deliver, time_ns, [item], self._current_cb]
-
-    def _flush_open(self) -> None:
-        """Deliver the open bucket now (direct call, not an event)."""
-        ob = self._open_batch
-        assert ob is not None
-        self._open_batch = None
-        ob[0](ob[2])
-
-    def flush_batches(self, deliver: Callable[[list], Any]) -> None:
-        """Deliver ``deliver``'s pending bucket immediately, if any.
-
-        Used by consumers that must observe their batched items *now* —
-        e.g. a switch about to serve a control-plane read, or crashing.
-        """
-        ob = self._open_batch
-        if ob is not None and ob[0] == deliver:
-            self._flush_open()
-
-    # ------------------------------------------------------------------
     # Cancellation bookkeeping
     # ------------------------------------------------------------------
     def _on_cancel(self) -> None:
@@ -369,28 +299,18 @@ class Simulator:
     def _run_entry(self, entry: tuple) -> bool:
         """Execute one queue/heap entry; False if it was a cancelled event."""
         if len(entry) == 4:
-            cb = entry[2]
-            ob = self._open_batch
-            if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                self._flush_open()
             self._live -= 1
             self._events_processed += 1
-            self._current_cb = cb
-            cb(*entry[3])
+            entry[2](*entry[3])
             return True
         event = entry[2]
         if event.cancelled:
             self._cancelled_in_heap -= 1
             return False
-        cb = event.callback
-        ob = self._open_batch
-        if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-            self._flush_open()
         self._live -= 1
         event._sim = None
         self._events_processed += 1
-        self._current_cb = cb
-        cb(*event.args)
+        event.callback(*event.args)
         return True
 
     # ------------------------------------------------------------------
@@ -408,10 +328,6 @@ class Simulator:
         while queue:
             if self._run_entry(queue.popleft()):
                 return True
-        if self._open_batch is not None:
-            # Progress: deliver the coalesced batch before the clock moves.
-            self._flush_open()
-            return True
         while heap:
             entry = heapq.heappop(heap)
             if len(entry) == 4 or not entry[2].cancelled:
@@ -445,12 +361,6 @@ class Simulator:
                 entry, from_heap = heap[0], True
             elif queue:
                 entry, from_heap = queue[0], False
-            elif self._open_batch is not None:
-                # Flush before the clock moves (or the run ends): the
-                # batch's emissions must be scheduled relative to the
-                # bucket's instant, and may land before the next heap entry.
-                self._flush_open()
-                continue
             elif heap:
                 entry, from_heap = heap[0], True
             else:
@@ -564,7 +474,7 @@ class Simulator:
         live lower bound — the safe-horizon math of a sharded run must not
         stretch a window to a timer that will never fire.
         """
-        if self._now_queue or self._open_batch is not None:
+        if self._now_queue:
             return self.now
         heap = self._heap
         while heap:
@@ -614,13 +524,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1).
-
-        An open coalescing bucket counts as one pending unit of work, so
-        completion checks cannot declare a run finished while batched
-        packets still await their flush.
-        """
-        return self._live + (1 if self._open_batch is not None else 0)
+        """Number of live (non-cancelled) events still queued.  O(1)."""
+        return self._live
 
     @property
     def events_processed(self) -> int:

@@ -50,8 +50,6 @@ def validate_sharded_config(config: AskConfig) -> None:
     fabric-global mutable state outside the per-host corruption streams.
     These features break one or the other:
 
-    * ``vectorized`` — the SoA batch data plane reorders switch-internal
-      work; its scalar-oracle equivalence is only proven single-sim.
     * ``failure_detection`` — the supervisor heartbeats and re-installs
       switch state across racks with zero latency.
     * ``admission_control`` — the admission queue serializes grants over
@@ -60,7 +58,6 @@ def validate_sharded_config(config: AskConfig) -> None:
       rings would interleave differently.
     """
     for flag, why in (
-        ("vectorized", "the SoA data plane is validated single-sim only"),
         ("failure_detection", "the supervisor makes zero-latency cross-rack calls"),
         ("admission_control", "the admission queue is deployment-global"),
         ("trace", "the packet trace is a single global ring"),
@@ -139,16 +136,9 @@ class DeploymentBuilder:
         if backend == "sim-sharded":
             validate_sharded_config(self.config)
         if switch_factory is None:
-            # ``vectorized=True`` selects the SoA batch data plane; the
-            # scalar compiled path stays the default (and the oracle).
-            if self.config.vectorized:
-                from repro.switch.vectorized import VectorizedAskSwitch
+            from repro.switch.switch import AskSwitch
 
-                switch_factory = VectorizedAskSwitch
-            else:
-                from repro.switch.switch import AskSwitch
-
-                switch_factory = AskSwitch
+            switch_factory = AskSwitch
         self.backend = backend
         self.fault = fault
         self.max_tasks = max_tasks
@@ -244,13 +234,6 @@ class DeploymentBuilder:
         """
         if not self._racks:
             raise ValueError("declare at least one rack with add_rack()")
-        if self._spines and self.config.vectorized:
-            raise ConfigError(
-                "vectorized=True does not support spine–leaf trees: the SoA "
-                "batch data plane has no combiner-region admission path; "
-                "use the scalar data plane (vectorized=False) for tree "
-                "deployments"
-            )
         trace = PacketTrace(enabled=self.config.trace)
         active_trace = trace if self.config.trace else None
         fabric = self._make_fabric(active_trace)

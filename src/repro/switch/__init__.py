@@ -17,10 +17,6 @@ aggregator arrays (:mod:`repro.switch.aggregator`), the reliability state
 (:mod:`repro.switch.program`), the control plane
 (:mod:`repro.switch.controller`) and the network-facing facade
 (:mod:`repro.switch.switch`).
-
-A second data-plane backend, :mod:`repro.switch.vectorized`, runs the
-same pipeline as structure-of-arrays batch sweeps over numpy state; the
-scalar path here is its equivalence oracle.
 """
 
 from repro.switch.aggregator import AggregatorArray, AggregatorPool
@@ -31,7 +27,6 @@ from repro.switch.program import AskSwitchProgram, SwitchAction, SwitchDecision
 from repro.switch.registers import PassContext, RegisterAccessError, RegisterArray
 from repro.switch.shadow import ShadowDirectory
 from repro.switch.switch import AskSwitch
-from repro.switch.vectorized import SoADedupState, SoAPool, VectorizedAskSwitch, VectorizedProgram
 
 __all__ = [
     "AggregatorArray",
@@ -48,12 +43,8 @@ __all__ = [
     "RegisterAccessError",
     "RegisterArray",
     "ShadowDirectory",
-    "SoADedupState",
-    "SoAPool",
     "Stage",
     "SwitchAction",
     "SwitchController",
     "SwitchDecision",
-    "VectorizedAskSwitch",
-    "VectorizedProgram",
 ]

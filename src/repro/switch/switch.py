@@ -110,11 +110,6 @@ class AskSwitch(NetworkNode):
         self._local_hosts_cache = None
 
     @property
-    def topology(self) -> Optional[SwitchFabricView]:
-        """Back-compat alias for :attr:`fabric`."""
-        return self.fabric
-
-    @property
     def stats(self):
         return self.program.stats
 

@@ -161,11 +161,6 @@ class TrioSwitch:
         self.fabric = fabric
 
     @property
-    def topology(self) -> Optional[SwitchFabricView]:
-        """Back-compat alias for :attr:`fabric`."""
-        return self.fabric
-
-    @property
     def local_hosts(self) -> frozenset[str]:
         if self.fabric is None:
             return frozenset()

@@ -54,6 +54,16 @@ def test_small_accepts_overrides():
     assert cfg.window_size == 4
 
 
+def test_small_ignores_a_false_vectorized_override():
+    # bench/workloads.py's rack_lossy still passes it.
+    assert AskConfig.small(vectorized=False) == AskConfig.small()
+
+
+def test_small_rejects_the_removed_vectorized_plane():
+    with pytest.raises(ConfigError, match="removed"):
+        AskConfig.small(vectorized=True)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -1,10 +1,28 @@
 """API-stability tests: everything the README/docs promise is importable."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 import repro
+
+
+def test_service_import_path_does_not_load_numpy():
+    """numpy serves the training app, the experiments and the workload
+    generators; ``import repro`` must not pull it in."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_top_level_exports_resolve():

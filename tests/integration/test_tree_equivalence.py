@@ -20,11 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AskConfig
-from repro.core.errors import ConfigError
 from repro.core.results import reference_aggregate, values_sha256
 from repro.core.service import PLACEMENTS, AskService
 from repro.net.fault import FaultModel
-from repro.runtime.builder import DeploymentBuilder
 
 #: 2 pods x 2 racks x 2 hosts — the smallest tree with a cross-pod path.
 PODS = {
@@ -194,30 +192,3 @@ def test_leaf_crash_under_spine_placement_stays_exactly_once():
         assert dict(result.items()) == expected
     finally:
         service.close()
-
-
-# ----------------------------------------------------------------------
-# Vectorized x tree: pinned to a clean config-time rejection
-# ----------------------------------------------------------------------
-def test_vectorized_tree_is_rejected_at_build_time():
-    """The SoA data plane has no combiner-region admission path; rather
-    than silently mis-aggregate, a vectorized tree build must fail fast
-    with a ConfigError.  This test pins that choice — if the vectorized
-    plane ever learns region ``sources``, replace this with a fingerprint
-    equivalence check."""
-    config = dataclasses.replace(AskConfig.small(), vectorized=True)
-    builder = DeploymentBuilder(config)
-    spine = builder.add_spine()
-    builder.add_rack(2, spine=spine)
-    with pytest.raises(ConfigError, match="vectorized"):
-        builder.build(on_task_complete=lambda t: None)
-
-
-def test_vectorized_flat_multirack_still_builds():
-    """The rejection is tree-specific: vectorized flat multi-rack (the
-    pre-tree §7 layout) keeps working."""
-    config = dataclasses.replace(AskConfig.small(), vectorized=True)
-    builder = DeploymentBuilder(config)
-    builder.add_rack(2).add_rack(2)
-    deployment = builder.build(on_task_complete=lambda t: None)
-    deployment.close()

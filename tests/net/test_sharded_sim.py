@@ -67,24 +67,6 @@ def test_drain_until_advances_clock_even_when_idle():
         sim.drain_until(499)  # horizon must be strictly ahead
 
 
-def test_drain_until_flushes_open_batch_at_window_boundary():
-    # A shard must not carry a buffered batch delivery across a window
-    # barrier: drain_until has to flush the open bucket before returning,
-    # exactly as run() does when its queues drain.
-    sim = Simulator()
-    delivered = []
-
-    def batch_two():
-        sim.call_at_batch(sim.now, delivered.append, "a")
-        sim.call_at_batch(sim.now, delivered.append, "b")
-
-    sim.call_at(999, batch_two)
-    sim.drain_until(1000)
-    assert delivered == [["a", "b"]]
-    assert sim.now == 999
-    assert sim.pending == 0
-
-
 # ----------------------------------------------------------------------
 # inject: cross-shard message application
 # ----------------------------------------------------------------------

@@ -250,133 +250,3 @@ def test_time_unit_helpers():
     assert to_seconds(NS_PER_S) == 1.0
     assert to_seconds(seconds(3.25)) == pytest.approx(3.25)
 
-
-# ---------------------------------------------------------------------------
-# Batch coalescing (call_at_batch / flush_batches) — the primitive the
-# vectorized switch uses to gather back-to-back deliveries into one sweep.
-# The contract is push-order exactness: the bucket absorbs items only
-# across consecutive events sharing one callback, and flushes the moment
-# any other event runs, the clock advances, or the queues drain — so
-# everything the batch schedules lands in the heap exactly where a
-# per-item consumer would have pushed it.
-# ---------------------------------------------------------------------------
-
-
-def test_call_at_batch_coalesces_items_from_one_event():
-    sim = Simulator()
-    batches = []
-
-    def feed():
-        for item in ("a", "b", "c"):
-            sim.call_at_batch(sim.now, batches.append, item)
-
-    sim.schedule(10, feed)
-    sim.run()
-    assert batches == [["a", "b", "c"]]
-
-
-def test_call_at_batch_coalesces_across_consecutive_same_callback_events():
-    """Back-to-back deliveries at one instant through the same callback —
-    a same-link burst — ride one bucket."""
-    sim = Simulator()
-    batches = []
-
-    def feed(item):
-        sim.call_at_batch(sim.now, batches.append, item)
-
-    sim.schedule(10, feed, "p1")
-    sim.schedule(10, feed, "p2")
-    sim.schedule(10, feed, "p3")
-    sim.run()
-    assert batches == [["p1", "p2", "p3"]]
-
-
-def test_foreign_event_flushes_the_open_bucket_first():
-    """An interleaved event with a different callback sees the batch's
-    effects already delivered — exactly the order a per-packet consumer
-    would have produced."""
-    sim = Simulator()
-    order = []
-    deliver = lambda items: order.append(("batch", items))  # noqa: E731
-
-    def feed(item):
-        sim.call_at_batch(sim.now, deliver, item)
-
-    sim.schedule(10, feed, "p1")
-    sim.schedule(10, feed, "p2")
-    sim.schedule(10, order.append, "foreign")
-    sim.schedule(10, feed, "p3")
-    sim.run()
-    assert order == [("batch", ["p1", "p2"]), "foreign", ("batch", ["p3"])]
-
-
-def test_clock_advance_flushes_before_time_moves():
-    sim = Simulator()
-    seen = []
-
-    def feed(item):
-        sim.call_at_batch(sim.now, lambda items: seen.append((sim.now, items)), item)
-
-    sim.schedule(5, feed, "early")
-    sim.schedule(9, feed, "late")
-    sim.run()
-    # Each bucket delivered while the clock still read its own instant.
-    assert seen == [(5, ["early"]), (9, ["late"])]
-
-
-def test_flush_batches_forces_the_pending_bucket_exactly_once():
-    sim = Simulator()
-    seen = []
-    deliver = lambda items: seen.append(list(items))  # noqa: E731
-
-    def feed_then_force():
-        sim.call_at_batch(sim.now, deliver, "x")
-        sim.call_at_batch(sim.now, deliver, "y")
-        sim.flush_batches(deliver)
-        assert seen == [["x", "y"]]
-
-    sim.schedule(3, feed_then_force)
-    sim.run()
-    assert seen == [["x", "y"]]  # nothing fires twice at drain
-
-
-def test_flush_batches_only_touches_the_given_callback():
-    sim = Simulator()
-    seen = []
-    mine = lambda items: seen.append(("mine", list(items)))  # noqa: E731
-    other = lambda items: seen.append(("other", list(items)))  # noqa: E731
-
-    def feed():
-        sim.call_at_batch(sim.now, mine, 1)
-        sim.flush_batches(other)  # someone else's bucket: no effect
-        assert seen == []
-
-    sim.schedule(5, feed)
-    sim.run()
-    assert seen == [("mine", [1])]
-
-
-def test_call_at_batch_rejects_any_other_instant():
-    sim = Simulator()
-    sim.schedule(10, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError, match="current instant"):
-        sim.call_at_batch(5, lambda items: None, "x")  # the past
-    with pytest.raises(SimulationError, match="current instant"):
-        sim.call_at_batch(15, lambda items: None, "x")  # the future
-
-
-def test_step_flushes_an_open_bucket_as_progress():
-    sim = Simulator()
-    batches = []
-
-    def feed():
-        sim.call_at_batch(sim.now, batches.append, "p")
-
-    sim.schedule(2, feed)
-    assert sim.step()  # runs feed, opens the bucket
-    assert batches == []
-    assert sim.pending == 1  # the open bucket counts as pending work
-    assert sim.step()  # flushes the bucket
-    assert batches == [["p"]]
-    assert not sim.step()

@@ -404,7 +404,7 @@ def test_submission_order_is_shard_major():
 
 def test_sharded_backend_rejects_incompatible_config():
     scenario = ShardedScenario(
-        config=AskConfig.small(vectorized=True),
+        config=AskConfig.small(admission_control=True),
         racks={"r0": ("h0",), "r1": ("h1",)},
     )
     plan = make_plan(scenario, 2)

@@ -3,13 +3,11 @@
 ``SwitchController.fetch_and_reset`` and the region clears read and reset
 register *slices* (``control_occupied`` / ``control_clear_range``).  The
 per-cell body they replaced lives on as ``reference_fetch_and_reset``; this
-module requires, on the scalar and the vectorized data plane alike, the same
-result dict *in the same insertion order*, the same register contents
-afterwards (both shadow copies, neighbouring regions included) and the same
-``fetches`` counter.
+module requires the same result dict *in the same insertion order*, the same
+register contents afterwards (both shadow copies, neighbouring regions
+included) and the same ``fetches`` counter.
 """
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +17,6 @@ from repro.core.keyspace import pad_key
 from repro.net.simulator import Simulator
 from repro.switch.aggregator import AggregatorArray
 from repro.switch.switch import AskSwitch
-from repro.switch.vectorized import VectorizedAskSwitch
 from repro.transport.reference import reference_fetch_and_reset
 
 _GEOMETRIES = [
@@ -32,7 +29,7 @@ _GEOMETRIES = [
 
 #: Few distinct keys, so the same plain key lands in several slots and the
 #: ``result.get(plain, 0) + value`` merge runs.  The last three are not
-#: ``key_bytes`` long: the vectorized pool stores them in its exotic table.
+#: ``key_bytes`` long.
 _KEYS = [b"", b"a", b"ab", b"abcd", b"\x00\x00", b"a\x80", b"toolong", b"xy"]
 _VALUES = [0, 1, 2**31, 2**32 - 1]
 
@@ -79,22 +76,14 @@ def _cell_writes(cfg, layout, regions, shadow, fetched_part, write):
 
 
 def _rmw(switch, aa, index, segment, add):
-    """One data-plane aggregator RMW on either pool flavour."""
-    if isinstance(switch, VectorizedAskSwitch):
-        switch.program._cell_rmw(aa, index, segment, add)
-    else:
-        switch.pool[aa].aggregate_fast(switch.pipeline.begin_pass(), index, segment, add)
+    """One data-plane aggregator RMW."""
+    switch.pool[aa].aggregate_fast(switch.pipeline.begin_pass(), index, segment, add)
 
 
 def _assert_same_registers(a, b):
     """Raw storage equality: every cell of every AA, both copies."""
-    if isinstance(a, VectorizedAskSwitch):
-        assert np.array_equal(a.pool.keys, b.pool.keys)
-        assert np.array_equal(a.pool.values, b.pool.values)
-        assert a.pool.exotic == b.pool.exotic
-    else:
-        for left, right in zip(a.pool.arrays, b.pool.arrays):
-            assert left.registers._cells == right.registers._cells, left.name
+    for left, right in zip(a.pool.arrays, b.pool.arrays):
+        assert left.registers._cells == right.registers._cells, left.name
 
 
 def _reference_clear(controller, region):
@@ -132,35 +121,31 @@ def test_bulk_fetch_and_clear_match_the_per_cell_oracle(cfg, sizes, slack, part,
     left, size, right = sizes
     # The left neighbour's size sets the target's offset: anywhere in the copy.
     left += int(slack * (cfg.copy_size - sum(sizes)))
-    results = {}
-    for switch_cls in (AskSwitch, VectorizedAskSwitch):
-        bulk, oracle = (switch_cls(cfg, Simulator(), max_tasks=4) for _ in range(2))
-        for switch in (bulk, oracle):
-            ctrl = switch.controller
-            regions = {
-                "left": ctrl.allocate_region(1, left),
-                "target": ctrl.allocate_region(2, size),
-                "right": ctrl.allocate_region(3, right),
-            }
-            assert regions["left"].end == regions["target"].offset
-            assert regions["target"].end == regions["right"].offset
-            for write in writes:
-                for cell in _cell_writes(cfg, ctrl.layout, regions, ctrl.shadow, part, write):
-                    _rmw(switch, *cell)
-        _assert_same_registers(bulk, oracle)
+    bulk, oracle = (AskSwitch(cfg, Simulator(), max_tasks=4) for _ in range(2))
+    for switch in (bulk, oracle):
+        ctrl = switch.controller
+        regions = {
+            "left": ctrl.allocate_region(1, left),
+            "target": ctrl.allocate_region(2, size),
+            "right": ctrl.allocate_region(3, right),
+        }
+        assert regions["left"].end == regions["target"].offset
+        assert regions["target"].end == regions["right"].offset
+        for write in writes:
+            for cell in _cell_writes(cfg, ctrl.layout, regions, ctrl.shadow, part, write):
+                _rmw(switch, *cell)
+    _assert_same_registers(bulk, oracle)
 
-        got = bulk.controller.fetch_and_reset(2, part)
-        want = reference_fetch_and_reset(oracle.controller, 2, part)
-        assert list(got.items()) == list(want.items())
-        assert bulk.controller.fetches == oracle.controller.fetches == 1
-        _assert_same_registers(bulk, oracle)
-        results[switch_cls] = got
+    got = bulk.controller.fetch_and_reset(2, part)
+    want = reference_fetch_and_reset(oracle.controller, 2, part)
+    assert list(got.items()) == list(want.items())
+    assert bulk.controller.fetches == oracle.controller.fetches == 1
+    _assert_same_registers(bulk, oracle)
 
-        bulk.controller.deallocate(2)
-        _reference_clear(oracle.controller, regions["target"])
-        _assert_same_registers(bulk, oracle)
-        assert bulk.controller.region_occupancy(1, 0) == oracle.controller.region_occupancy(1, 0)
-    assert list(results[AskSwitch].items()) == list(results[VectorizedAskSwitch].items())
+    bulk.controller.deallocate(2)
+    _reference_clear(oracle.controller, regions["target"])
+    _assert_same_registers(bulk, oracle)
+    assert bulk.controller.region_occupancy(1, 0) == oracle.controller.region_occupancy(1, 0)
 
 
 def test_paper_geometry_teardown_never_reads_cell_by_cell(monkeypatch):
@@ -190,7 +175,7 @@ def test_paper_geometry_teardown_never_reads_cell_by_cell(monkeypatch):
     assert all(aa.registers._cells.count((None, 0)) == aa.size for aa in switch.pool.arrays)
 
 
-@pytest.mark.parametrize("switch_cls", [AskSwitch, VectorizedAskSwitch])
+@pytest.mark.parametrize("switch_cls", [AskSwitch])
 def test_control_occupied_is_ascending_and_range_bounded(switch_cls):
     cfg = AskConfig.small()
     switch = switch_cls(cfg, Simulator(), max_tasks=4)
@@ -201,5 +186,3 @@ def test_control_occupied_is_ascending_and_range_bounded(switch_cls):
     assert aa.control_occupied(10, 20) == [] == switch.pool[0].control_occupied(0, aa.size)
     aa.control_clear_range(4, 10)
     assert aa.control_occupied(0, aa.size) == [(3, b"earl", 0), (20, b"out!", 5)]
-    if switch_cls is VectorizedAskSwitch:
-        assert switch.pool.exotic == {}  # the 3-byte kPart left the side table

@@ -14,7 +14,6 @@ from repro.switch.pisa import Pipeline
 from repro.switch.registers import PassContext
 from repro.switch.shadow import ShadowDirectory
 from repro.switch.switch import AskSwitch
-from repro.switch.vectorized import VectorizedAskSwitch
 
 
 def _controller(config=None, max_tasks=4, max_channels=8):
@@ -165,10 +164,10 @@ def test_invalid_region_size():
         ctrl.allocate_region(1, size=0)
 
 
-@pytest.mark.parametrize("switch_cls", [AskSwitch, VectorizedAskSwitch])
+@pytest.mark.parametrize("switch_cls", [AskSwitch])
 def test_allocate_with_spec_sets_the_combiner_role(switch_cls):
     # ControlPlane.allocate passes sources=/relay= by keyword whenever a
-    # RegionSpec is given; every controller flavour must accept them.
+    # RegionSpec is given; the controller must accept them.
     switch = switch_cls(AskConfig.small(), Simulator(), max_tasks=4)
     control = ControlPlane()
     control.register("spine", switch.controller)
