@@ -1,13 +1,19 @@
 """Failure-domain chaos harness: deterministic fault injection.
 
-Drives crash/partition faults against a live deployment — on either
-fabric backend — from a seed-deterministic :class:`ChaosSchedule`, via
-the runtime lifecycle hooks (``Node.crash``/``restore``,
-``Fabric.partition``/``heal``).  The :class:`ChaosOrchestrator` arms the
-schedule on the deployment's clock and records every injection; the
-:class:`DegradationReport` summarizes what was injected, what each fault
-cost (frames lost to down nodes and cut links), and how the
-:class:`~repro.core.failover.FailureSupervisor` recovered.
+Drives seven fault kinds, each closed by its recovery, against a live
+deployment on any backend — sim, asyncio/UDP or every replica of a
+sharded run: crash/restore, partition/heal, corrupt/cleanse,
+overload/relent, and the gray kinds slow/revive, straggle/unstraggle and
+flap/steady.  A seed-deterministic :class:`ChaosSchedule` describes the
+faults and their window parameters; the kind table
+(:data:`~repro.chaos.schedule.KINDS`) says what each kind acts on; the
+:class:`ChaosOrchestrator` arms the schedule on the deployment's clock,
+applies each event through the runtime lifecycle hooks and records it;
+the :class:`DegradationReport` summarizes what was injected, what each
+fault cost (frames lost to down nodes and cut links), and how the
+:class:`~repro.core.failover.FailureSupervisor` recovered.  The CLI
+drills are data in :mod:`repro.chaos.drills`, run by one
+:func:`~repro.chaos.drills.run_drill`.
 """
 
 from repro.chaos.orchestrator import ChaosOrchestrator

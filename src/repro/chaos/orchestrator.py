@@ -2,36 +2,39 @@
 
 The orchestrator is backend-agnostic: it injects through the runtime
 lifecycle hooks only — ``crash()``/``restore()`` on the node objects
-(host daemons and switches) and ``partition()``/``heal()`` on the fabric
-— so the same schedule runs against the discrete-event simulator and the
-asyncio/UDP rack.  After every injection it pokes the failure
-supervisor's heartbeat loop, since a restore while the deployment is
-otherwise quiescent would not wake it by itself.
+(host daemons and switches), ``partition()``/``heal()`` and the other
+window methods on the fabric — so the same schedule runs against the
+discrete-event simulator, the asyncio/UDP rack and every replica of a
+sharded run.  Which hook an event calls is its kind's row of
+:data:`~repro.chaos.schedule.KINDS`.  After every injection it pokes the
+failure supervisor's heartbeat loop, since a restore while the
+deployment is otherwise quiescent would not wake it by itself.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, ClassVar, Dict, List, Optional
 
 from repro.chaos.report import DegradationReport
-from repro.chaos.schedule import ChaosEvent, ChaosSchedule
+from repro.chaos.schedule import KIND_OF, ChaosEvent, ChaosSchedule
 from repro.core.task import AggregationTask
 from repro.runtime.builder import Deployment
 
 
 class ChaosOrchestrator:
-    """Arms one schedule against one deployment and records the outcome."""
+    """Arms one schedule against one deployment and records the outcome.
+
+    ``hooks`` carries the drill-defined side of ``"hook"`` kinds: an
+    ``overload`` event calls ``hooks.on_overload(target)`` and its
+    ``relent`` calls ``hooks.on_relent(target)``.
+    """
 
     def __init__(
         self,
         deployment: Deployment,
         schedule: ChaosSchedule,
         require_supervisor: bool = True,
-        on_overload: Optional[Callable[[str], None]] = None,
-        on_relent: Optional[Callable[[str], None]] = None,
-        straggle_delay_ns: int = 50_000,
-        straggle_jitter_ns: int = 0,
-        flap_period_ns: int = 20_000,
+        hooks: Any = None,
     ) -> None:
         if require_supervisor and deployment.supervisor is None:
             raise ValueError(
@@ -39,26 +42,28 @@ class ChaosOrchestrator:
                 "design; build with config.failure_detection=True or pass "
                 "require_supervisor=False"
             )
-        unknown = [
-            t
-            for t in schedule.targets()
-            if t not in deployment.daemons and t not in deployment.switches
-        ]
+        self._nodes = {**deployment.switches, **deployment.daemons}
+        unknown = [t for t in schedule.targets() if t not in self._nodes]
         if unknown:
             raise KeyError(f"schedule targets unknown nodes: {unknown}")
-        has_overload = any(
-            e.kind in ("overload", "relent") for e in schedule.events
+        missing = sorted(
+            {
+                f"on_{e.kind}"
+                for e in schedule.events
+                if KIND_OF[e.kind].acts_on == "hook"
+                and not callable(getattr(hooks, f"on_{e.kind}", None))
+            }
         )
-        if has_overload and (on_overload is None or on_relent is None):
+        if missing:
             raise ValueError(
-                "schedule contains overload/relent events; pass on_overload "
-                "and on_relent hooks (the drill defines what the abusive "
+                f"schedule contains drill-hook events; pass hooks with "
+                f"{', '.join(missing)} (the drill defines what the abusive "
                 "tenant does)"
             )
         bad_straggle = [
             e.target
             for e in schedule.events
-            if e.kind in ("straggle", "unstraggle")
+            if KIND_OF[e.kind].acts_on == "daemon"
             and e.target not in deployment.daemons
         ]
         if bad_straggle:
@@ -68,16 +73,11 @@ class ChaosOrchestrator:
             )
         self.deployment = deployment
         self.schedule = schedule
-        self.on_overload = on_overload
-        self.on_relent = on_relent
-        #: Gray-failure knobs: how slow a straggling daemon serves, and
-        #: the duty-cycle period of a flapping node's dark windows.
-        self.straggle_delay_ns = straggle_delay_ns
-        self.straggle_jitter_ns = straggle_jitter_ns
-        self.flap_period_ns = max(1, flap_period_ns)
-        #: Nodes currently inside a flap window, and the partition/heal
-        #: toggles the duty cycle has applied so far.
-        self._flapping: set[str] = set()
+        self.hooks = hooks
+        #: Nodes currently inside a flap window -> that window's token, and
+        #: the partition/heal toggles the duty cycle has applied so far.
+        self._flapping: Dict[str, int] = {}
+        self._flap_windows = 0
         self.flap_toggles = 0
         #: Chronological record of every injection actually applied.
         self.injected: List[Dict[str, Any]] = []
@@ -85,62 +85,66 @@ class ChaosOrchestrator:
 
     # ------------------------------------------------------------------
     def arm(self) -> None:
-        """Schedule every event on the deployment's clock (offsets are
-        relative to now).  Idempotent-hostile by design: arm once."""
+        """Push the schedule's window parameters to the fabric and schedule
+        every event on the deployment's clock (offsets are relative to
+        now).  Idempotent-hostile by design: arm once."""
         if self._armed:
             raise RuntimeError("schedule already armed")
         self._armed = True
+        schedule = self.schedule
+        fabric = self.deployment.fabric
+        fabric.corruption_rate = schedule.corruption_rate
+        fabric.slow_jitter_ns = schedule.slow_jitter_ns
+        if hasattr(fabric, "slow_multiplier"):  # the sim multiplies link latency
+            fabric.slow_multiplier = schedule.slow_multiplier
         clock = self.deployment.clock
-        for event in self.schedule.events:
+        for event in schedule.events:
             clock.schedule(event.at_ns, self._apply, event)
 
     # ------------------------------------------------------------------
-    def _node(self, target: str) -> Any:
-        node = self.deployment.daemons.get(target)
-        if node is None:
-            node = self.deployment.switches[target]
-        return node
+    def _on_node(self, event: ChaosEvent) -> None:
+        getattr(self._nodes[event.target], event.kind)()
+
+    def _on_fabric(self, event: ChaosEvent) -> None:
+        getattr(self.deployment.fabric, event.kind)(event.target)
+
+    def _on_daemon(self, event: ChaosEvent) -> None:
+        daemon = self.deployment.daemons[event.target]
+        if event.kind == "straggle":
+            daemon.straggle(
+                self.schedule.straggle_delay_ns, self.schedule.straggle_jitter_ns
+            )
+        else:
+            daemon.unstraggle()
+
+    def _on_hook(self, event: ChaosEvent) -> None:
+        getattr(self.hooks, f"on_{event.kind}")(event.target)
+
+    def _on_flap(self, event: ChaosEvent) -> None:
+        # Duty-cycled dark windows: partition now, then toggle every
+        # flap_period_ns until the paired "steady" closes the window.  The
+        # token ties each toggle chain to its own window, so a pending
+        # toggle of a closed window never acts on a later one.
+        fabric = self.deployment.fabric
+        if event.kind == "steady":
+            self._flapping.pop(event.target, None)
+            fabric.heal(event.target)
+            return
+        self._flap_windows += 1
+        self._flapping[event.target] = self._flap_windows
+        fabric.partition(event.target)
+        self._schedule_toggle(event.target, self._flap_windows, False)
+
+    _APPLY: ClassVar[Dict[str, Callable[["ChaosOrchestrator", ChaosEvent], None]]] = {
+        "node": _on_node,
+        "fabric": _on_fabric,
+        "daemon": _on_daemon,
+        "hook": _on_hook,
+        "flap": _on_flap,
+    }
 
     def _apply(self, event: ChaosEvent) -> None:
-        if event.kind == "crash":
-            self._node(event.target).crash()
-        elif event.kind == "restore":
-            self._node(event.target).restore()
-        elif event.kind == "partition":
-            self.deployment.fabric.partition(event.target)
-        elif event.kind == "corrupt":
-            self.deployment.fabric.corrupt(event.target)
-        elif event.kind == "cleanse":
-            self.deployment.fabric.cleanse(event.target)
-        elif event.kind == "overload":
-            assert self.on_overload is not None
-            self.on_overload(event.target)
-        elif event.kind == "relent":
-            assert self.on_relent is not None
-            self.on_relent(event.target)
-        elif event.kind == "slow":
-            self.deployment.fabric.slow(event.target)
-        elif event.kind == "revive":
-            self.deployment.fabric.revive(event.target)
-        elif event.kind == "straggle":
-            self.deployment.daemons[event.target].straggle(
-                self.straggle_delay_ns, self.straggle_jitter_ns
-            )
-        elif event.kind == "unstraggle":
-            self.deployment.daemons[event.target].unstraggle()
-        elif event.kind == "flap":
-            # Duty-cycled dark windows: partition now, then toggle every
-            # flap_period_ns until the paired "steady" closes the window.
-            self._flapping.add(event.target)
-            self.deployment.fabric.partition(event.target)
-            self.deployment.clock.schedule(
-                self.flap_period_ns, self._flap_toggle, event.target, False
-            )
-        elif event.kind == "steady":
-            self._flapping.discard(event.target)
-            self.deployment.fabric.heal(event.target)
-        else:  # "heal"
-            self.deployment.fabric.heal(event.target)
+        self._APPLY[KIND_OF[event.kind].acts_on](self, event)
         self.injected.append(
             {
                 "t_ns": self.deployment.clock.now,
@@ -148,14 +152,16 @@ class ChaosOrchestrator:
                 "target": event.target,
             }
         )
-        supervisor = self.deployment.supervisor
-        if supervisor is not None:
-            supervisor.notice_activity()
+        self._notice_activity()
 
-    def _flap_toggle(self, target: str, dark: bool) -> None:
+    def _schedule_toggle(self, target: str, token: int, dark: bool) -> None:
+        period = max(1, self.schedule.flap_period_ns)
+        self.deployment.clock.schedule(period, self._flap_toggle, target, token, dark)
+
+    def _flap_toggle(self, target: str, token: int, dark: bool) -> None:
         """One step of a flap window's duty cycle (self-rescheduling until
-        the paired ``steady`` event clears the flapping flag)."""
-        if target not in self._flapping:
+        the paired ``steady`` event closes the window)."""
+        if self._flapping.get(target) != token:
             return
         fabric = self.deployment.fabric
         if dark:
@@ -163,9 +169,10 @@ class ChaosOrchestrator:
         else:
             fabric.heal(target)
         self.flap_toggles += 1
-        self.deployment.clock.schedule(
-            self.flap_period_ns, self._flap_toggle, target, not dark
-        )
+        self._schedule_toggle(target, token, not dark)
+        self._notice_activity()
+
+    def _notice_activity(self) -> None:
         supervisor = self.deployment.supervisor
         if supervisor is not None:
             supervisor.notice_activity()

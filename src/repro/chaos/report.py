@@ -9,10 +9,10 @@ aggregation re-enabled).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.chaos.schedule import ChaosSchedule
+from repro.chaos.schedule import FAIL_STOP_KINDS, GRAY_KINDS, ChaosSchedule
 from repro.core.task import AggregationTask
 from repro.runtime.builder import Deployment
 
@@ -96,7 +96,7 @@ class DegradationReport:
 
         totals = {
             "faults_injected": sum(
-                1 for e in injected if e["kind"] in ("crash", "partition")
+                1 for e in injected if e["kind"] in FAIL_STOP_KINDS
             ),
             "frames_dropped_at_down_nodes": sum(
                 getattr(n, "dropped_while_down", 0) for n in nodes
@@ -165,9 +165,7 @@ class DegradationReport:
                         "rto_us": round(est.rto_ns() / 1_000, 3),
                     }
         gray: Dict[str, Any] = {}
-        gray_injected = sum(
-            1 for e in injected if e["kind"] in ("slow", "straggle", "flap")
-        )
+        gray_injected = sum(1 for e in injected if e["kind"] in GRAY_KINDS)
         if gray_injected or timeouts or packets_slowed or packets_straggled:
             gray = {
                 "gray_faults_injected": gray_injected,
@@ -189,20 +187,11 @@ class DegradationReport:
                     gray_routearounds=supervisor.gray_routearounds,
                     gray_readoptions=supervisor.gray_readoptions,
                 )
+            # Every gray count is also a run total; the per-channel and
+            # per-switch detail stays in the gray section.
             totals.update(
-                gray_faults_injected=gray_injected,
-                packets_slowed=packets_slowed,
-                packets_straggled=packets_straggled,
-                flap_toggles=flap_toggles,
-                retransmissions=retransmissions,
-                timeouts=timeouts,
-                spurious_retransmissions=spurious,
+                (k, v) for k, v in gray.items() if k not in ("rto_trajectory", "suspicion")
             )
-            if supervisor is not None:
-                totals.update(
-                    gray_routearounds=supervisor.gray_routearounds,
-                    gray_readoptions=supervisor.gray_readoptions,
-                )
         admission: Dict[str, Any] = {}
         controller = getattr(deployment, "admission", None)
         if controller is not None:
@@ -232,20 +221,7 @@ class DegradationReport:
 
     # ------------------------------------------------------------------
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "backend": self.backend,
-                "injected": self.injected,
-                "supervisor_events": self.supervisor_events,
-                "recovery_latencies_ns": self.recovery_latencies_ns,
-                "totals": self.totals,
-                "robustness": self.robustness,
-                "admission": self.admission,
-                "gray": self.gray,
-            },
-            indent=indent,
-        )
+        return json.dumps(asdict(self), indent=indent)
 
     def summary(self) -> str:
         """Human-readable digest, one line per fact."""

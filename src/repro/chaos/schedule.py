@@ -1,10 +1,17 @@
-"""Seed-deterministic fault schedules.
+"""Seed-deterministic fault schedules and the one kind table.
 
-A schedule is a flat, time-sorted tuple of :class:`ChaosEvent`s.  Every
-injected fault comes with its recovery event (crash→restore,
-partition→heal) inside the horizon, so a generated schedule never leaves
-a node permanently dark — permanent outages are tested explicitly (the
-give-up drill), not sampled.
+A schedule is a flat, time-sorted tuple of :class:`ChaosEvent`s plus the
+window parameters its faults run with (corruption rate, slowdown,
+straggle delay, flap period).  Every injected fault comes with its
+recovery event (crash→restore, partition→heal) inside the horizon, so a
+generated schedule never leaves a node permanently dark — permanent
+outages are tested explicitly (the give-up drill), not sampled.
+
+:data:`KINDS` is the one place a fault kind is described: its recovery,
+what it acts on, and whether it is gray, fail-stop, or replayable on
+every shard replica of a sharded run.  :data:`RECOVERY_OF`,
+:data:`GRAY_KINDS` and :data:`FAIL_STOP_KINDS` are views of it; the
+orchestrator applies an event by looking its kind up here.
 
 ``at_ns`` is an offset from the moment the orchestrator arms the
 schedule, which makes the same schedule meaningful on the simulated
@@ -24,43 +31,71 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.errors import ChaosScheduleError
 
-#: Fault kind -> the event kind that undoes it.  "corrupt" opens a
-#: corruption window on the target (frames it sends/receives are
-#: delivered with flipped bits) and "cleanse" closes it.  "overload"
-#: opens an overload window (an abusive tenant floods tasks from the
-#: target host while hoarding switch memory; the drill's on_overload
-#: hook defines the flood) and "relent" closes it (the hoard is
-#: released, so reclaim wakes the admission queue).
-#:
-#: The gray-failure kinds are degraded-but-alive: "slow" multiplies the
-#: latency of every link touching the target until "revive"; "straggle"
-#: delays the target daemon's ingress service (straggler sender / slow
-#: receiver) until "unstraggle"; "flap" duty-cycles the target dark and
-#: back (the orchestrator expands it into partition/heal toggles) until
-#: "steady".
-RECOVERY_OF = {
-    "crash": "restore",
-    "partition": "heal",
-    "corrupt": "cleanse",
-    "overload": "relent",
-    "slow": "revive",
-    "straggle": "unstraggle",
-    "flap": "steady",
+
+@dataclass(frozen=True)
+class Kind:
+    """One fault kind and how the orchestrator applies it.
+
+    ``acts_on`` names what both the fault and its recovery call, by
+    event kind: ``"node"`` (the host daemon or switch's
+    ``crash()``/``restore()``), ``"fabric"`` (``fabric.<kind>(target)``),
+    ``"daemon"`` (the host daemon's ``straggle``/``unstraggle``),
+    ``"hook"`` (the drill's ``on_<kind>(target)``) or ``"flap"`` (the
+    orchestrator's own partition/heal duty cycle).  ``gray`` faults
+    leave the target degraded but alive — the class heartbeat leases
+    cannot see; ``fail_stop`` faults silence it.  ``replayable`` kinds
+    may run on every shard replica of a sharded run: a fabric flag or a
+    daemon delay is inert on replicas whose packets never touch the
+    target, while a crashed node, a drill hook or a flap cycle is not.
+    """
+
+    fault: str
+    recovery: str
+    acts_on: str
+    gray: bool = False
+    fail_stop: bool = False
+    replayable: bool = False
+
+
+#: The kind table.  "corrupt" opens a corruption window on the target
+#: (frames it sends/receives are delivered with flipped bits).
+#: "overload" opens an overload window: an abusive tenant floods tasks
+#: from the target host while hoarding switch memory, as the drill's
+#: ``on_overload`` hook defines, and "relent" releases the hoard so
+#: reclaim wakes the admission queue.  "slow" multiplies the latency of
+#: every link touching the target; "straggle" delays the target daemon's
+#: ingress service (straggler sender / slow receiver); "flap"
+#: duty-cycles the target dark and back until "steady".
+KINDS: Dict[str, Kind] = {
+    kind.fault: kind
+    for kind in (
+        Kind("crash", "restore", "node", fail_stop=True),
+        Kind("partition", "heal", "fabric", fail_stop=True, replayable=True),
+        Kind("corrupt", "cleanse", "fabric", replayable=True),
+        Kind("overload", "relent", "hook"),
+        Kind("slow", "revive", "fabric", gray=True, replayable=True),
+        Kind("straggle", "unstraggle", "daemon", gray=True, replayable=True),
+        Kind("flap", "steady", "flap", gray=True),
+    )
 }
 
-#: Gray (degraded-but-alive) fault kinds: nothing is lost or crashed,
-#: the target just gets slower — the class heartbeat leases cannot see.
-GRAY_KINDS = ("slow", "straggle", "flap")
+#: Every event kind, fault or recovery -> its row of :data:`KINDS`.
+KIND_OF: Dict[str, Kind] = {
+    name: kind for kind in KINDS.values() for name in (kind.fault, kind.recovery)
+}
 
-_EVENT_KINDS = (
-    "crash", "restore", "partition", "heal",
-    "corrupt", "cleanse", "overload", "relent",
-    "slow", "revive", "straggle", "unstraggle", "flap", "steady",
-)
+#: Fault kind -> the event kind that undoes it.
+RECOVERY_OF = {kind.fault: kind.recovery for kind in KINDS.values()}
+
+#: Gray (degraded-but-alive) fault kinds.
+GRAY_KINDS = tuple(kind.fault for kind in KINDS.values() if kind.gray)
+
+#: Fail-stop fault kinds: the target goes silent.
+FAIL_STOP_KINDS = tuple(kind.fault for kind in KINDS.values() if kind.fail_stop)
 
 
 @dataclass(frozen=True)
@@ -69,11 +104,11 @@ class ChaosEvent:
     ``target`` (a host daemon or switch name)."""
 
     at_ns: int
-    kind: str  #: one of ``_EVENT_KINDS``
+    kind: str  #: a fault or recovery kind of :data:`KINDS`
     target: str
 
     def __post_init__(self) -> None:
-        if self.kind not in _EVENT_KINDS:
+        if self.kind not in KIND_OF:
             raise ValueError(f"unknown chaos event kind {self.kind!r}")
         if self.at_ns < 0:
             raise ValueError("chaos events cannot be scheduled in the past")
@@ -126,11 +161,30 @@ def _coalesce(
 
 @dataclass(frozen=True)
 class ChaosSchedule:
-    """A deterministic, time-sorted fault schedule."""
+    """A deterministic, time-sorted fault schedule.
+
+    The window fields say how strong each fault is while its window is
+    open; the orchestrator pushes the fabric's share of them (corruption
+    rate, slowdown multiplier and jitter) when it arms the schedule.
+    ``slow_multiplier`` applies to the sim fabric's link latency; the
+    asyncio fabric holds a slowed datagram by its own ``slow_delay_ns``.
+    """
 
     seed: int
     horizon_ns: int
     events: tuple[ChaosEvent, ...]
+    #: Per-frame corruption probability inside a ``corrupt`` window.
+    corruption_rate: float = 0.5
+    #: Link latency multiplier and per-packet uniform jitter (ns) inside
+    #: a ``slow`` window.
+    slow_multiplier: float = 4.0
+    slow_jitter_ns: int = 0
+    #: Ingress service delay and its uniform jitter (ns) of a straggling
+    #: daemon.
+    straggle_delay_ns: int = 50_000
+    straggle_jitter_ns: int = 0
+    #: Duty-cycle period (ns) of a ``flap`` window's dark/lit toggles.
+    flap_period_ns: int = 20_000
 
     @classmethod
     def generate(
@@ -192,10 +246,9 @@ class ChaosSchedule:
         its fault.  ``generate`` output always passes; hand-built drill
         schedules should call this before arming.
         """
-        fault_of = {recovery: fault for fault, recovery in RECOVERY_OF.items()}
         open_kind: dict[str, str] = {}
         for event in self.events:
-            if event.kind in RECOVERY_OF:
+            if event.kind in KINDS:
                 previous = open_kind.get(event.target)
                 if previous is not None:
                     raise ChaosScheduleError(
@@ -206,7 +259,7 @@ class ChaosSchedule:
                     )
                 open_kind[event.target] = event.kind
             else:
-                expected = fault_of[event.kind]
+                expected = KIND_OF[event.kind].fault
                 if open_kind.get(event.target) != expected:
                     raise ChaosScheduleError(
                         f"chaos recovery {event.kind!r} at {event.at_ns} on "
@@ -225,7 +278,7 @@ class ChaosSchedule:
 
     @property
     def fault_count(self) -> int:
-        return sum(1 for e in self.events if e.kind in RECOVERY_OF)
+        return sum(1 for e in self.events if e.kind in KINDS)
 
     @property
     def gray_fault_count(self) -> int:
@@ -233,8 +286,4 @@ class ChaosSchedule:
         return sum(1 for e in self.events if e.kind in GRAY_KINDS)
 
     def targets(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for event in self.events:
-            if event.target not in seen:
-                seen.append(event.target)
-        return tuple(seen)
+        return tuple(dict.fromkeys(event.target for event in self.events))

@@ -118,445 +118,6 @@ def _demo_config(backend: str):
     return config
 
 
-def _chaos_config(backend: str):
-    """Chaos runs need failure detection on, and heartbeat/lease timing
-    matched to the backend's clock (wall-clock asyncio cannot tick every
-    50 simulated microseconds)."""
-    import dataclasses
-
-    config = _demo_config(backend)
-    return dataclasses.replace(
-        config,
-        failure_detection=True,
-        heartbeat_interval_us=50.0 if backend == "sim" else 2_000.0,
-    )
-
-
-def _run_chaos(
-    backend: str,
-    seed: int,
-    report_path: str | None,
-    corrupt_rate: float = 0.0,
-) -> int:
-    """Shared driver for ``repro chaos`` and ``repro demo --chaos``: run
-    the demo workload under a seed-deterministic fault schedule, verify
-    the result is bit-exact against the fault-free reference, and print
-    the degradation report.
-
-    ``corrupt_rate`` > 0 additionally flips bits in that fraction of
-    frames on every link; the integrity layer must turn each damaged
-    frame into a counted drop (healed by retransmission) for the result
-    to stay bit-exact."""
-    from repro import AskService, FaultModel
-    from repro.chaos import ChaosOrchestrator, ChaosSchedule
-
-    sim = backend == "sim"
-    fault = None
-    if corrupt_rate > 0:
-        fault = FaultModel(corrupt_rate=corrupt_rate, seed=seed)
-    service = AskService(
-        _chaos_config(backend), hosts=3, fault=fault, backend=backend
-    )
-    try:
-        schedule = ChaosSchedule.generate(
-            seed,
-            hosts=service.hosts,
-            switches=[service.switch.name],
-            horizon_ns=250_000 if sim else 30_000_000,
-            min_down_ns=40_000 if sim else 5_000_000,
-            max_down_ns=200_000 if sim else 20_000_000,
-        )
-        orchestrator = ChaosOrchestrator(service.deployment, schedule)
-        # On the wall-clock backend, open the sockets before arming so the
-        # fault offsets are measured from a live rack, not from interpreter
-        # startup (overdue timers would all fire back-to-back).
-        start = getattr(service.fabric, "start", None)
-        if start is not None:
-            start()
-        orchestrator.arm()
-        # A long tail of distinct keys keeps the stream in flight well past
-        # the fault window (hot keys alone pack into a handful of frames).
-        streams = {
-            "h0": [(b"in-network", 1), (b"aggregation", 2)] * 50
-            + [(f"key-{i:04d}".encode(), i) for i in range(1500)],
-            "h1": [(b"in-network", 3)] * 50
-            + [(f"key-{i:04d}".encode(), 1) for i in range(1000)],
-        }
-        result = service.aggregate(streams, receiver="h2", check=True)
-        report = orchestrator.report(tasks=service.tasks)
-        print(
-            f"exact aggregation under injected failures "
-            f"({len(result.values)} keys verified against the reference):"
-        )
-        for key, value in sorted(result.items())[:4]:
-            print(f"  {key.decode():>12}: {value}")
-        print(f"  ... and {max(0, len(result.values) - 4)} more")
-        print(report.summary())
-        if corrupt_rate > 0:
-            totals = report.totals
-            print(
-                f"corruption: {totals.get('corrupted_frames_injected', 0)} "
-                f"frame(s) damaged, "
-                f"{totals.get('robustness_drops', 0)} refused at ingress, "
-                f"{totals.get('frames_quarantined', 0)} quarantined"
-            )
-        if report_path is not None:
-            with open(report_path, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-            print(f"[degradation report written to {report_path}]")
-    finally:
-        service.close()
-    return 0
-
-
-def _run_tree_chaos(backend: str, seed: int, report_path: str | None) -> int:
-    """``repro chaos --tree``: the spine-crash drill.  Run a cross-pod
-    workload on a 2-pod spine–leaf tree ("both" placement: leaf relays +
-    spine combiners), crash one spine mid-task, and verify the result is
-    still bit-exact against the fault-free reference — the supervisor must
-    degrade exactly that spine's subtree to bypass and replay its tasks."""
-    import random
-
-    from repro.chaos import ChaosOrchestrator, ChaosSchedule
-    from repro.chaos.schedule import ChaosEvent
-    from repro.core.service import SMALL_TREE, AskService
-
-    sim = backend == "sim"
-    service = AskService(
-        _chaos_config(backend), backend=backend, pods=SMALL_TREE, placement="both"
-    )
-    try:
-        horizon = 250_000 if sim else 30_000_000
-        # Seed-deterministic timing, but the *target* is always a spine:
-        # this drill exists to exercise subtree-scoped failover, not to
-        # re-sample the flat crash matrix.
-        rng = random.Random(seed)
-        start = rng.randrange(horizon // 5, horizon // 2)
-        duration = rng.randrange(horizon // 4, horizon // 2)
-        spine = service.spines["s0"].name
-        schedule = ChaosSchedule(
-            seed=seed,
-            horizon_ns=horizon,
-            events=(
-                ChaosEvent(start, "crash", spine),
-                ChaosEvent(start + duration, "restore", spine),
-            ),
-        )
-        orchestrator = ChaosOrchestrator(service.deployment, schedule)
-        fabric_start = getattr(service.fabric, "start", None)
-        if fabric_start is not None:
-            fabric_start()
-        orchestrator.arm()
-        # Senders in three racks across both pods; the long distinct-key
-        # tail keeps pod s0's streams in flight through the crash window.
-        streams = {
-            "h0": [(b"in-network", 1), (b"aggregation", 2)] * 50
-            + [(f"key-{i:04d}".encode(), i) for i in range(1200)],
-            "h2": [(b"in-network", 3)] * 50
-            + [(f"key-{i:04d}".encode(), 1) for i in range(800)],
-            "h4": [(f"key-{i:04d}".encode(), 2) for i in range(800)],
-        }
-        result = service.aggregate(streams, receiver="h7", check=True)
-        report = orchestrator.report(tasks=service.tasks)
-        print(
-            f"exact aggregation under a {spine} crash mid-task "
-            f"({len(result.values)} keys verified against the reference):"
-        )
-        for key, value in sorted(result.items())[:4]:
-            print(f"  {key.decode():>12}: {value}")
-        print(f"  ... and {max(0, len(result.values) - 4)} more")
-        print(report.summary())
-        if report_path is not None:
-            with open(report_path, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-            print(f"[degradation report written to {report_path}]")
-    finally:
-        service.close()
-    return 0
-
-
-def _run_overload_chaos(backend: str, seed: int, report_path: str | None) -> int:
-    """``repro chaos --overload``: the abusive-tenant isolation drill.
-
-    One tenant hoards three quarters of the switch's aggregator space
-    through idle streaming sessions, then — at a seed-deterministic
-    moment — floods a burst of tasks at the service (the ``overload``
-    event; ``relent`` closes the hoard).  Two well-behaved tenants submit
-    normal tasks into the squeeze.  The admission controller must keep
-    the blast radius inside the abusive tenant: its flood waits, degrades
-    to bypass, or is rejected at the queue bound, while every
-    well-behaved task is granted memory (never degraded) and completes
-    bit-exact against the flat-run reference fingerprint.
-    """
-    import dataclasses
-    import random
-
-    from repro import AskService
-    from repro.chaos import ChaosOrchestrator, ChaosSchedule
-    from repro.chaos.schedule import ChaosEvent
-    from repro.core.results import reference_aggregate, values_sha256
-    from repro.core.task import TaskPhase
-
-    sim = backend == "sim"
-    config = dataclasses.replace(
-        _chaos_config(backend),
-        admission_control=True,
-        admission_queue_limit=4,
-        admission_retry_us=20.0 if sim else 5_000.0,
-        admission_backoff=2.0,
-        admission_backoff_cap_us=160.0 if sim else 40_000.0,
-        # Sim: tight deadline so part of the flood visibly degrades.
-        # Asyncio: generous wall-clock deadline so well-behaved grants
-        # (which arrive on region release) always beat it — scheduling
-        # jitter must not degrade an innocent tenant.
-        admission_deadline_us=120.0 if sim else 5_000_000.0,
-    )
-    service = AskService(config, hosts=5, backend=backend)
-    try:
-        horizon = 250_000 if sim else 30_000_000
-        # Seed-deterministic timing; the target is always the abusive
-        # tenant's flood host.
-        rng = random.Random(seed)
-        start = rng.randrange(horizon // 5, horizon // 2)
-        duration = rng.randrange(horizon // 4, horizon // 2)
-        flood_host = "h1"
-        schedule = ChaosSchedule(
-            seed=seed,
-            horizon_ns=horizon,
-            events=(
-                ChaosEvent(start, "overload", flood_host),
-                ChaosEvent(start + duration, "relent", flood_host),
-            ),
-        )
-        # Tenants: two well-behaved (double fair share) and one abusive,
-        # quota-capped at 24 of the 32 per-copy aggregators.
-        service.register_tenant(1, name="analytics", weight=2)
-        service.register_tenant(2, name="training", weight=2)
-        service.register_tenant(9, name="abuser", weight=1, quota=24)
-        # The hoard: three idle streaming sessions pin 24 aggregators
-        # until the relent event closes them.
-        hoards = [
-            service.open_stream(
-                ["h0"], receiver="h4", region_size=8, tenant_id=9
-            )
-            for _ in range(3)
-        ]
-        flood: list = []
-        flood_stream = [(b"abuse", 1)] * 20
-
-        def on_overload(target: str) -> None:
-            # Queue limit is 4: the burst of 6 overflows it, so two tasks
-            # must be rejected loudly and the rest wait their turn.
-            for _ in range(6):
-                flood.append(
-                    service.submit(
-                        {target: list(flood_stream)},
-                        receiver="h4",
-                        region_size=8,
-                        tenant_id=9,
-                    )
-                )
-
-        def on_relent(_target: str) -> None:
-            for session in hoards:
-                session.close()
-
-        orchestrator = ChaosOrchestrator(
-            service.deployment,
-            schedule,
-            on_overload=on_overload,
-            on_relent=on_relent,
-        )
-        fabric_start = getattr(service.fabric, "start", None)
-        if fabric_start is not None:
-            fabric_start()
-        orchestrator.arm()
-        # Well-behaved tenants submit into the squeeze: 8 aggregators
-        # remain, so one task is granted at once and the other waits in
-        # admission until the first completes and releases its region.
-        good_streams = {
-            1: {
-                "h2": [(b"good-total", 1)] * 30
-                + [(f"t1-{i:03d}".encode(), i) for i in range(60)]
-            },
-            2: {
-                "h3": [(b"good-total", 2)] * 30
-                + [(f"t2-{i:03d}".encode(), 1) for i in range(60)]
-            },
-        }
-        good = {
-            tenant: service.submit(
-                streams, receiver="h4", region_size=8, tenant_id=tenant
-            )
-            for tenant, streams in good_streams.items()
-        }
-        service.run_to_completion(timeout_s=60.0)
-        report = orchestrator.report(tasks=service.tasks)
-
-        failures: list[str] = []
-        print(
-            f"abusive-tenant overload drill (seed {seed}, backend {backend!r}):"
-        )
-        for tenant, task in good.items():
-            expected = reference_aggregate(
-                {h: list(s) for h, s in good_streams[tenant].items()},
-                config.value_mask,
-            )
-            assert task.result is not None
-            digest = values_sha256(task.result.values)
-            print(
-                f"  tenant {tenant}: {len(task.result.values)} keys, "
-                f"sha256 {digest[:16]}…, "
-                f"admission wait {task.stats.admission_wait_ns:,}ns "
-                f"({task.stats.admission_retries} retries), "
-                f"degraded={task.stats.degraded_to_bypass}"
-            )
-            if task.result.values != expected:
-                failures.append(f"tenant {tenant} deviates from the reference")
-            if values_sha256(expected) != digest:
-                failures.append(f"tenant {tenant} fingerprint mismatch")
-            if task.stats.degraded_to_bypass:
-                failures.append(
-                    f"well-behaved tenant {tenant} was degraded to bypass"
-                )
-        flood_expected = reference_aggregate(
-            {flood_host: list(flood_stream)}, config.value_mask
-        )
-        completed = degraded = rejected = 0
-        for task in flood:
-            if task.phase is TaskPhase.COMPLETE:
-                completed += 1
-                degraded += int(task.stats.degraded_to_bypass)
-                assert task.result is not None
-                if task.result.values != flood_expected:
-                    failures.append(
-                        f"flood task {task.task_id} deviates from the reference"
-                    )
-            elif task.phase is TaskPhase.FAILED:
-                rejected += 1
-                if "queue full" not in (task.failure_reason or ""):
-                    failures.append(
-                        f"flood task {task.task_id} failed for the wrong "
-                        f"reason: {task.failure_reason}"
-                    )
-            else:
-                failures.append(
-                    f"flood task {task.task_id} never settled "
-                    f"({task.phase.value})"
-                )
-        print(
-            f"  abusive tenant: {completed} completed "
-            f"({degraded} via bypass degrade), {rejected} rejected at the "
-            f"queue bound — all exactly-once"
-        )
-        adm = report.admission
-        ledger = (
-            adm["granted"] + adm["degraded"] + adm["rejected_deadline"]
-            + adm["cancelled"] + adm["waiting"]
-        )
-        if ledger != adm["queued"]:
-            failures.append(
-                f"admission ledger does not balance: queued={adm['queued']} "
-                f"!= granted+degraded+rejected_deadline+cancelled+waiting="
-                f"{ledger}"
-            )
-        print(report.summary())
-        if report_path is not None:
-            with open(report_path, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-            print(f"[degradation report written to {report_path}]")
-        if failures:
-            for failure in failures:
-                print(f"ISOLATION VIOLATED: {failure}", file=sys.stderr)
-            return 1
-        print("isolation held: abusive tenant contained, fingerprints exact")
-    finally:
-        service.close()
-    return 0
-
-
-def _run_gray_chaos(backend: str, seed: int, report_path: str | None) -> int:
-    """``repro chaos --gray``: the slow-is-the-new-dead drill.
-
-    Sample a gray schedule (slow links, straggling daemons, flapping
-    nodes — everything degraded-but-alive, so no lease ever lapses) and
-    run the demo workload through it with the adaptive RTO estimator and
-    gray-failure detection on.  The result must stay bit-exact against
-    the fault-free reference: slowness heals by waiting, flap darkness by
-    retransmission, and any gray route-around by the same supervised
-    replay that covers a crash."""
-    import dataclasses
-
-    from repro import AskService
-    from repro.chaos import ChaosOrchestrator, ChaosSchedule
-
-    sim = backend == "sim"
-    config = dataclasses.replace(
-        _chaos_config(backend),
-        adaptive_rto=True,
-        gray_detection=True,
-        # Floor below the fixed timeout so the estimator may tighten on a
-        # fast path; cap high enough to absorb 4x inflation plus backoff.
-        rto_min_us=50.0 if sim else 1_000.0,
-        rto_max_us=10_000.0 if sim else 100_000.0,
-    )
-    service = AskService(config, hosts=3, backend=backend)
-    try:
-        schedule = ChaosSchedule.generate(
-            seed,
-            hosts=service.hosts,
-            switches=[service.switch.name],
-            horizon_ns=250_000 if sim else 30_000_000,
-            min_down_ns=40_000 if sim else 5_000_000,
-            max_down_ns=200_000 if sim else 20_000_000,
-            kinds=("slow", "straggle", "flap"),
-        )
-        orchestrator = ChaosOrchestrator(
-            service.deployment,
-            schedule,
-            straggle_delay_ns=20_000 if sim else 2_000_000,
-            flap_period_ns=20_000 if sim else 2_000_000,
-        )
-        start = getattr(service.fabric, "start", None)
-        if start is not None:
-            start()
-        orchestrator.arm()
-        streams = {
-            "h0": [(b"in-network", 1), (b"aggregation", 2)] * 50
-            + [(f"key-{i:04d}".encode(), i) for i in range(1500)],
-            "h1": [(b"in-network", 3)] * 50
-            + [(f"key-{i:04d}".encode(), 1) for i in range(1000)],
-        }
-        result = service.aggregate(streams, receiver="h2", check=True)
-        report = orchestrator.report(tasks=service.tasks)
-        gray = report.gray
-        print(
-            f"exact aggregation under gray (slow-but-alive) failures "
-            f"({len(result.values)} keys verified against the reference):"
-        )
-        for key, value in sorted(result.items())[:4]:
-            print(f"  {key.decode():>12}: {value}")
-        print(f"  ... and {max(0, len(result.values) - 4)} more")
-        print(report.summary())
-        if gray:
-            print(
-                f"gray balance: {gray['gray_faults_injected']} gray fault(s), "
-                f"{gray['packets_slowed']} frame(s) slowed, "
-                f"{gray['packets_straggled']} straggled, "
-                f"{gray['flap_toggles']} flap toggle(s); "
-                f"{gray['timeouts']} timeout(s) -> "
-                f"{gray['retransmissions']} retransmit(s), "
-                f"{gray['spurious_retransmissions']} proven spurious"
-            )
-        if report_path is not None:
-            with open(report_path, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-            print(f"[degradation report written to {report_path}]")
-    finally:
-        service.close()
-    return 0
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     exclusive = sum(
         (
@@ -573,13 +134,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.tree:
-        return _run_tree_chaos(args.backend, args.seed, args.report)
-    if args.overload:
-        return _run_overload_chaos(args.backend, args.seed, args.report)
-    if args.gray:
-        return _run_gray_chaos(args.backend, args.seed, args.report)
-    return _run_chaos(args.backend, args.seed, args.report, args.corrupt_rate)
+    from repro.chaos.drills import run_drill
+
+    name = (
+        "chaos-tree" if args.tree
+        else "chaos-overload" if args.overload
+        else "chaos-gray" if args.gray
+        else "chaos"
+    )
+    return run_drill(name, args.backend, args.seed, args.report, args.corrupt_rate)
 
 
 def _run_sharded_demo(seed: int) -> int:
@@ -623,7 +186,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if backend == "sim-sharded":
         return _run_sharded_demo(getattr(args, "seed", 1))
     if getattr(args, "chaos", False):
-        return _run_chaos(backend, getattr(args, "seed", 1), None)
+        from repro.chaos.drills import run_drill
+
+        return run_drill("chaos", backend, getattr(args, "seed", 1))
     service = AskService(
         _demo_config(backend),
         hosts=3,

@@ -58,18 +58,15 @@ QUICK_CHAOS_SEEDS: tuple[int, ...] = (0, 7)
 class Job:
     """One unit of work.  Must stay picklable (fork *and* spawn starts)."""
 
-    kind: str  #: "experiment" | "fig09-shard" | "chaos" | "chaos-tree" | "chaos-overload" | "chaos-gray" | "sharded-identity"
-    name: str  #: experiment name, or the job kind for chaos jobs
+    kind: str  #: "experiment" | "fig09-shard" | "drill" | "sharded-identity"
+    name: str  #: experiment name, drill name, or "sharded-identity"
     shard: Optional[str] = None  #: fig09 stream kind for shard jobs
     seed: Optional[int] = None  #: chaos schedule seed
 
     @property
     def label(self) -> str:
-        if self.kind in (
-            "chaos", "chaos-tree", "chaos-overload", "chaos-gray",
-            "sharded-identity",
-        ):
-            return f"{self.kind}[seed={self.seed}]"
+        if self.seed is not None:
+            return f"{self.name}[seed={self.seed}]"
         if self.shard is not None:
             return f"{self.name}[{self.shard}]"
         return self.name
@@ -103,28 +100,16 @@ def run_job(job: Job) -> JobResult:
 
             assert job.shard is not None
             payload = fig09_prioritization.run(kinds=(job.shard,))
-        elif job.kind in ("chaos", "chaos-tree", "chaos-overload", "chaos-gray"):
-            from repro.cli import (
-                _run_chaos,
-                _run_gray_chaos,
-                _run_overload_chaos,
-                _run_tree_chaos,
-            )
+        elif job.kind == "drill":
+            from repro.chaos.drills import run_drill
 
             assert job.seed is not None
             buffer = io.StringIO()
             with redirect_stdout(buffer):
-                if job.kind == "chaos-tree":
-                    status = _run_tree_chaos("sim", job.seed, None)
-                elif job.kind == "chaos-overload":
-                    status = _run_overload_chaos("sim", job.seed, None)
-                elif job.kind == "chaos-gray":
-                    status = _run_gray_chaos("sim", job.seed, None)
-                else:
-                    status = _run_chaos("sim", job.seed, None)
+                status = run_drill(job.name, "sim", job.seed)
             if status != 0:
                 raise RuntimeError(
-                    f"{job.kind} seed {job.seed} exited with {status}"
+                    f"{job.name} seed {job.seed} exited with {status}"
                 )
             payload = buffer.getvalue()
         elif job.kind == "sharded-identity":
@@ -194,6 +179,7 @@ def plan(
     are always reassembled against this list, so scheduling (serial,
     parallel, any completion order) cannot change the output.
     """
+    from repro.chaos.drills import DRILLS
     from repro.cli import EXPERIMENTS
     from repro.experiments.fig09_prioritization import STREAM_KINDS
 
@@ -208,19 +194,9 @@ def plan(
             jobs.extend(Job("fig09-shard", name, shard=kind) for kind in STREAM_KINDS)
         else:
             jobs.append(Job("experiment", name))
-    jobs.extend(Job("chaos", "chaos", seed=seed) for seed in chaos_seeds)
-    # The tree-failover drill (spine crash mid-task on a spine–leaf tree)
-    # rides the same seed matrix, after the flat schedules.
-    jobs.extend(Job("chaos-tree", "chaos-tree", seed=seed) for seed in chaos_seeds)
-    # So does the abusive-tenant overload drill (admission-control
-    # isolation under hoard + flood).
+    # Every registered chaos drill rides the seed matrix, drill-major.
     jobs.extend(
-        Job("chaos-overload", "chaos-overload", seed=seed) for seed in chaos_seeds
-    )
-    # And the gray-failure drill (slow links / stragglers / flap with the
-    # adaptive RTO and slow-vs-dead detection on).
-    jobs.extend(
-        Job("chaos-gray", "chaos-gray", seed=seed) for seed in chaos_seeds
+        Job("drill", drill, seed=seed) for drill in DRILLS for seed in chaos_seeds
     )
     # Sharded-backend identity drills (``--sharded``): serial and
     # rack-sharded runs of the demo scenario must fingerprint identically.

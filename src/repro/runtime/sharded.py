@@ -16,10 +16,11 @@ it whose result fingerprints must be identical:
     the name-derived per-link fault RNG streams agree everywhere — but
     each shard only *submits* the tasks homed on it and only *executes*
     the events that reach its nodes; boundary links forward deliveries as
-    ticketed messages.  Chaos actions are scheduled on **every** replica
-    (they are zero-cost on nodes whose packets never visit a shard), so
-    partition flags and corruption windows flip at the same instant
-    everywhere.
+    ticketed messages.  The scenario's :class:`~repro.chaos.ChaosSchedule`
+    is armed on **every** replica (its events are zero-cost on nodes whose
+    packets never visit a shard), so partition flags and corruption
+    windows flip at the same instant everywhere.  Only the kinds the
+    kind table marks ``replayable`` may appear in it.
 
 The task closure rule
 ---------------------
@@ -44,17 +45,19 @@ and chaos-corruption totals, and the total event count.  Sharded runs
 merge by ownership — tasks by home, hosts by rack shard, links by source
 endpoint — with disjoint key sets, so a merge is a union, not a
 reconciliation.  Event counts sum exactly after subtracting the
-``(shards - 1) × len(chaos)`` replicated chaos events.
+``(shards - 1) × len(chaos.events)`` replicated chaos events.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.chaos.orchestrator import ChaosOrchestrator
+from repro.chaos.schedule import KIND_OF, ChaosEvent, ChaosSchedule
 from repro.core.config import AskConfig
-from repro.core.errors import TopologyError
+from repro.core.errors import ChaosScheduleError, TopologyError
 from repro.core.service import AskService, RackLayout
 from repro.core.task import AggregationTask
 from repro.net.fault import FaultModel
@@ -73,7 +76,6 @@ from repro.net.simulator import Simulator, paused_gc
 from repro.runtime.builder import validate_sharded_config
 
 __all__ = [
-    "ChaosAction",
     "ShardedRunStats",
     "ShardedScenario",
     "ShardedTask",
@@ -94,18 +96,6 @@ Stream = Tuple[Tuple[bytes, int], ...]
 #: A collected fingerprint (or one shard's slice of one).
 Fingerprint = Dict[str, Any]
 
-#: Chaos action kinds a scenario may carry.  All but the straggle pair
-#: are fabric methods; ``straggle``/``unstraggle`` dispatch to the target
-#: host's daemon (service delay).  Replaying gray kinds on every replica
-#: is safe like the rest: per-link slowdown jitter streams only draw on
-#: the shard whose packets actually cross the link, and a straggling
-#: daemon on a non-owning replica never receives a frame.
-CHAOS_KINDS = (
-    "partition", "heal", "corrupt", "cleanse",
-    "slow", "revive", "straggle", "unstraggle",
-)
-
-
 @dataclass(frozen=True)
 class ShardedTask:
     """One aggregation task of a scenario.
@@ -122,17 +112,6 @@ class ShardedTask:
 
 
 @dataclass(frozen=True)
-class ChaosAction:
-    """One absolute-time fabric action, replayed identically on every
-    replica: ``kind`` is a :data:`CHAOS_KINDS` fabric method, ``target``
-    a host or switch name."""
-
-    time_ns: int
-    kind: str
-    target: str
-
-
-@dataclass(frozen=True)
 class ShardedScenario:
     """A complete, self-contained description of a multi-rack run.
 
@@ -142,6 +121,12 @@ class ShardedScenario:
     the layout's default, see :meth:`~repro.core.service.RackLayout.placement`).
     ``fault`` holds :class:`~repro.net.fault.FaultModel` kwargs —
     the model itself is stateful, so every build constructs a fresh one.
+    ``chaos`` is armed at t = 0 on the serial run and on every replica;
+    a kind the shards cannot replay (crash, flap, overload) is a tagged
+    :class:`~repro.core.errors.ChaosScheduleError`.  Replaying the gray
+    kinds is safe: per-link slowdown jitter streams only draw on the
+    shard whose packets cross the link, and a straggling daemon on a
+    non-owning replica never receives a frame.
     """
 
     config: AskConfig
@@ -149,15 +134,8 @@ class ShardedScenario:
     pods: Optional[Mapping[str, Mapping[str, Tuple[str, ...]]]] = None
     placement: Optional[str] = None
     tasks: Tuple[ShardedTask, ...] = ()
-    chaos: Tuple[ChaosAction, ...] = ()
+    chaos: ChaosSchedule = ChaosSchedule(seed=0, horizon_ns=0, events=())
     fault: Optional[Mapping[str, Any]] = None
-    corruption_rate: Optional[float] = None
-    #: Gray-failure knobs for ``slow``/``straggle`` chaos actions (per-link
-    #: latency multiplier + jitter, daemon service delay + jitter).
-    slow_multiplier: float = 4.0
-    slow_jitter_ns: int = 0
-    straggle_delay_ns: int = 50_000
-    straggle_jitter_ns: int = 0
     core_bandwidth_gbps: Optional[float] = 400.0
     core_latency_ns: int = 2_000
     max_tasks: int = 64
@@ -170,11 +148,13 @@ class ShardedScenario:
         if len(layout.rack_hosts) < 2:
             raise ValueError("a sharded scenario needs at least two racks")
         layout.placement(self.placement)
-        for action in self.chaos:
-            if action.kind not in CHAOS_KINDS:
-                raise ValueError(f"unknown chaos kind {action.kind!r}")
-            if action.time_ns < 0:
-                raise ValueError(f"chaos action at negative time {action.time_ns}")
+        for event in self.chaos.events:
+            if not KIND_OF[event.kind].replayable:
+                raise ChaosScheduleError(
+                    f"chaos kind {event.kind!r} at {event.at_ns} cannot be "
+                    "replayed on every shard replica of a sharded run",
+                    event.target,
+                )
 
     @property
     def layout(self) -> RackLayout:
@@ -286,7 +266,7 @@ def _build_service(scenario: ShardedScenario) -> AskService:
     fault = (
         FaultModel(**dict(scenario.fault)) if scenario.fault is not None else None
     )
-    service = AskService(
+    return AskService(
         scenario.config,
         fault=fault,
         max_tasks=scenario.max_tasks,
@@ -297,36 +277,15 @@ def _build_service(scenario: ShardedScenario) -> AskService:
         core_bandwidth_gbps=scenario.core_bandwidth_gbps,
         core_latency_ns=scenario.core_latency_ns,
     )
-    if scenario.corruption_rate is not None:
-        service.fabric.corruption_rate = scenario.corruption_rate
-    service.fabric.slow_multiplier = scenario.slow_multiplier
-    service.fabric.slow_jitter_ns = scenario.slow_jitter_ns
-    return service
 
 
-def _schedule_chaos(
-    service: Any, scenario: ShardedScenario, chaos: Sequence[ChaosAction]
-) -> None:
-    """Schedule the full chaos list at absolute times, before any task
-    submission — identical push order on the serial sim and on every
-    shard replica, so same-instant ordering against task events agrees."""
-    sim: Simulator = service.sim
-    fabric = service.fabric
-    for action in chaos:
-        if action.kind == "straggle":
-            daemon = service.daemons[action.target]
-            sim.call_at(
-                action.time_ns,
-                daemon.straggle,
-                scenario.straggle_delay_ns,
-                scenario.straggle_jitter_ns,
-            )
-        elif action.kind == "unstraggle":
-            daemon = service.daemons[action.target]
-            sim.call_at(action.time_ns, daemon.unstraggle)
-        else:
-            method: Callable[[str], None] = getattr(fabric, action.kind)
-            sim.call_at(action.time_ns, method, action.target)
+def _arm_chaos(service: AskService, scenario: ShardedScenario) -> None:
+    """Arm the scenario's schedule at t = 0, before any task submission —
+    identical push order on the serial sim and on every shard replica, so
+    same-instant ordering against task events agrees."""
+    ChaosOrchestrator(
+        service.deployment, scenario.chaos, require_supervisor=False
+    ).arm()
 
 
 def _submit(service: AskService, task: ShardedTask) -> AggregationTask:
@@ -460,7 +419,7 @@ def run_serial(scenario: ShardedScenario, plan: ShardPlan) -> Fingerprint:
         # execution mode, so the rank only orders it against same-push-time
         # task events — which the lowest rank does consistently.
         sim.set_shard_context(0)
-        _schedule_chaos(service, scenario, scenario.chaos)
+        _arm_chaos(service, scenario)
         tasks: Dict[int, AggregationTask] = {}
         for index in order:
             sim.set_shard_context(homes[index])
@@ -488,7 +447,7 @@ class _ShardRun:
             service.fabric.topology, plan, rank, self.outbox
         )
         self.sim.enable_shard_order(rank)
-        _schedule_chaos(service, scenario, scenario.chaos)
+        _arm_chaos(service, scenario)
         self.tasks: Dict[int, AggregationTask] = {}
         for index in order:
             if homes[index] == rank:
@@ -574,7 +533,7 @@ def run_sharded(
         else:
             for handle in handles:
                 handle.close()
-    fingerprint = merge_fingerprints(payloads, len(scenario.chaos))
+    fingerprint = merge_fingerprints(payloads, len(scenario.chaos.events))
     return fingerprint, ShardedRunStats(
         shards=len(plan),
         windows=coordinator.windows,
@@ -634,11 +593,15 @@ def demo_scenario(seed: int = 7) -> ShardedScenario:
             streams={"h1": stream(80)}, receiver="h0", placement="spine", region_size=8
         ),
     )
-    chaos = (
-        ChaosAction(time_ns=40_000, kind="corrupt", target="h2"),
-        ChaosAction(time_ns=140_000, kind="cleanse", target="h2"),
-        ChaosAction(time_ns=60_000, kind="partition", target="h6"),
-        ChaosAction(time_ns=100_000, kind="heal", target="h6"),
+    chaos = ChaosSchedule(
+        seed=seed,
+        horizon_ns=140_000,
+        events=(
+            ChaosEvent(40_000, "corrupt", "h2"),
+            ChaosEvent(140_000, "cleanse", "h2"),
+            ChaosEvent(60_000, "partition", "h6"),
+            ChaosEvent(100_000, "heal", "h6"),
+        ),
     )
     return ShardedScenario(
         config=AskConfig.small(window_size=32, retransmit_timeout_us=50.0),

@@ -328,3 +328,40 @@ def test_orchestrator_rejects_unknown_targets_and_double_arm():
     orchestrator.arm()
     with pytest.raises(RuntimeError, match="already armed"):
         orchestrator.arm()
+
+
+def test_back_to_back_flap_windows_keep_one_toggle_chain():
+    """A pending toggle of a closed flap window must not act on the next
+    window on the same target: partition and heal strictly alternate, and
+    only each window's own toggles count."""
+    service = AskService(AskConfig.small(), hosts=3)
+    schedule = ChaosSchedule(
+        seed=0,
+        horizon_ns=150_000,
+        events=(
+            ChaosEvent(0, "flap", "h1"),
+            ChaosEvent(50_000, "steady", "h1"),
+            ChaosEvent(55_000, "flap", "h1"),
+            ChaosEvent(150_000, "steady", "h1"),
+        ),
+        flap_period_ns=20_000,
+    ).check_windows()
+    fabric = service.fabric
+    calls = []
+    for name in ("partition", "heal"):
+
+        def record(target, _apply=getattr(fabric, name), _name=name):
+            calls.append((service.clock.now, _name))
+            _apply(target)
+
+        setattr(fabric, name, record)
+    orchestrator = ChaosOrchestrator(
+        service.deployment, schedule, require_supervisor=False
+    )
+    orchestrator.arm()
+    service.run()
+    kinds = [name for _, name in calls]
+    assert kinds == ["partition", "heal"] * (len(kinds) // 2)
+    # Window 1 toggles at 20 and 40 us; window 2 at 75, 95, 115, 135 us.
+    assert orchestrator.flap_toggles == 6
+    assert (60_000, "heal") not in calls

@@ -11,20 +11,20 @@ degradation report's admission section balances.
 import contextlib
 import io
 
+from repro.chaos.drills import run_drill
 from repro.chaos.schedule import ChaosSchedule
-from repro.cli import _run_overload_chaos
 from repro.perf import parallel
 
 
-def run_drill(backend, seed):
+def run_overload(backend, seed):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        status = _run_overload_chaos(backend, seed, None)
+        status = run_drill("chaos-overload", backend, seed)
     return status, buffer.getvalue()
 
 
 def test_overload_drill_holds_isolation_on_sim():
-    status, out = run_drill("sim", 0)
+    status, out = run_overload("sim", 0)
     assert status == 0
     assert "isolation held" in out
     # The queue bound bit: a burst of 6 against a limit of 4.
@@ -34,14 +34,14 @@ def test_overload_drill_holds_isolation_on_sim():
 
 
 def test_overload_drill_holds_isolation_on_asyncio():
-    status, out = run_drill("asyncio", 0)
+    status, out = run_overload("asyncio", 0)
     assert status == 0
     assert "isolation held" in out
     assert "rejected_full=2" in out
 
 
 def test_overload_drill_payload_is_deterministic():
-    job = parallel.Job("chaos-overload", "chaos-overload", seed=7)
+    job = parallel.Job("drill", "chaos-overload", seed=7)
     first = parallel.run_job(job)
     second = parallel.run_job(job)
     assert first.ok, first.error

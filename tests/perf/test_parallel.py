@@ -57,7 +57,7 @@ def test_merge_keeps_plan_order_and_renders_errors_in_place():
     jobs = [
         parallel.Job("experiment", "fig03"),
         parallel.Job("experiment", "fig13"),
-        parallel.Job("chaos", "chaos", seed=3),
+        parallel.Job("drill", "chaos", seed=3),
     ]
     results = [
         parallel.JobResult(jobs[0], ok=True, payload="A"),

@@ -8,14 +8,17 @@ serial run.  Not statistically close: identical, down to every per-link
 counter and every task's ``values_sha256``.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import ChaosEvent, ChaosSchedule
+from repro.chaos.schedule import RECOVERY_OF
 from repro.core.config import AskConfig
-from repro.core.errors import ConfigError, TopologyError
+from repro.core.errors import ChaosScheduleError, ConfigError, TopologyError
 from repro.runtime.sharded import (
-    ChaosAction,
     ShardedScenario,
     ShardedTask,
     demo_plan,
@@ -139,14 +142,8 @@ def sharded_scenarios(draw):
         # at risk, each drawn from its sending host's stream.
         targets = all_hosts + list(layout.tor_of.values()) if kind == "corrupt" else all_hosts
         target = draw(st.sampled_from(targets))
-        undo = {
-            "partition": "heal",
-            "corrupt": "cleanse",
-            "slow": "revive",
-            "straggle": "unstraggle",
-        }[kind]
-        chaos.append(ChaosAction(time_ns=start, kind=kind, target=target))
-        chaos.append(ChaosAction(time_ns=start + span, kind=undo, target=target))
+        chaos.append(ChaosEvent(start, kind, target))
+        chaos.append(ChaosEvent(start + span, RECOVERY_OF[kind], target))
 
     fault = None
     if draw(st.booleans()):
@@ -160,13 +157,17 @@ def sharded_scenarios(draw):
     scenario = ShardedScenario(
         config=_config(),
         tasks=tuple(tasks),
-        chaos=tuple(chaos),
+        chaos=ChaosSchedule(
+            seed=0,
+            horizon_ns=30 * CORE_LATENCY_NS,
+            events=tuple(chaos),
+            corruption_rate=0.3,
+            # Nonzero jitter so gray windows actually consume their named
+            # streams — the draws must replay identically across the cut.
+            slow_jitter_ns=3_000,
+            straggle_jitter_ns=2_000,
+        ),
         fault=fault,
-        corruption_rate=0.3 if chaos else None,
-        # Nonzero jitter so gray windows actually consume their named
-        # streams — the draws must replay identically across the cut.
-        slow_jitter_ns=3_000,
-        straggle_jitter_ns=2_000,
         core_latency_ns=CORE_LATENCY_NS,
         **topo_kwargs,
     )
@@ -237,11 +238,15 @@ def _three_shard_scenario(seed=5, tuples=1_400):
         config=AskConfig.small(window_size=32, retransmit_timeout_us=50.0),
         pods=pods,
         tasks=tasks,
-        chaos=(
-            ChaosAction(time_ns=40_000, kind="corrupt", target="h4"),
-            ChaosAction(time_ns=400_000, kind="cleanse", target="h4"),
+        chaos=ChaosSchedule(
+            seed=seed,
+            horizon_ns=400_000,
+            events=(
+                ChaosEvent(40_000, "corrupt", "h4"),
+                ChaosEvent(400_000, "cleanse", "h4"),
+            ),
+            corruption_rate=0.2,
         ),
-        corruption_rate=0.2,
         fault={
             "loss_rate": 0.01,
             "duplicate_rate": 0.01,
@@ -284,9 +289,16 @@ def test_chaos_event_exactly_on_window_boundary():
     # of it; chaos at exactly such an instant must replay identically.
     scenario = demo_scenario(seed=11)
     lookahead = scenario.core_latency_ns
-    boundary_chaos = tuple(
-        ChaosAction(time_ns=k * lookahead, kind=kind, target="h2")
-        for k, kind in ((10, "partition"), (20, "heal"), (30, "corrupt"), (40, "cleanse"))
+    boundary_chaos = ChaosSchedule(
+        seed=11,
+        horizon_ns=40 * lookahead,
+        events=tuple(
+            ChaosEvent(k * lookahead, kind, "h2")
+            for k, kind in (
+                (10, "partition"), (20, "heal"), (30, "corrupt"), (40, "cleanse")
+            )
+        ),
+        corruption_rate=0.5,
     )
     scenario = ShardedScenario(
         config=scenario.config,
@@ -295,7 +307,6 @@ def test_chaos_event_exactly_on_window_boundary():
         tasks=scenario.tasks,
         chaos=boundary_chaos,
         fault=scenario.fault,
-        corruption_rate=0.5,
         core_latency_ns=scenario.core_latency_ns,
     )
     plan = demo_plan(scenario)
@@ -309,11 +320,19 @@ def test_gray_chaos_slow_and_straggle_identity():
     # — the non-owning replica must see none of it, so serial and sharded
     # replay identically down to every counter.
     base = demo_scenario(seed=11)
-    gray_chaos = (
-        ChaosAction(time_ns=8_000, kind="slow", target="h2"),
-        ChaosAction(time_ns=60_000, kind="revive", target="h2"),
-        ChaosAction(time_ns=12_000, kind="straggle", target="h0"),
-        ChaosAction(time_ns=80_000, kind="unstraggle", target="h0"),
+    gray_chaos = ChaosSchedule(
+        seed=11,
+        horizon_ns=80_000,
+        events=(
+            ChaosEvent(8_000, "slow", "h2"),
+            ChaosEvent(60_000, "revive", "h2"),
+            ChaosEvent(12_000, "straggle", "h0"),
+            ChaosEvent(80_000, "unstraggle", "h0"),
+        ),
+        slow_multiplier=6.0,
+        slow_jitter_ns=3_000,
+        straggle_delay_ns=20_000,
+        straggle_jitter_ns=2_000,
     )
     scenario = ShardedScenario(
         config=base.config,
@@ -322,10 +341,6 @@ def test_gray_chaos_slow_and_straggle_identity():
         tasks=base.tasks,
         chaos=gray_chaos,
         fault=base.fault,
-        slow_multiplier=6.0,
-        slow_jitter_ns=3_000,
-        straggle_delay_ns=20_000,
-        straggle_jitter_ns=2_000,
         core_latency_ns=base.core_latency_ns,
     )
     plan = demo_plan(scenario)
@@ -333,6 +348,49 @@ def test_gray_chaos_slow_and_straggle_identity():
     sharded, stats = run_sharded(scenario, plan)
     assert serial == sharded
     assert stats.messages > 0  # the gray windows ran with live cut traffic
+
+
+def test_generated_schedules_replay_identically_on_shards():
+    # The sampled schedules the CLI drills use, over the demo scenario's
+    # hosts, TORs and spines: windows on transit spines and on TORs of
+    # the other shard must replay identically on every replica.
+    base = demo_scenario()
+    layout = base.layout
+    kinds = ("partition", "corrupt", "slow", "straggle")
+    drawn = set()
+    for seed in range(8):
+        chaos = ChaosSchedule.generate(
+            seed,
+            hosts=list(layout.rack_of),
+            switches=[*layout.tor_of.values(), *layout.spines.values()],
+            horizon_ns=200_000,
+            min_down_ns=20_000,
+            max_down_ns=80_000,
+            max_faults=4,
+            kinds=kinds,
+        )
+        drawn.update(e.kind for e in chaos.events)
+        scenario = dataclasses.replace(base, chaos=chaos)
+        plan = demo_plan(scenario)
+        serial = run_serial(scenario, plan)
+        assert serial == run_sharded(scenario, plan)[0], seed
+        assert all(t["phase"] == "complete" for t in serial["tasks"].values())
+    assert drawn >= set(kinds)
+
+
+@pytest.mark.parametrize("kind", ["crash", "flap", "overload"])
+def test_kinds_shards_cannot_replay_are_rejected(kind):
+    chaos = ChaosSchedule(
+        seed=0,
+        horizon_ns=20_000,
+        events=(
+            ChaosEvent(10_000, kind, "h1"),
+            ChaosEvent(20_000, RECOVERY_OF[kind], "h1"),
+        ),
+    )
+    with pytest.raises(ChaosScheduleError, match=repr(kind)) as excinfo:
+        dataclasses.replace(demo_scenario(), chaos=chaos)
+    assert excinfo.value.target == "h1"
 
 
 # ----------------------------------------------------------------------
