@@ -54,7 +54,7 @@ def test_congestion_control_queue_depth(benchmark, report):
             service = AskService(cfg, hosts=2)
             stream = [(("k%03d" % (i % 100)).encode(), 1) for i in range(3000)]
             service.aggregate({"h0": stream}, receiver="h1", check=True)
-            depths[cc] = service.topology.uplink("h0").link.max_backlog_bytes
+            depths[cc] = service.topology.uplink("h0").max_backlog_bytes
         return depths
 
     depths = benchmark.pedantic(run, iterations=1, rounds=1)

@@ -53,7 +53,7 @@ def congestion_demo() -> None:
         service = AskService(cfg, hosts=2)
         stream = [(("k%03d" % (i % 100)).encode(), 1) for i in range(3000)]
         service.aggregate({"h0": stream}, receiver="h1", check=True)
-        results[cc] = service.topology.uplink("h0").link.max_backlog_bytes
+        results[cc] = service.topology.uplink("h0").max_backlog_bytes
     print(f"  max uplink backlog without CC: {results[False]:>7} B")
     print(f"  max uplink backlog with CC:    {results[True]:>7} B "
           "(AIMD keeps the queue near the ECN threshold)\n")

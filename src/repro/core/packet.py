@@ -20,18 +20,11 @@ masks (``FLAG_DATA`` …) so hot receive paths test membership with a single
 C-level ``&`` instead of ``IntFlag.__and__``.  The ``is_data``/``is_ack``/…
 attributes and the frame size are computed once at construction.
 
-Pooling
--------
-``AskPacket.recycle()`` returns an instance to a bounded class-level
-freelist, and the constructor path :meth:`AskPacket.acquire` reuses pooled
-instances instead of allocating.  Recycling is *opt-in and owner-only*: a
-packet may be recycled only by code that provably holds the last reference
-(see docs/performance.md for the invariants).  The discrete-event fabric
-delivers packet objects by reference — and a faulty link may deliver the
-same object twice — so simulator components never recycle.  Today only
-:meth:`AskPacket.snapshot` (the sharded outbox's cross-shard copy)
-acquires and nothing recycles; the wire codec does neither, because the
-node a decoded packet is handed to may keep it.
+Packets are never pooled or recycled: the discrete-event fabric delivers
+packet objects by reference — a faulty link may deliver the same object
+twice — and the sharded backend hands a cross-shard packet to the
+destination shard as is, so no code may reuse or mutate one after
+construction.
 """
 
 from __future__ import annotations
@@ -137,10 +130,6 @@ class AskPacket:
         "_frame_bytes",
     )
 
-    #: Bounded freelist of recycled instances (see module docstring).
-    _pool: list["AskPacket"] = []
-    _pool_limit = 1024
-
     def __init__(
         self,
         flags: int,
@@ -153,23 +142,7 @@ class AskPacket:
         slots: tuple[Optional[Slot], ...] = (),
         ecn: bool = False,
     ) -> None:
-        self._init(int(flags), task_id, src, dst, channel_index, seq, bitmap, slots, ecn)
-
-    # The body of construction, shared by __init__ and the pool path so a
-    # recycled instance is re-initialized exactly like a fresh one.
-    def _init(
-        self,
-        flags: int,
-        task_id: int,
-        src: str,
-        dst: str,
-        channel_index: int,
-        seq: int,
-        bitmap: int,
-        slots: tuple[Optional[Slot], ...],
-        ecn: bool,
-    ) -> None:
-        self.flags = flags
+        self.flags = flags = int(flags)
         self.task_id = task_id
         self.src = src
         self.dst = dst
@@ -197,80 +170,6 @@ class AskPacket:
             self._frame_bytes = constants.HEADER_BYTES
 
     # ------------------------------------------------------------------
-    # Freelist pool
-    # ------------------------------------------------------------------
-    @classmethod
-    def acquire(
-        cls,
-        flags: int,
-        task_id: int,
-        src: str,
-        dst: str,
-        channel_index: int,
-        seq: int,
-        bitmap: int = 0,
-        slots: tuple[Optional[Slot], ...] = (),
-        ecn: bool = False,
-    ) -> "AskPacket":
-        """Build a packet, reusing a recycled instance when one is pooled.
-
-        Behaviourally identical to calling the constructor; only the
-        allocation differs.  Pair with :meth:`recycle`.
-        """
-        pool = cls._pool
-        if pool:
-            pkt = pool.pop()
-            pkt._init(int(flags), task_id, src, dst, channel_index, seq, bitmap, slots, ecn)
-            return pkt
-        return cls(flags, task_id, src, dst, channel_index, seq, bitmap, slots, ecn)
-
-    def recycle(self) -> None:
-        """Return this instance to the freelist.
-
-        Only the holder of the *last* reference may call this: a recycled
-        packet will be re-initialized in place by a later
-        :meth:`acquire`, so any retained reference would observe the new
-        packet's fields.  Never call it on packets handed to the simulated
-        fabric (links deliver, and may duplicate, the object itself).
-        """
-        pool = AskPacket._pool
-        if len(pool) < AskPacket._pool_limit:
-            # Drop payload references so pooled instances don't pin slots.
-            self.slots = ()
-            pool.append(self)
-
-    def snapshot(self) -> "AskPacket":
-        """A by-value copy that survives this instance being recycled.
-
-        Shares the ``slots`` tuple — ``Slot`` objects are immutable once
-        built (corruption rebuilds, never mutates) — and copies every
-        scalar field.  The sharded outbox snapshots cross-shard packets
-        with this: a message must not alias a pooled instance whose
-        sender may re-initialize it before the barrier ships the frame.
-        """
-        return AskPacket.acquire(
-            self.flags,
-            self.task_id,
-            self.src,
-            self.dst,
-            self.channel_index,
-            self.seq,
-            self.bitmap,
-            self.slots,
-            self.ecn,
-        )
-
-    @classmethod
-    def pool_size(cls) -> int:
-        """Number of instances currently pooled (observability/tests)."""
-        return len(cls._pool)
-
-    @classmethod
-    def pool_clear(cls) -> None:
-        """Empty the freelist (tests)."""
-        cls._pool.clear()
-
-    # ------------------------------------------------------------------
     # Value semantics (what the frozen dataclass used to provide)
     # ------------------------------------------------------------------
     def _key(self) -> tuple:
@@ -295,7 +194,7 @@ class AskPacket:
         return hash(self._key())
 
     def __reduce__(self) -> tuple:
-        # Wire fields only; ``_init`` rebuilds the derived ones on load.
+        # Wire fields only; ``__init__`` rebuilds the derived ones on load.
         return AskPacket, self._key()
 
     # ------------------------------------------------------------------

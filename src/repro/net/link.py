@@ -4,6 +4,12 @@ A link models one direction of a cable: packets are serialized one after
 another at ``bandwidth_bits_per_ns`` and then propagate for ``latency_ns``.
 Faults are applied *after* serialization, so a dropped packet still consumed
 transmit time — matching how real NIC/switch queues behave.
+
+A link is bound to its far end at construction (``deliver``), and a host
+uplink also carries the sending NIC's packets-per-second cap: the paper
+observes that ASK's single-host throughput is bounded by the host's packet
+rate when packets are small (Fig. 8a); the analytic counterpart lives in
+:mod:`repro.perf.goodput`.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.net.fault import CorruptedFrame, FaultModel, LinkSlowdown
-from repro.net.simulator import Simulator
+from repro.net.simulator import NS_PER_S, Simulator
+from repro.net.trace import PacketTrace
 
 DeliverFn = Callable[[Any], None]
 
@@ -21,6 +28,10 @@ GBPS_TO_BITS_PER_NS = 1.0  # 1 Gbps == 1 bit/ns, a convenient identity.
 def gbps_to_bits_per_ns(gbps: float) -> float:
     """100 Gbps == 100 bits/ns; the unit identity keeps the math readable."""
     return gbps * GBPS_TO_BITS_PER_NS
+
+
+def _unbound(packet: Any) -> None:
+    raise RuntimeError("link has no far end: pass deliver= at construction")
 
 
 class Link:
@@ -38,7 +49,16 @@ class Link:
     fault:
         Optional fault model; defaults to a perfectly reliable link.
     name:
-        Used in traces and repr only.
+        The link's stable name: its trace site, and the key its topology
+        files it under.
+    deliver:
+        The far end: called with each packet on arrival.
+    max_pps:
+        Packets-per-second cap of the sending port (DPDK TX ring + PCIe
+        doorbell cost); launches are spaced ``gap_ns`` apart.  ``None``
+        disables the cap.
+    trace:
+        Records a ``"tx"`` entry per packet handed to :meth:`send`.
     """
 
     def __init__(
@@ -49,6 +69,9 @@ class Link:
         fault: Optional[FaultModel] = None,
         name: str = "link",
         ecn_threshold_bytes: Optional[int] = None,
+        deliver: DeliverFn = _unbound,
+        max_pps: Optional[float] = None,
+        trace: Optional[PacketTrace] = None,
     ) -> None:
         self.sim = sim
         self.bandwidth_gbps = bandwidth_gbps
@@ -56,6 +79,13 @@ class Link:
         self.fault = fault if fault is not None else FaultModel.reliable()
         self.name = name
         self.ecn_threshold_bytes = ecn_threshold_bytes
+        self.deliver = deliver
+        self.max_pps = max_pps
+        self.trace = trace
+        #: Minimum launch spacing under ``max_pps`` (0 = uncapped), fixed
+        #: for the link's lifetime so the send path does no division.
+        self.gap_ns = 0 if max_pps is None else max(1, int(round(NS_PER_S / max_pps)))
+        self._next_slot = 0
         self._tx_free_at = 0  # serialization is FIFO: next byte may start here
         # Packet sizes repeat (ACKs, full data frames), so serialization
         # times are memoized; the cache stays tiny and keeps the hot send
@@ -87,13 +117,31 @@ class Link:
         self._ser_cache[size_bytes] = ns
         return ns
 
-    def send(self, packet: Any, size_bytes: int, deliver: DeliverFn) -> None:
-        """Transmit ``packet`` and invoke ``deliver(packet)`` on arrival.
+    def send(self, packet: Any, size_bytes: int) -> None:
+        """Transmit ``packet``; the far end receives it on arrival.
 
-        Serialization is FIFO: a packet handed over while the transmitter is
-        busy waits its turn.  Fault decisions (drop/duplicate/reorder) are
-        drawn per packet from the link's :class:`FaultModel`.
+        Under a packets-per-second cap the packet launches at the later of
+        "now" and the next free launch slot; serialization is FIFO after
+        that: a packet handed over while the transmitter is busy waits its
+        turn.  Fault decisions (drop/duplicate/reorder) are drawn per
+        packet from the link's :class:`FaultModel`.
         """
+        if self.trace is not None:
+            self.trace.record(self.sim.now, self.name, "tx", packet)
+        gap = self.gap_ns
+        if gap:
+            now = self.sim.now
+            launch = self._next_slot
+            if now < launch:
+                self._next_slot = launch + gap
+                # Launches are never cancelled: allocation-free scheduling.
+                self.sim.call_at(launch, self._launch, packet, size_bytes)
+                return
+            self._next_slot = now + gap
+        self._launch(packet, size_bytes)
+
+    def _launch(self, packet: Any, size_bytes: int) -> None:
+        """Put ``packet`` on the wire now (ECN and backlog are read here)."""
         self.packets_sent += 1
         self.bytes_sent += size_bytes
         now = self.sim.now
@@ -139,14 +187,14 @@ class Link:
             # travel the same degraded wire, so they pay their own draw.
             arrival += self.slowdown.extra_ns(self.latency_ns)
             self.packets_slowed += 1
-        self.sim.call_at(arrival, deliver, packet)
+        self.sim.call_at(arrival, self.deliver, packet)
         if decision.duplicate:
             self.packets_duplicated += 1
             dup_arrival = tx_done + self.latency_ns + decision.duplicate_delay_ns
             if self.slowdown is not None and self.slowdown.active:
                 dup_arrival += self.slowdown.extra_ns(self.latency_ns)
                 self.packets_slowed += 1
-            self.sim.call_at(dup_arrival, deliver, packet)
+            self.sim.call_at(dup_arrival, self.deliver, packet)
 
     # ------------------------------------------------------------------
     def backlog_bytes(self) -> int:

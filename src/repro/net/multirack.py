@@ -1,9 +1,9 @@
 """Rack topology: per-rack ASK TOR switches, one rack, flat mesh or spine–leaf.
 
 Every simulated deployment is one :class:`MultiRackTopology`.  Every host
-is wired to its rack's TOR switch by that rack's
-:class:`~repro.net.topology.StarTopology`.  One rack is the spineless
-case with no interconnect at all.  Racks interconnect one of two ways:
+is wired to its rack's TOR switch by an uplink and a downlink.  One rack
+is the spineless case with no interconnect at all.  Racks interconnect
+one of two ways:
 
 Flat mesh (the §7 deployment, a depth-1 tree)
     TOR switches are wired pairwise with (faster, wider) core links.  This
@@ -15,8 +15,8 @@ Spine–leaf tree
     (:meth:`MultiRackTopology.add_spine`); a rack's TOR (its *leaf*) has
     an uplink/downlink pair to its pod's spine and spines interconnect
     pairwise.  Inter-rack paths traverse spine nodes — leaf → spine
-    [→ spine] → leaf → host — instead of the flat ``_send_core`` mesh,
-    which is what lets a spine ``AskSwitch`` act as a combiner for
+    [→ spine] → leaf → host — instead of the flat core mesh, which is
+    what lets a spine ``AskSwitch`` act as a combiner for
     already-partially-aggregated slots.
 
 Each switch sees the fabric through a view — ``host_names`` (the §7
@@ -24,24 +24,34 @@ bypass rule keys on it; empty for spines) and ``send_to_host`` (which
 transparently routes anywhere, including control packets addressed to a
 remote switch by name).
 
-Link fault streams derive from stable names (``rack:<rack>``,
-``core:<a>-><b>``, ``up:<rack>-><spine>``, ``down:<spine>-><rack>``), so
-they do not depend on wiring order.  A topology built for one spineless
-rack (:attr:`MultiRackTopology.one_rack`) is the exception: its host
-links draw from the template itself.
+Every direction of every cable is one :class:`~repro.net.link.Link`,
+filed in one registry under its stable name (``<host>->switch``,
+``switch-><host>``, ``core:<a>-><b>``, ``up:<rack>-><spine>``,
+``down:<spine>-><rack>``) with its ``(src, dst)`` endpoint tags
+(``("host"|"rack"|"spine", name)``).  Routing, fault injection, sharding
+and reports all look links up there.
+
+Link fault streams derive from those names — a host link's under
+``rack:<rack>`` — so they do not depend on wiring order.  A topology
+built for one spineless rack (:attr:`MultiRackTopology.one_rack`) is the
+exception: its host links draw from the template itself.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.core.errors import TopologyError
 from repro.net.fault import FaultModel
-from repro.net.link import Link
-from repro.net.nic import Nic
+from repro.net.link import DeliverFn, Link
 from repro.net.simulator import Simulator
-from repro.net.topology import NetworkNode, StarTopology
+from repro.net.topology import NetworkNode
 from repro.net.trace import PacketTrace
+
+#: A link endpoint: ``("host"|"rack"|"spine", name)``.
+Endpoint = Tuple[str, str]
+#: One registry row: ``(name, src, dst, link)``.
+Wire = Tuple[str, Endpoint, Endpoint, Link]
 
 
 class RackView:
@@ -255,18 +265,17 @@ class MultiRackTopology:
         self._fault_template = fault
         self.trace = trace
         self.ecn_threshold_bytes = ecn_threshold_bytes
-        self._stars: Dict[str, StarTopology] = {}
-        self._switches: Dict[str, NetworkNode] = {}
+        #: Every link, by stable name, with its endpoint tags.
+        self._links: Dict[str, tuple[Endpoint, Endpoint, Link]] = {}
+        self._switches: Dict[str, NetworkNode] = {}  # rack -> leaf switch
         self._switch_rack: Dict[str, str] = {}  # leaf switch name -> rack
+        self._rack_hosts: Dict[str, list[str]] = {}
+        self._hosts: Dict[str, NetworkNode] = {}
         self._host_rack: Dict[str, str] = {}
-        self._core_links: Dict[tuple[str, str], Nic] = {}
         # Spine–leaf state (all empty in the flat depth-1 layout).
         self._spine_switches: Dict[str, NetworkNode] = {}  # spine name -> node
         self._rack_spine: Dict[str, str] = {}  # rack -> spine switch name
-        self._up_nics: Dict[str, Nic] = {}  # rack -> uplink toward its spine
-        self._down_nics: Dict[str, Nic] = {}  # rack -> downlink from its spine
-        self._spine_core: Dict[tuple[str, str], Nic] = {}
-        #: The fault-stream naming rule (see :meth:`add_rack`).  The
+        #: The fault-stream naming rule (see :meth:`attach_host`).  The
         #: deployment builder sets it for a layout of one spineless rack.
         self.one_rack = False
 
@@ -278,6 +287,52 @@ class MultiRackTopology:
             return None
         return self._fault_template.derive(label)
 
+    def _wire(
+        self,
+        name: str,
+        src: Endpoint,
+        dst: Endpoint,
+        deliver: DeliverFn,
+        fault: Optional[FaultModel] = None,
+        max_pps: Optional[float] = None,
+    ) -> None:
+        """Build one link direction and file it under ``name``.  A host
+        link runs at the host rate with the ``fault`` it is given; a
+        switch-to-switch link is a core link and draws its fault stream
+        under its own name."""
+        if name in self._links:
+            raise TopologyError(f"link {name!r} already exists", name)
+        if src[0] == "host" or dst[0] == "host":
+            bandwidth, latency = self.bandwidth_gbps, self.latency_ns
+        else:
+            bandwidth, latency = self.core_bandwidth_gbps, self.core_latency_ns
+            fault = self._make_fault(name)
+        link = Link(
+            self.sim,
+            bandwidth,
+            latency,
+            fault=fault,
+            name=name,
+            ecn_threshold_bytes=self.ecn_threshold_bytes,
+            deliver=deliver,
+            max_pps=max_pps,
+            trace=self.trace,
+        )
+        self._links[name] = (src, dst, link)
+
+    def _host_receive(self, name: str, node: NetworkNode) -> DeliverFn:
+        """A host link's far end; it also records ``"rx"`` under a trace."""
+        trace = self.trace
+        if trace is None:
+            return node.receive
+        sim, receive = self.sim, node.receive
+
+        def deliver(packet: Any) -> None:
+            trace.record(sim.now, name, "rx", packet)
+            receive(packet)
+
+        return deliver
+
     # ------------------------------------------------------------------
     def add_spine(self, switch: NetworkNode) -> SpineView:
         """Declare a spine switch, wiring pairwise core links to every
@@ -287,15 +342,18 @@ class MultiRackTopology:
             raise TopologyError(f"spine {name!r} already exists", name)
         if name in self._switch_rack:
             raise TopologyError(f"switch {name!r} already placed as a leaf", name)
-        if len(self._rack_spine) != len(self._stars):
+        if len(self._rack_spine) != len(self._switches):
             raise TopologyError(
                 "cannot add a spine to a flat multi-rack topology: existing "
                 "racks were wired into the pairwise core mesh",
                 name,
             )
-        for other in list(self._spine_switches):
-            self._wire_spine_core(name, other)
         self._spine_switches[name] = switch
+        spine = ("spine", name)
+        for other, node in self._spine_switches.items():
+            if other != name:
+                self._wire(f"core:{name}->{other}", spine, ("spine", other), node.receive)
+                self._wire(f"core:{other}->{name}", ("spine", other), spine, switch.receive)
         return SpineView(self, name)
 
     def add_rack(
@@ -305,7 +363,7 @@ class MultiRackTopology:
         view.  Without ``spine`` the rack joins the flat pairwise core
         mesh; with ``spine`` it hangs under that (already declared) spine
         and inter-rack traffic routes up the tree."""
-        if rack in self._stars:
+        if rack in self._switches:
             raise TopologyError(f"rack {rack!r} already exists", rack)
         if switch.name in self._switch_rack or switch.name in self._spine_switches:
             raise TopologyError(f"switch {switch.name!r} already placed", switch.name)
@@ -316,74 +374,70 @@ class MultiRackTopology:
             )
         if spine is not None and spine not in self._spine_switches:
             raise TopologyError(f"unknown spine {spine!r}", spine)
-        # Fault-stream naming.  Each rack's star derives its per-link fault
-        # streams under ``rack:<rack>``, so racks differ but stay
-        # reproducible and independent of the order racks were added.  A
-        # layout of one spineless rack (``one_rack``) instead draws from
-        # the template itself, as ``fault.derive("h0->switch")``: the
-        # names every one-rack schedule has always been drawn with.
-        if self.one_rack and (self._stars or spine is not None):
+        if self.one_rack and (self._switches or spine is not None):
             raise TopologyError(
                 f"rack {rack!r}: this topology holds one spineless rack", rack
             )
-        star = StarTopology(
-            self.sim,
-            switch,
-            bandwidth_gbps=self.bandwidth_gbps,
-            latency_ns=self.latency_ns,
-            host_max_pps=self.host_max_pps,
-            fault=self._fault_template if self.one_rack else self._make_fault(f"rack:{rack}"),
-            trace=self.trace,
-            ecn_threshold_bytes=self.ecn_threshold_bytes,
-        )
-        self._stars[rack] = star
         self._switches[rack] = switch
         self._switch_rack[switch.name] = rack
+        self._rack_hosts[rack] = []
+        tor = ("rack", rack)
         if spine is None:
-            for other in list(self._stars):
+            for other, node in self._switches.items():
                 if other != rack:
-                    self._wire_core(rack, other)
+                    self._wire(f"core:{rack}->{other}", tor, ("rack", other), node.receive)
+                    self._wire(f"core:{other}->{rack}", ("rack", other), tor, switch.receive)
         else:
             self._rack_spine[rack] = spine
-            self._wire_spine_links(rack, spine)
+            spine_node = self._spine_switches[spine]
+            self._wire(f"up:{rack}->{spine}", tor, ("spine", spine), spine_node.receive)
+            self._wire(f"down:{spine}->{rack}", ("spine", spine), tor, switch.receive)
         return RackView(self, rack)
 
-    def _core_link_nic(self, name: str) -> Nic:
-        link = Link(
-            self.sim,
-            self.core_bandwidth_gbps,
-            self.core_latency_ns,
-            fault=self._make_fault(name),
-            name=name,
-            ecn_threshold_bytes=self.ecn_threshold_bytes,
-        )
-        return Nic(self.sim, link, None)
-
-    def _wire_core(self, a: str, b: str) -> None:
-        for src, dst in ((a, b), (b, a)):
-            self._core_links[(src, dst)] = self._core_link_nic(f"core:{src}->{dst}")
-
-    def _wire_spine_links(self, rack: str, spine: str) -> None:
-        self._up_nics[rack] = self._core_link_nic(f"up:{rack}->{spine}")
-        self._down_nics[rack] = self._core_link_nic(f"down:{spine}->{rack}")
-
-    def _wire_spine_core(self, a: str, b: str) -> None:
-        for src, dst in ((a, b), (b, a)):
-            self._spine_core[(src, dst)] = self._core_link_nic(f"core:{src}->{dst}")
-
     def attach_host(self, rack: str, host: NetworkNode) -> None:
-        if host.name in self._host_rack:
-            raise TopologyError(f"host {host.name!r} already attached", host.name)
-        if rack not in self._stars:
+        """Wire ``host`` to ``rack``'s TOR with one uplink and one downlink.
+
+        Fault-stream naming: each host link derives its stream from its
+        own name under ``rack:<rack>``, so racks differ but stay
+        reproducible and independent of the order racks were added.  A
+        layout of one spineless rack (``one_rack``) instead draws from
+        the template itself, as ``fault.derive("h0->switch")``: the names
+        every one-rack schedule has always been drawn with.
+        """
+        name = host.name
+        if name in self._host_rack:
+            raise TopologyError(f"host {name!r} already attached", name)
+        if rack not in self._switches:
             raise TopologyError(f"unknown rack {rack!r}", rack)
-        self._stars[rack].attach_host(host)
-        self._host_rack[host.name] = rack
+        template = self._fault_template
+        if template is not None and not self.one_rack:
+            template = template.derive(f"rack:{rack}")
+        up, down = f"{name}->switch", f"switch->{name}"
+        end, tor = ("host", name), ("rack", rack)
+        self._wire(
+            up,
+            end,
+            tor,
+            self._host_receive(up, self._switches[rack]),
+            fault=None if template is None else template.derive(up),
+            max_pps=self.host_max_pps,
+        )
+        self._wire(
+            down,
+            tor,
+            end,
+            self._host_receive(down, host),
+            fault=None if template is None else template.derive(down),
+        )
+        self._hosts[name] = host
+        self._host_rack[name] = rack
+        self._rack_hosts[rack].append(name)
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
     def hosts_of(self, rack: str) -> list[str]:
-        return self._stars[rack].host_names
+        return list(self._rack_hosts[rack])
 
     def rack_of_host(self, host: str) -> str:
         try:
@@ -393,7 +447,8 @@ class MultiRackTopology:
 
     def host_node(self, host: str) -> NetworkNode:
         """The attached node object for ``host`` (fault injection)."""
-        return self._stars[self.rack_of_host(host)].host(host)
+        self.rack_of_host(host)
+        return self._hosts[host]
 
     def node(self, name: str) -> NetworkNode:
         """The host, TOR or spine switch called ``name``."""
@@ -403,13 +458,15 @@ class MultiRackTopology:
             return self._spine_switches[name]
         return self.host_node(name)
 
-    def uplink(self, host: str) -> Any:
-        """The host→TOR port of ``host`` (its ``.link`` holds the counters)."""
-        return self._stars[self.rack_of_host(host)].uplink(host)
+    def uplink(self, host: str) -> Link:
+        """The host→TOR link of ``host``."""
+        self.rack_of_host(host)
+        return self._links[f"{host}->switch"][2]
 
-    def downlink(self, host: str) -> Any:
-        """The TOR→host port of ``host``."""
-        return self._stars[self.rack_of_host(host)].downlink(host)
+    def downlink(self, host: str) -> Link:
+        """The TOR→host link of ``host``."""
+        self.rack_of_host(host)
+        return self._links[f"switch->{host}"][2]
 
     def rack_of_switch(self, switch_name: str) -> str:
         return self._switch_rack[switch_name]
@@ -426,7 +483,7 @@ class MultiRackTopology:
 
     @property
     def racks(self) -> list[str]:
-        return list(self._stars)
+        return list(self._switches)
 
     @property
     def spine_names(self) -> list[str]:
@@ -437,47 +494,44 @@ class MultiRackTopology:
         return list(self._host_rack)
 
     # ------------------------------------------------------------------
-    # Sharding support
+    # The link registry
     # ------------------------------------------------------------------
-    def interconnect_links(
-        self,
-    ) -> Iterator[tuple[str, tuple[str, str], tuple[str, str], Nic]]:
-        """Every switch-to-switch link as ``(link_name, src, dst, nic)``.
+    def links(self) -> Iterator[Wire]:
+        """Every link as ``(name, src, dst, link)``: each host's uplink
+        and downlink in attach order, then :meth:`interconnect_links`."""
+        for name, (src, dst, link) in self._links.items():
+            if src[0] == "host" or dst[0] == "host":
+                yield name, src, dst, link
+        yield from self.interconnect_links()
 
-        ``src``/``dst`` are ``("rack"|"spine", name)`` endpoint tags.  Host
-        uplinks/downlinks never appear here — a host always shares a shard
-        with its rack's TOR, so only these fabric links can cross a shard
-        cut.  Names cannot collide: ``core:`` names are rack-pair names in
-        the flat mesh and spine-pair names in a tree, and the two layouts
-        are mutually exclusive by construction.
+    def interconnect_links(self) -> Iterator[Wire]:
+        """Every switch-to-switch link as ``(name, src, dst, link)``.
+
+        Host links never appear here — a host always shares a shard with
+        its rack's TOR, so only these fabric links can cross a shard cut.
+        Order: rack mesh, uplinks, downlinks, spine mesh (the endpoint
+        kinds sort that way), each in wiring order.  Names cannot collide:
+        ``core:`` names are rack-pair names in the flat mesh and
+        spine-pair names in a tree, and the two layouts are mutually
+        exclusive by construction.
         """
-        for (a, b), nic in self._core_links.items():
-            yield f"core:{a}->{b}", ("rack", a), ("rack", b), nic
-        for rack, nic in self._up_nics.items():
-            spine = self._rack_spine[rack]
-            yield f"up:{rack}->{spine}", ("rack", rack), ("spine", spine), nic
-        for rack, nic in self._down_nics.items():
-            spine = self._rack_spine[rack]
-            yield f"down:{spine}->{rack}", ("spine", spine), ("rack", rack), nic
-        for (a, b), nic in self._spine_core.items():
-            yield f"core:{a}->{b}", ("spine", a), ("spine", b), nic
-
-    def interconnect_targets(self) -> Dict[str, Callable[[Any], None]]:
-        """Map link name → the destination node's ``receive`` callback,
-        for delivering inbound cross-shard packets on the far side."""
-        targets: Dict[str, Callable[[Any], None]] = {}
-        for name, _src, (dst_kind, dst), _nic in self.interconnect_links():
-            node = self._switches[dst] if dst_kind == "rack" else self._spine_switches[dst]
-            targets[name] = node.receive
-        return targets
+        wires = [
+            (name, src, dst, link)
+            for name, (src, dst, link) in self._links.items()
+            if src[0] != "host" and dst[0] != "host"
+        ]
+        wires.sort(key=lambda wire: (wire[1][0], wire[2][0]))
+        return iter(wires)
 
     # ------------------------------------------------------------------
     # Data movement
     # ------------------------------------------------------------------
+    def _send(self, name: str, packet: Any, size_bytes: int) -> None:
+        self._links[name][2].send(packet, size_bytes)
+
     def send_to_switch(self, host: str, packet: Any, size_bytes: int) -> None:
         """Host uplink: always to the host's own TOR (its leaf)."""
-        rack = self.rack_of_host(host)
-        self._stars[rack].send_to_switch(host, packet, size_bytes)
+        self.uplink(host).send(packet, size_bytes)
 
     def route_from_switch(
         self, rack: str, destination: str, packet: Any, size_bytes: int
@@ -491,19 +545,21 @@ class MultiRackTopology:
                 # notification that was routed here).
                 self._switches[rack].receive(packet)
                 return
-            self._send_interrack(rack, target_rack, packet, size_bytes)
-            return
-        if destination in self._spine_switches:
+        elif destination in self._spine_switches:
             # Control traffic addressed to a spine: up the tree.
-            self._send_up(rack, packet, size_bytes)
+            self._send(f"up:{rack}->{self._rack_spine[rack]}", packet, size_bytes)
             return
-        if destination not in self._host_rack:
-            raise TopologyError(f"unknown destination {destination!r}", destination)
-        target_rack = self._host_rack[destination]
-        if target_rack == rack:
-            self._stars[rack].send_to_host(destination, packet, size_bytes)
         else:
-            self._send_interrack(rack, target_rack, packet, size_bytes)
+            if destination not in self._host_rack:
+                raise TopologyError(f"unknown destination {destination!r}", destination)
+            target_rack = self._host_rack[destination]
+            if target_rack == rack:
+                self._send(f"switch->{destination}", packet, size_bytes)
+                return
+        if rack in self._rack_spine:
+            self._send(f"up:{rack}->{self._rack_spine[rack]}", packet, size_bytes)
+        else:
+            self._send(f"core:{rack}->{target_rack}", packet, size_bytes)
 
     def route_from_spine(
         self, spine: str, destination: str, packet: Any, size_bytes: int
@@ -514,7 +570,7 @@ class MultiRackTopology:
             self._spine_switches[spine].receive(packet)
             return
         if destination in self._spine_switches:
-            self._send_spine_core(spine, destination, packet, size_bytes)
+            self._send(f"core:{spine}->{destination}", packet, size_bytes)
             return
         if destination in self._switch_rack:
             rack = self._switch_rack[destination]
@@ -524,42 +580,6 @@ class MultiRackTopology:
             rack = self._host_rack[destination]
         target_spine = self._rack_spine[rack]
         if target_spine == spine:
-            self._send_down(spine, rack, packet, size_bytes)
+            self._send(f"down:{spine}->{rack}", packet, size_bytes)
         else:
-            self._send_spine_core(spine, target_spine, packet, size_bytes)
-
-    # -- link drivers ---------------------------------------------------
-    def _send_interrack(
-        self, src_rack: str, dst_rack: str, packet: Any, size_bytes: int
-    ) -> None:
-        if src_rack in self._rack_spine:
-            self._send_up(src_rack, packet, size_bytes)
-        else:
-            self._send_core(src_rack, dst_rack, packet, size_bytes)
-
-    def _send_core(self, src_rack: str, dst_rack: str, packet: Any, size_bytes: int) -> None:
-        nic = self._core_links[(src_rack, dst_rack)]
-        destination_switch = self._switches[dst_rack]
-        if self.trace is not None:
-            self.trace.record(self.sim.now, f"core:{src_rack}->{dst_rack}", "tx", packet)
-        nic.send(packet, size_bytes, destination_switch.receive)
-
-    def _send_up(self, rack: str, packet: Any, size_bytes: int) -> None:
-        spine = self._rack_spine[rack]
-        if self.trace is not None:
-            self.trace.record(self.sim.now, f"up:{rack}->{spine}", "tx", packet)
-        self._up_nics[rack].send(packet, size_bytes, self._spine_switches[spine].receive)
-
-    def _send_down(self, spine: str, rack: str, packet: Any, size_bytes: int) -> None:
-        if self.trace is not None:
-            self.trace.record(self.sim.now, f"down:{spine}->{rack}", "tx", packet)
-        self._down_nics[rack].send(packet, size_bytes, self._switches[rack].receive)
-
-    def _send_spine_core(
-        self, src: str, dst: str, packet: Any, size_bytes: int
-    ) -> None:
-        if self.trace is not None:
-            self.trace.record(self.sim.now, f"core:{src}->{dst}", "tx", packet)
-        self._spine_core[(src, dst)].send(
-            packet, size_bytes, self._spine_switches[dst].receive
-        )
+            self._send(f"core:{spine}->{target_spine}", packet, size_bytes)

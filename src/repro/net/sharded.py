@@ -42,15 +42,10 @@ determinism
       the plain counter's causal-path order, which no shard can know;
     * a boundary link keeps *all* of its state (FIFO serialization, ECN,
       fault draws, counters) on the owning source shard — only the final
-      "deliver packet at t" edge crosses the cut, as a by-value frame
-      stamped with the sender-claimed ticket (:class:`_OutboxSim`).
-
-Frames are snapshotted eagerly at emission time: packet objects are
-pooled (:mod:`repro.core.packet`), so a slot could be recycled by the
-time the barrier ships the outbox.  The snapshot is a shallow clone
-(``AskPacket.snapshot``; slots are immutable once built).  Serial runs
-never mutate an in-flight packet, so the eager snapshot is semantically
-identical.
+      "deliver packet at t" edge crosses the cut, as a frame stamped with
+      the sender-claimed ticket (:class:`_OutboxSim`).  Packets are never
+      mutated after construction, so in-process shards hand the object
+      itself over and forked ones its pickle.
 
 the cut is crossed once
     The boundary proxy appends into the outbox of its link's
@@ -68,10 +63,11 @@ import multiprocessing as mp
 import pickle
 import time
 import traceback
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional
-from typing import Protocol, Sequence, Tuple, Union, cast
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple
+from typing import Optional, Protocol, Sequence, Tuple, Union, cast
 
 from repro.core.errors import TopologyError
+from repro.net.link import Link
 from repro.net.multirack import MultiRackTopology, ShardPlan
 from repro.net.simulator import (
     ShardContextCall,
@@ -82,8 +78,7 @@ from repro.net.simulator import (
 
 #: One cross-shard delivery: (arrival_ns, order_ticket, link_name, packet).
 #: The ticket was claimed on the sending shard; the link name resolves to
-#: the destination node's ``receive`` on the far side.  The packet is a
-#: by-value snapshot (see :class:`_OutboxSim`).
+#: the link's far end on the destination shard's replica.
 Message = Tuple[int, int, str, Any]
 
 #: What a batch carries: the message list (in-process shards) or its
@@ -130,19 +125,17 @@ class ShardContext(Protocol):
 class _OutboxSim:
     """Scheduling proxy installed as a boundary link's ``sim``.
 
-    :class:`~repro.net.link.Link` touches its simulator in exactly two
-    ways — ``sim.now`` (serialization/ECN bookkeeping) and
-    ``sim.call_at(arrival, deliver, packet)`` (the delivery push).  The
-    proxy delegates ``now`` to the real shard simulator and converts the
-    delivery push into a message in the destination shard's outbox: it
-    claims an order ticket from the real simulator (consuming the same ticket the serial run's
-    ``call_at`` would have) and snapshots the packet by value —
-    ``packet.snapshot()`` when available (a shallow clone; pooled packet
-    slots may be re-initialized before the barrier ships the outbox),
-    falling back to a pickle round-trip for foreign packet types.  The
+    A boundary :class:`~repro.net.link.Link` touches its simulator in
+    exactly two ways — ``sim.now`` (serialization/ECN bookkeeping) and
+    ``sim.call_at(arrival, deliver, packet)`` (the delivery push); it has
+    no packets-per-second cap, which only host uplinks carry.  The proxy
+    delegates ``now`` to the real shard simulator and converts the
+    delivery push into a message in the destination shard's outbox,
+    stamped with an order ticket claimed from the real simulator (the
+    same ticket the serial run's ``call_at`` would have consumed).  The
     ``deliver`` callback is dropped on purpose: it points at this shard's
     replica of the destination node; the destination *shard* re-resolves
-    the link name to its own replica's callback.
+    the link name to its own replica's far end.
     """
 
     __slots__ = ("_sim", "_link_name", "_outbox")
@@ -160,14 +153,7 @@ class _OutboxSim:
         self, time_ns: int, deliver: Callable[..., Any], packet: Any
     ) -> None:
         ticket = self._sim.claim_shard_ticket()
-        snapshot = getattr(packet, "snapshot", None)
-        if snapshot is not None:
-            frame = snapshot()
-        else:
-            frame = pickle.loads(
-                pickle.dumps(packet, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        self._outbox.append((int(time_ns), ticket, self._link_name, frame))
+        self._outbox.append((int(time_ns), ticket, self._link_name, packet))
 
 
 class _SerialBoundarySim:
@@ -200,6 +186,17 @@ class _SerialBoundarySim:
         )
 
 
+def _cut_links(
+    topology: MultiRackTopology, plan: ShardPlan
+) -> Iterator[Tuple[str, int, int, Link]]:
+    """Every link crossing the shard cut as ``(name, src_rank, dst_rank,
+    link)``, in the registry's interconnect order."""
+    for name, src, dst, link in topology.interconnect_links():
+        src_rank, dst_rank = plan.rank_of(src), plan.rank_of(dst)
+        if src_rank != dst_rank:
+            yield name, src_rank, dst_rank, link
+
+
 def attach_serial_boundaries(
     topology: MultiRackTopology, plan: ShardPlan, sim: Simulator
 ) -> None:
@@ -211,10 +208,8 @@ def attach_serial_boundaries(
     serial schedule aligned with the sharded replicas' handoff points.
     """
     plan.validate(topology)
-    for _name, src, dst, nic in topology.interconnect_links():
-        dst_rank = plan.rank_of(dst)
-        if plan.rank_of(src) != dst_rank:
-            nic.link.sim = _SerialBoundarySim(topology.sim, dst_rank)
+    for _name, _src_rank, dst_rank, link in _cut_links(topology, plan):
+        link.sim = _SerialBoundarySim(topology.sim, dst_rank)
 
 
 def cross_shard_lookahead(
@@ -227,10 +222,8 @@ def cross_shard_lookahead(
     link — conservative windows need at least 1 ns of lookahead.
     """
     lookahead: Optional[int] = None
-    for name, src, dst, nic in topology.interconnect_links():
-        if plan.rank_of(src) == plan.rank_of(dst):
-            continue
-        latency = int(nic.link.latency_ns)
+    for name, _src_rank, _dst_rank, link in _cut_links(topology, plan):
+        latency = int(link.latency_ns)
         if latency < 1:
             raise TopologyError(
                 f"cross-shard link {name!r} has zero latency; conservative "
@@ -243,11 +236,7 @@ def cross_shard_lookahead(
 
 def cross_shard_routes(topology: MultiRackTopology, plan: ShardPlan) -> Dict[str, int]:
     """Map each cross-shard link name to its destination shard rank."""
-    routes: Dict[str, int] = {}
-    for name, src, dst, _nic in topology.interconnect_links():
-        if plan.rank_of(src) != plan.rank_of(dst):
-            routes[name] = plan.rank_of(dst)
-    return routes
+    return {name: dst_rank for name, _src_rank, dst_rank, _link in _cut_links(topology, plan)}
 
 
 def attach_boundaries(
@@ -262,23 +251,16 @@ def attach_boundaries(
     the :class:`_OutboxSim` proxy (the link itself — serialization state,
     fault stream, counters — stays local), appending into ``outbox``'s
     list for the link's destination rank.  Returns the inbound map for
-    links whose *destination* is local: link name → the replica node's
-    ``receive``.
+    links whose *destination* is local: link name → the link's far end
+    on this replica.
     """
     plan.validate(topology)
     inbound: Dict[str, Callable[[Any], None]] = {}
-    targets = topology.interconnect_targets()
-    for name, src, dst, nic in topology.interconnect_links():
-        src_rank = plan.rank_of(src)
-        dst_rank = plan.rank_of(dst)
-        if src_rank == dst_rank:
-            continue
+    for name, src_rank, dst_rank, link in _cut_links(topology, plan):
         if src_rank == rank:
-            nic.link.sim = _OutboxSim(
-                topology.sim, name, outbox.setdefault(dst_rank, [])
-            )
+            link.sim = _OutboxSim(topology.sim, name, outbox.setdefault(dst_rank, []))
         if dst_rank == rank:
-            inbound[name] = targets[name]
+            inbound[name] = link.deliver
     return inbound
 
 

@@ -33,8 +33,9 @@ is the same loop.  Two fast paths sit on it:
 - :meth:`Simulator.call_later` / :meth:`Simulator.call_at` push a bare
   ``(time, order, callback, args)`` 4-tuple — no :class:`Event` allocation,
   no cancellation bookkeeping — for the never-cancelled majority of events
-  (link deliveries, NIC launches, switch pipeline latency); anything that
-  might be cancelled (retransmit timers) uses ``schedule``/``at``.  Orders
+  (link deliveries, rate-capped link launches, switch pipeline latency);
+  anything that might be cancelled (retransmit timers) uses
+  ``schedule``/``at``.  Orders
   are globally unique, so mixed 3- and 4-tuples never compare past the
   integer prefix in the heap.
 - events landing at exactly the current instant (``delay 0``, ``at(now)``)
@@ -79,9 +80,8 @@ def paused_gc() -> Iterator[None]:
 
     The event loop churns through hundreds of thousands of short-lived
     heap tuples, packets and events per scenario, every one reclaimed by
-    reference counting (the packet/event pools recycle them); the cycle
-    collector's generation scans in the middle of a run find nothing and
-    cost ~35% of wall time on the 16-rack sharded benchmark.  Long-lived
+    reference counting; the cycle collector's generation scans in the
+    middle of a run find nothing and cost ~35% of wall time on the 16-rack sharded benchmark.  Long-lived
     cycles (node graphs referencing the simulator and back) are live for
     the whole run anyway, so deferring collection changes nothing they
     would free.  The previous collector state is restored on exit — no

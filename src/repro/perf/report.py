@@ -56,12 +56,6 @@ def _switch_block(name: str, switch) -> list[str]:
 
 def _link_rows(topology) -> list[list[object]]:
     """Every host's uplink and downlink, then the switch interconnect."""
-    links = [
-        port.link
-        for host in topology.host_names
-        for port in (topology.uplink(host), topology.downlink(host))
-    ]
-    links += [nic.link for _name, _src, _dst, nic in topology.interconnect_links()]
     return [
         [
             link.name,
@@ -71,7 +65,7 @@ def _link_rows(topology) -> list[list[object]]:
             link.packets_marked,
             f"{link.bytes_sent / 1024:.1f}",
         ]
-        for link in links
+        for _name, _src, _dst, link in topology.links()
     ]
 
 

@@ -19,8 +19,8 @@ spineless one-rack case):
 
 - :class:`~repro.runtime.sim.SimFabric` — a wrapper over the
   deterministic discrete-event stack (`Simulator`, `MultiRackTopology`,
-  `Link`, `Nic`).  The same seed produces the same schedule, stats and
-  retransmission counts.
+  one `Link` per cable direction).  The same seed produces the same
+  schedule, stats and retransmission counts.
 - :class:`~repro.runtime.asyncio_fabric.AsyncioFabric` — a real-time
   backend that frames :class:`~repro.core.packet.AskPacket` onto UDP
   sockets between asyncio endpoints (one per host daemon and one per

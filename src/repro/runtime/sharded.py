@@ -333,8 +333,9 @@ def _collect(
     """The fingerprint slice owned by ``rank`` (everything, when None).
 
     Ownership: tasks by home shard (the caller only passes owned tasks),
-    hosts and their star links by rack shard, interconnect links by
-    source endpoint shard, fabric totals local to the collecting replica.
+    hosts by rack shard, links by the shard of their first switch-side
+    endpoint (a host link's rack, an interconnect link's source), fabric
+    totals local to the collecting replica.
     """
     topology: MultiRackTopology = service.fabric.topology
     hosts: Dict[str, Tuple[int, int, int]] = {}
@@ -346,12 +347,10 @@ def _collect(
             daemon = service.daemons[host]
             accepted, duplicates = daemon.receiver_packets()
             hosts[host] = (daemon.sender_packets(), accepted, duplicates)
-            links[f"{host}->switch"] = _link_counters(topology.uplink(host).link)
-            links[f"switch->{host}"] = _link_counters(topology.downlink(host).link)
-    for name, src, _dst, nic in topology.interconnect_links():
-        if rank is not None and plan.rank_of(src) != rank:
-            continue
-        links[name] = _link_counters(nic.link)
+    for name, src, dst, link in topology.links():
+        owner = dst if src[0] == "host" else src
+        if rank is None or plan.rank_of(owner) == rank:
+            links[name] = _link_counters(link)
     return {
         "tasks": {index: _task_fingerprint(task) for index, task in sorted(tasks.items())},
         "hosts": {host: hosts[host] for host in sorted(hosts)},

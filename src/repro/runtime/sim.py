@@ -5,8 +5,8 @@ One fabric, :class:`SimFabric`, over one
 :class:`~repro.net.multirack.MultiRackTopology`: one rack is its
 spineless one-rack case, beside the flat mesh and the spine–leaf tree.
 The wrapper adds **no** event hops and **no** extra scheduling — every
-``send`` delegates straight into the same :class:`Link` / :class:`Nic`
-code, so a fixed seed produces exactly the schedule, stats and
+``send`` delegates straight into the topology's :class:`Link` for that
+cable direction, so a fixed seed produces exactly the schedule, stats and
 retransmission counts it always did (``bench/run.py`` checks this on
 every repetition: ``rack_lossy`` at seed 7 must reproduce its recorded
 fingerprint).
@@ -240,12 +240,8 @@ class SimFabric:
     def _links(self) -> Iterator[Link]:
         """Every link: each host's uplink and downlink, then the
         interconnect (``bench/harness.py`` fingerprints through this)."""
-        topology = self.topology
-        for host in topology.host_names:
-            yield topology.uplink(host).link
-            yield topology.downlink(host).link
-        for _name, _src, _dst, nic in topology.interconnect_links():
-            yield nic.link
+        for _name, _src, _dst, link in self.topology.links():
+            yield link
 
     # ------------------------------------------------------------------
     # Fault injection: network partitions (pure loss, nodes keep running)
@@ -295,26 +291,19 @@ class SimFabric:
     # Fault injection: gray slowdown windows (chaos "slow"/"revive")
     # ------------------------------------------------------------------
     def _slow_links(self, name: str) -> Iterator[Link]:
-        """The links a slowed ``name`` touches: a host's own uplink and
-        downlink; a switch's rack links (for a TOR) plus every
-        interconnect link it terminates."""
+        """The links a slowed ``name`` touches: both of a host's links; for
+        a switch, every link it terminates (a TOR's host links included)."""
         topology = self.topology
         if name in self._host_tor:
-            yield topology.uplink(name).link
-            yield topology.downlink(name).link
-            return
-        topology.node(name)  # unknown names raise TopologyError
-        if name in topology.spine_names:
+            endpoint = ("host", name)
+        elif name in topology.spine_names:
             endpoint = ("spine", name)
         else:
-            rack = topology.rack_of_switch(name)
-            endpoint = ("rack", rack)
-            for host in topology.hosts_of(rack):
-                yield topology.uplink(host).link
-                yield topology.downlink(host).link
-        for _name, src, dst, nic in topology.interconnect_links():
-            if src == endpoint or dst == endpoint:
-                yield nic.link
+            topology.node(name)  # unknown names raise TopologyError
+            endpoint = ("rack", topology.rack_of_switch(name))
+        for _name, src, dst, link in topology.links():
+            if endpoint in (src, dst):
+                yield link
 
     def _set_slow(self, name: str, active: bool) -> None:
         for link in self._slow_links(name):

@@ -437,7 +437,6 @@ def reference_mode():
     from repro.core.hashing import _partition_hash_uncached
     from repro.net.fault import FaultDecision, FaultModel
     from repro.net.link import Link, gbps_to_bits_per_ns
-    from repro.net.nic import Nic
     from repro.net.simulator import NS_PER_S
     from repro.switch.aggregator import AggregatorPool
     from repro.switch.program import AskSwitchProgram
@@ -516,7 +515,7 @@ def reference_mode():
         bits = size_bytes * 8
         return max(1, int(round(bits / gbps_to_bits_per_ns(self.bandwidth_gbps))))
 
-    def _link_send(self, packet, size_bytes, deliver) -> None:
+    def _link_launch(self, packet, size_bytes) -> None:
         self.packets_sent += 1
         self.bytes_sent += size_bytes
         backlog = self.backlog_bytes()
@@ -537,28 +536,23 @@ def reference_mode():
             self.packets_dropped += 1
             return
         arrival = tx_done + self.latency_ns + decision.extra_delay_ns
-        self.sim.at(arrival, deliver, packet)
+        self.sim.at(arrival, self.deliver, packet)
         if decision.duplicate:
             self.packets_duplicated += 1
             dup_arrival = tx_done + self.latency_ns + decision.duplicate_delay_ns
-            self.sim.at(dup_arrival, deliver, packet)
+            self.sim.at(dup_arrival, self.deliver, packet)
 
-    # --- seed Nic: gap recomputed per packet -----------------------------
-    def _nic_min_gap(self) -> int:
-        if self.max_pps is None:
-            return 0
-        return max(1, int(round(NS_PER_S / self.max_pps)))
-
-    def _nic_send(self, packet, size_bytes, deliver) -> None:
-        self.packets_sent += 1
-        self.bytes_sent += size_bytes
-        gap = self.min_packet_gap_ns()
+    # --- seed NIC shaper in front of the link: gap recomputed per packet --
+    def _link_send(self, packet, size_bytes) -> None:
+        if self.trace is not None:
+            self.trace.record(self.sim.now, self.name, "tx", packet)
+        gap = 0 if self.max_pps is None else max(1, int(round(NS_PER_S / self.max_pps)))
         launch = max(self.sim.now, self._next_slot)
         self._next_slot = launch + gap
         if launch <= self.sim.now:
-            self.link.send(packet, size_bytes, deliver)
+            self._launch(packet, size_bytes)
         else:
-            self.sim.at(launch, self.link.send, packet, size_bytes, deliver)
+            self.sim.at(launch, self._launch, packet, size_bytes)
 
     # --- seed FaultModel: fresh FaultDecision per packet ------------------
     # Same RNG stream, same draw order — only the allocation differs.
@@ -733,8 +727,7 @@ def reference_mode():
             _patch(saved, AskPacket, name, prop)
         _patch(saved, Link, "serialization_ns", _link_serialization_ns)
         _patch(saved, Link, "send", _link_send)
-        _patch(saved, Nic, "min_packet_gap_ns", _nic_min_gap)
-        _patch(saved, Nic, "send", _nic_send)
+        _patch(saved, Link, "_launch", _link_launch)
         _patch(saved, FaultModel, "decide", _fault_decide)
         _patch(saved, keyspace_mod, "partition_hash", _partition_hash_uncached)
         _patch(saved, RegisterArray, "execute", _reg_execute)

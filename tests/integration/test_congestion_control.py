@@ -23,10 +23,13 @@ class _MarkablePacket:
 
 def test_link_marks_when_backlog_exceeds_threshold():
     sim = Simulator()
-    link = Link(sim, bandwidth_gbps=1.0, latency_ns=0, ecn_threshold_bytes=1000)
     delivered = []
+    link = Link(
+        sim, bandwidth_gbps=1.0, latency_ns=0, ecn_threshold_bytes=1000,
+        deliver=delivered.append,
+    )
     for _ in range(10):
-        link.send(_MarkablePacket(), 500, delivered.append)
+        link.send(_MarkablePacket(), 500)
     sim.run()
     assert any(p.ecn for p in delivered)
     assert not delivered[0].ecn  # the first packet saw an empty queue
@@ -36,19 +39,22 @@ def test_link_marks_when_backlog_exceeds_threshold():
 
 def test_link_never_marks_below_threshold():
     sim = Simulator()
-    link = Link(sim, bandwidth_gbps=100.0, latency_ns=0, ecn_threshold_bytes=10_000)
     delivered = []
-    link.send(_MarkablePacket(), 500, delivered.append)
+    link = Link(
+        sim, bandwidth_gbps=100.0, latency_ns=0, ecn_threshold_bytes=10_000,
+        deliver=delivered.append,
+    )
+    link.send(_MarkablePacket(), 500)
     sim.run()
     assert not delivered[0].ecn
 
 
 def test_link_without_threshold_never_marks():
     sim = Simulator()
-    link = Link(sim, bandwidth_gbps=1.0, latency_ns=0)
     delivered = []
+    link = Link(sim, bandwidth_gbps=1.0, latency_ns=0, deliver=delivered.append)
     for _ in range(50):
-        link.send(_MarkablePacket(), 500, delivered.append)
+        link.send(_MarkablePacket(), 500)
     sim.run()
     assert not any(p.ecn for p in delivered)
 
@@ -82,8 +88,8 @@ def test_congestion_control_bounds_queue_depth():
     _run_stream(without)
     with_cc, _ = _congested_service(congestion_control=True)
     _run_stream(with_cc)
-    backlog_without = without.topology.uplink("h0").link.max_backlog_bytes
-    backlog_with = with_cc.topology.uplink("h0").link.max_backlog_bytes
+    backlog_without = without.topology.uplink("h0").max_backlog_bytes
+    backlog_with = with_cc.topology.uplink("h0").max_backlog_bytes
     assert backlog_with < backlog_without / 3
 
 

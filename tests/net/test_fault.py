@@ -132,8 +132,8 @@ def test_link_faults_independent_of_construction_order():
     (the seed implementation salted seeds with a construction counter,
     so reordering rewired every link's fault stream)."""
     from repro.core.packet import AskPacket, PacketFlag
+    from repro.net.multirack import MultiRackTopology
     from repro.net.simulator import Simulator
-    from repro.net.topology import StarTopology
 
     class Sink:
         def __init__(self, name):
@@ -146,14 +146,14 @@ def test_link_faults_independent_of_construction_order():
     def deliveries(host_order):
         sim = Simulator()
         switch = Sink("switch")
-        star = StarTopology(
-            sim, switch, fault=FaultModel(loss_rate=0.4, seed=5)
-        )
+        rack = MultiRackTopology(sim, fault=FaultModel(loss_rate=0.4, seed=5))
+        rack.one_rack = True
+        rack.add_rack("r0", switch)
         hosts = {name: Sink(name) for name in host_order}
         for name in host_order:
-            star.attach_host(hosts[name])
+            rack.attach_host("r0", hosts[name])
         for seq in range(100):
-            star.send_to_switch(
+            rack.send_to_switch(
                 "h1",
                 AskPacket(PacketFlag.DATA, 1, "h1", "switch", 0, seq),
                 100,

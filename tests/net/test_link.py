@@ -8,8 +8,9 @@ from repro.net.simulator import Simulator
 def _collect(sim, link, sends):
     """Send (packet, size) pairs and return [(arrival_time, packet)]."""
     arrivals = []
+    link.deliver = lambda p: arrivals.append((sim.now, p))
     for packet, size in sends:
-        link.send(packet, size, lambda p: arrivals.append((sim.now, p)))
+        link.send(packet, size)
     sim.run()
     return arrivals
 

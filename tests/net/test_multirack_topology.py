@@ -114,8 +114,9 @@ def test_three_racks_get_full_mesh_core():
 def test_core_links_have_independent_fault_streams():
     fault = FaultModel(loss_rate=0.5, seed=2)
     sim, fabric, switches, hosts = _fabric(fault=fault)
-    a = fabric._core_links[("r0", "r1")].link.fault
-    b = fabric._core_links[("r1", "r0")].link.fault
+    links = {name: link for name, _src, _dst, link in fabric.interconnect_links()}
+    a = links["core:r0->r1"].fault
+    b = links["core:r1->r0"].fault
     seq_a = [a.decide().drop for _ in range(64)]
     seq_b = [b.decide().drop for _ in range(64)]
     assert seq_a != seq_b

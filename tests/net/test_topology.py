@@ -1,10 +1,11 @@
-"""Tests for the star topology wiring."""
+"""Tests for one rack's wiring: hosts around one TOR switch."""
 
 import pytest
 
 from repro.net.fault import FaultModel
 from repro.net.simulator import Simulator
-from repro.net.topology import NetworkNode, StarTopology
+from repro.net.multirack import MultiRackTopology
+from repro.net.topology import NetworkNode
 from repro.net.trace import PacketTrace
 
 
@@ -20,10 +21,12 @@ class Sink(NetworkNode):
 def _build(num_hosts=2, fault=None, trace=None):
     sim = Simulator()
     switch = Sink("switch")
-    topo = StarTopology(sim, switch, bandwidth_gbps=None, latency_ns=10, fault=fault, trace=trace)
+    topo = MultiRackTopology(sim, bandwidth_gbps=None, latency_ns=10, fault=fault, trace=trace)
+    topo.one_rack = True
+    topo.add_rack("r0", switch)
     hosts = [Sink(f"h{i}") for i in range(num_hosts)]
     for host in hosts:
-        topo.attach_host(host)
+        topo.attach_host("r0", host)
     return sim, switch, topo, hosts
 
 
@@ -36,7 +39,7 @@ def test_uplink_reaches_switch():
 
 def test_downlink_reaches_host():
     sim, switch, topo, hosts = _build()
-    topo.send_to_host("h1", "pkt", 100)
+    topo.route_from_switch("r0", "h1", "pkt", 100)
     sim.run()
     assert hosts[1].received == ["pkt"]
     assert hosts[0].received == []
@@ -45,7 +48,7 @@ def test_downlink_reaches_host():
 def test_duplicate_host_rejected():
     sim, switch, topo, hosts = _build()
     with pytest.raises(ValueError):
-        topo.attach_host(Sink("h0"))
+        topo.attach_host("r0", Sink("h0"))
 
 
 def test_host_names_listed_in_order():
@@ -56,9 +59,9 @@ def test_host_names_listed_in_order():
 def test_per_link_fault_models_are_independent_streams():
     fault = FaultModel(loss_rate=0.5, seed=11)
     sim, switch, topo, hosts = _build(2, fault=fault)
-    up0 = topo.uplink("h0").link.fault
-    up1 = topo.uplink("h1").link.fault
-    down0 = topo.downlink("h0").link.fault
+    up0 = topo.uplink("h0").fault
+    up1 = topo.uplink("h1").fault
+    down0 = topo.downlink("h0").fault
     assert up0 is not fault  # template copied, never shared
     seq0 = [up0.decide().drop for _ in range(50)]
     seq1 = [up1.decide().drop for _ in range(50)]
@@ -68,7 +71,7 @@ def test_per_link_fault_models_are_independent_streams():
 
 def test_no_fault_template_means_reliable_links():
     _, _, topo, _ = _build(1, fault=None)
-    assert topo.uplink("h0").link.fault.is_reliable
+    assert topo.uplink("h0").fault.is_reliable
 
 
 def test_trace_records_tx_and_rx():
@@ -83,4 +86,4 @@ def test_trace_records_tx_and_rx():
 
 def test_host_lookup():
     _, _, topo, hosts = _build(2)
-    assert topo.host("h1") is hosts[1]
+    assert topo.host_node("h1") is hosts[1]

@@ -33,7 +33,7 @@ def test_report_shows_ecn_marks_when_cc_enabled():
         check=True,
     )
     report = service_report(service)
-    marked = service.topology.uplink("h0").link.packets_marked
+    marked = service.topology.uplink("h0").packets_marked
     assert marked > 0
     assert str(marked) in report
 

@@ -125,25 +125,66 @@ def _draws(model, n=200):
     return [model.decide() for _ in range(n)]
 
 
+def _host_links(hosts):
+    return [name for host in hosts for name in (f"{host}->switch", f"switch->{host}")]
+
+
+#: ``SimFabric._links()`` names, in order, per layout: each host's uplink
+#: and downlink in attach order, then rack mesh, uplinks, downlinks and
+#: spine mesh (recorded before links moved into one registry).
+_ONE_RACK = {"r0": ("h0", "h1")}
+_LAYOUT_LINKS = [
+    ({"hosts": 2}, True, _host_links(["h0", "h1"])),
+    ({"racks": _ONE_RACK}, True, _host_links(["h0", "h1"])),
+    (
+        {"racks": {**_ONE_RACK, "r1": ("h2",), "r2": ("h3",)}},
+        False,
+        _host_links(["h0", "h1", "h2", "h3"])
+        + ["core:r1->r0", "core:r0->r1", "core:r2->r0", "core:r0->r2"]
+        + ["core:r2->r1", "core:r1->r2"],
+    ),
+    (
+        {"pods": {"p0": _ONE_RACK}},
+        False,
+        _host_links(["h0", "h1"]) + ["up:r0->spine-p0", "down:spine-p0->r0"],
+    ),
+    (
+        {"pods": SMALL_TREE},
+        False,
+        _host_links([f"h{i}" for i in range(8)])
+        + ["up:r0->spine-s0", "up:r1->spine-s0", "up:r2->spine-s1", "up:r3->spine-s1"]
+        + ["down:spine-s0->r0", "down:spine-s0->r1"]
+        + ["down:spine-s1->r2", "down:spine-s1->r3"]
+        + ["core:spine-s1->spine-s0", "core:spine-s0->spine-s1"],
+    ),
+]
+
+
 def test_fault_stream_naming_rule():
     """A layout of one spineless rack draws its host-link fault streams
     from the template itself; every other layout scopes rack ``r``'s
     under ``rack:r``.  Every recorded one-rack schedule (``bench/``'s
     ``rack_lossy`` fingerprint among them) was drawn with the first
-    names, every mesh and tree schedule with the second."""
+    names, every mesh and tree schedule with the second.  Interconnect
+    links (``core:``, ``up:``, ``down:``) draw from the template under
+    their own names on every layout."""
     fault = dict(loss_rate=0.2, duplicate_rate=0.1, reorder_rate=0.2, seed=7)
     template = FaultModel(**fault)
-    one_rack = {"r0": ("h0", "h1")}
-    for layout in ({"hosts": 2}, {"racks": one_rack}):
-        topology = AskService(AskConfig.small(), fault=FaultModel(**fault), **layout).topology
-        for port, name in ((topology.uplink, "h0->switch"), (topology.downlink, "switch->h0")):
-            assert _draws(port("h0").link.fault) == _draws(template.derive(name))
-    scoped = template.derive("rack:r0")
-    for layout in (
-        {"racks": {**one_rack, "r1": ("h2",)}},
-        {"pods": {"p0": one_rack}},
-        {"pods": SMALL_TREE},
-    ):
-        topology = AskService(AskConfig.small(), fault=FaultModel(**fault), **layout).topology
-        for port, name in ((topology.uplink, "h0->switch"), (topology.downlink, "switch->h0")):
-            assert _draws(port("h0").link.fault) == _draws(scoped.derive(name))
+    for layout, one_rack, names in _LAYOUT_LINKS:
+        service = AskService(AskConfig.small(), fault=FaultModel(**fault), **layout)
+        topology = service.topology
+        links = list(service.fabric._links())
+        assert [link.name for link in links] == names, layout
+        for host in topology.host_names:
+            rack = topology.rack_of_host(host)
+            scoped = template if one_rack else template.derive(f"rack:{rack}")
+            for link, name in (
+                (topology.uplink(host), f"{host}->switch"),
+                (topology.downlink(host), f"switch->{host}"),
+            ):
+                assert link.name == name
+                assert _draws(link.fault) == _draws(scoped.derive(name)), name
+        interconnect = links[2 * len(topology.host_names):]
+        assert [link for *_, link in topology.interconnect_links()] == interconnect
+        for link in interconnect:
+            assert _draws(link.fault) == _draws(template.derive(link.name)), link.name

@@ -1,13 +1,11 @@
 """Property: pooled/slotted packets round-trip through the wire codec
 byte-identically to the seed dataclass encoding.
 
-The packet rewrite (``__slots__`` + freelist pooling + precomputed flag
-predicates) must be invisible on the wire: for any packet the stack can
-build, (1) ``decode(encode(p)) == p`` and re-encoding is byte-identical,
-(2) a pool-acquired (freelist-reused) instance encodes to the same bytes
-as a freshly constructed one, and (3) the bytes equal what the seed
-dataclass implementation (``reference_mode``) produces for the same
-fields."""
+The packet rewrite (``__slots__`` + precomputed flag predicates) must be
+invisible on the wire: for any packet the stack can build, (1)
+``decode(encode(p)) == p`` and re-encoding is byte-identical, and (2)
+the bytes equal what the seed dataclass implementation
+(``reference_mode``) produces for the same fields."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,23 +62,6 @@ def test_roundtrip_and_byte_identity(fields):
     decoded = decode_packet(wire)
     assert decoded == packet
     assert encode_packet(decoded) == wire
-
-
-@settings(max_examples=100, deadline=None)
-@given(fields=packets())
-def test_pool_acquired_packet_encodes_identically(fields):
-    fresh = AskPacket(**fields)
-    # Prime the freelist, then acquire: the second packet is the *same
-    # re-initialized instance*, not a new allocation.
-    AskPacket.pool_clear()
-    AskPacket(**fields).recycle()
-    assert AskPacket.pool_size() == 1
-    pooled = AskPacket.acquire(**fields)
-    assert AskPacket.pool_size() == 0
-    assert pooled == fresh
-    assert encode_packet(pooled) == encode_packet(fresh)
-    # And the decode path still agrees on a pooled instance's bytes.
-    assert decode_packet(encode_packet(pooled)) == fresh
 
 
 @settings(max_examples=60, deadline=None)
