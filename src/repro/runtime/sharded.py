@@ -519,10 +519,10 @@ def run_sharded(
         # itself; build under the same paused collector the coordinator
         # runs under (fork workers pause their own).
         with paused_gc():
-            for rank in range(len(plan)):
-                if processes:
-                    handles.append(ProcessShard(factory, rank))
-                else:
+            if processes:
+                handles = ProcessShard.start_all(factory, len(plan))
+            else:
+                for rank in range(len(plan)):
                     handles.append(InProcessShard(factory, rank))
             coordinator = ShardedSimulator(handles, routes, lookahead)
             payloads = coordinator.run()

@@ -19,7 +19,13 @@ from typing import Optional
 
 from repro.core.config import AskConfig
 from repro.switch.pisa import Pipeline
-from repro.switch.registers import PassContext, RegisterAccessError, RegisterArray
+from repro.switch.registers import (
+    PAGE_MASK,
+    PAGE_SHIFT,
+    PassContext,
+    RegisterAccessError,
+    RegisterArray,
+)
 
 #: An aggregator cell: (kPart, vPart).  ``None`` kPart means blank.
 Cell = tuple[Optional[bytes], int]
@@ -142,16 +148,21 @@ class AggregatorArray:
         if not enabled:
             # Predicated no-op: the array was still touched once this pass.
             return 0
-        cells = reg._cells
-        old = cells[index]
+        page = reg._pages[index >> PAGE_SHIFT]
+        offset = index & PAGE_MASK
+        old = page[offset]
         stored_key = old[0]
         if stored_key is None:
             value = 0 if add_value is None else add_value & self.value_mask
-            cells[index] = (segment, value)
+            if page is reg._blank:
+                reg._put(index, (segment, value))
+            else:
+                page[offset] = (segment, value)
             return 2
         if stored_key == segment:
+            # An occupied cell lives on a materialized page.
             if add_value is not None:
-                cells[index] = (segment, (old[1] + add_value) & self.value_mask)
+                page[offset] = (segment, (old[1] + add_value) & self.value_mask)
             return 1
         return 0
 
@@ -166,12 +177,13 @@ class AggregatorArray:
 
     def control_occupied(self, start: int, stop: int) -> list[tuple[int, bytes, int]]:
         """Bulk read: the occupied cells of ``[start, stop)`` as
-        ``(index, kPart, vPart)``, ascending.  An untouched range costs one
-        slice and one C-speed ``count``."""
-        cells = self.registers.control_read_range(start, stop)
-        if cells.count(BLANK) == len(cells):
-            return []
-        return [(i, c[0], c[1]) for i, c in enumerate(cells, start) if c[0] is not None]
+        ``(index, kPart, vPart)``, ascending.  Only materialized pages are
+        read; a blank run among them costs one C-speed ``count``."""
+        occupied: list[tuple[int, bytes, int]] = []
+        for first, cells in self.registers.control_read_resident(start, stop):
+            if cells.count(BLANK) != len(cells):
+                occupied += [(i, c[0], c[1]) for i, c in enumerate(cells, first) if c[0] is not None]
+        return occupied
 
     def control_clear_range(self, start: int, stop: int) -> None:
         """Blank ``[start, stop)`` in place."""

@@ -55,10 +55,10 @@ class ChannelProgram:
     hardware: the stage/register/ALU schedule is fixed at install, only the
     PHV differs per packet.
 
-    Compiled programs stay valid across reboots: ``control_reset`` and
-    ``reinstall_channel`` mutate the register cell storage in place, and
-    channel slots are never recycled (§3.3 — channels are persistent for
-    the service lifetime).
+    Compiled programs stay valid across reboots: they hold the arrays'
+    bound methods, ``control_reset`` and ``reinstall_channel`` rewrite each
+    array's page table in place, and channel slots are never recycled
+    (§3.3 — channels are persistent for the service lifetime).
     """
 
     __slots__ = (

@@ -31,7 +31,7 @@ from repro.core.packet import AskPacket, ack_for
 from repro.switch.aggregator import AggregatorPool
 from repro.switch.controller import Region, SwitchController
 from repro.switch.dedup import ChannelProgram, DedupUnit
-from repro.switch.registers import PassContext, RegisterAccessError
+from repro.switch.registers import PAGE_MASK, PAGE_SHIFT, PassContext, RegisterAccessError
 from repro.switch.shadow import ShadowDirectory
 
 
@@ -235,6 +235,7 @@ class AskSwitchProgram:
             slots = pkt.slots
             size = region.size
             mask = self.config.value_mask
+            page_shift, page_mask = PAGE_SHIFT, PAGE_MASK
             pass_id = ctx._pass_id
             stage_now = ctx._current_stage
             aggregated = reserved = failed = 0
@@ -274,13 +275,18 @@ class AskSwitchProgram:
                     if not 0 <= index < reg.size:
                         raise IndexError(f"{reg.name}[{index}] out of range (size {reg.size})")
                     reg.accesses += 1
-                    cells = reg._cells
-                    stored = cells[index]
+                    page = reg._pages[index >> page_shift]
+                    offset = index & page_mask
+                    stored = page[offset]
                     if stored[0] is None:
-                        cells[index] = (key, tup.value & mask)
+                        if page is reg._blank:
+                            reg._put(index, (key, tup.value & mask))
+                        else:
+                            page[offset] = (key, tup.value & mask)
                         reserved += 1
                     elif stored[0] == key:
-                        cells[index] = (key, (stored[1] + tup.value) & mask)
+                        # An occupied cell lives on a materialized page.
+                        page[offset] = (key, (stored[1] + tup.value) & mask)
                     else:
                         failed += 1
                         continue

@@ -253,10 +253,11 @@ class AskSwitch(NetworkNode):
 
     def restore(self) -> None:
         """Reboot: the data plane comes back with every register at its
-        power-on value.  Control-plane books (region allocations, channel
-        slots) live on the controller CPU and survive; the program stays
-        disabled until the control plane re-installs the reliability
-        baselines and calls :meth:`mark_installed`.
+        power-on value — every page of every array points back at the
+        shared blank page, O(pages).  Control-plane books (region
+        allocations, channel slots) live on the controller CPU and survive;
+        the program stays disabled until the control plane re-installs the
+        reliability baselines and calls :meth:`mark_installed`.
         """
         if self.is_up:
             return
@@ -269,10 +270,10 @@ class AskSwitch(NetworkNode):
             aa.registers.control_reset()
         self.boot_count += 1
         self._needs_install = True
-        # Compiled channel programs reference the (in-place wiped) register
-        # storage and never-recycled channel slots, so they would remain
-        # valid — cleared anyway so a rebooted switch recompiles from the
-        # re-installed control-plane state.
+        # Compiled channel programs bind the arrays' methods (whose page
+        # tables the wipe rewrote in place) and never-recycled channel
+        # slots, so they would remain valid — cleared anyway so a rebooted
+        # switch recompiles from the re-installed control-plane state.
         self.program.invalidate_compiled()
         self._local_hosts_cache = None
 
@@ -282,11 +283,19 @@ class AskSwitch(NetworkNode):
 
     # ------------------------------------------------------------------
     def resource_summary(self) -> str:
-        """Pipeline resource report (stages, SRAM), for docs and examples."""
+        """Pipeline resource report (stages, SRAM, and the register cells
+        the host holds against those declared), for docs and examples."""
         lines = [self.pipeline.summary()]
         lines.append(
             f"reliability SRAM: {self.dedup.sram_bytes_per_channel():.0f} B/channel "
             f"({self.dedup.sram_bytes / 1024:.1f} KiB total for "
             f"{self.dedup.max_channels} channels)"
+        )
+        arrays = [array for stage in self.pipeline.stages for array in stage.arrays]
+        declared = sum(array.size for array in arrays)
+        resident = sum(array.resident_cells for array in arrays)
+        lines.append(
+            f"register cells: {declared:,} declared, {resident:,} resident on the host "
+            f"({100 * resident / declared:.1f} %)"
         )
         return "\n".join(lines)

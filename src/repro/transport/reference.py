@@ -574,9 +574,9 @@ def reference_mode():
         if not 0 <= index < self.size:
             raise IndexError(f"{self.name}[{index}] out of range (size {self.size})")
         self.accesses += 1
-        old = self._cells[index]
+        old = self.control_read(index)
         new, result = alu(old)
-        self._cells[index] = new
+        self.control_write(index, new)
         return result
 
     def _reg_read(self, ctx, index):

@@ -26,6 +26,7 @@ from repro.switch.controller import Region
 from repro.switch.pisa import Pipeline
 from repro.switch.registers import PassContext, RegisterAccessError
 from repro.switch.switch import AskSwitch
+from tests.conftest import fuzz_budget
 from tests.oracles.aggregate import per_tuple_aggregate
 
 _SIZE = 8
@@ -65,7 +66,7 @@ _op = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=fuzz_budget(200), deadline=None)
 @given(ops=st.lists(_op, min_size=1, max_size=30))
 def test_fast_and_execute_paths_agree_on_every_access_sequence(ops):
     fast_arrays = _build()
@@ -132,7 +133,7 @@ def _state(switch, ctx):
     pool = switch.pool
     arrays = [aa.registers for aa in pool.arrays]
     return (
-        [list(reg._cells) for reg in arrays],
+        [reg.control_read_range(0, reg.size) for reg in arrays],
         [reg.accesses for reg in arrays],
         [(reg._last_ctx is ctx, reg._last_pass) for reg in arrays],
         (pool.tuples_aggregated, pool.aggregators_reserved, pool.tuples_failed),
@@ -163,7 +164,7 @@ _loop_op = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=fuzz_budget(200), deadline=None)
 @given(
     shadow_copy=st.booleans(),
     size=st.sampled_from([1, 2, 8]),

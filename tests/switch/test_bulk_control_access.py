@@ -81,9 +81,10 @@ def _rmw(switch, aa, index, segment, add):
 
 
 def _assert_same_registers(a, b):
-    """Raw storage equality: every cell of every AA, both copies."""
+    """Storage equality: every cell of every AA, both copies."""
     for left, right in zip(a.pool.arrays, b.pool.arrays):
-        assert left.registers._cells == right.registers._cells, left.name
+        read_left, read_right = left.registers.control_read_range, right.registers.control_read_range
+        assert read_left(0, left.size) == read_right(0, right.size), left.name
 
 
 def _reference_clear(controller, region):
@@ -172,7 +173,9 @@ def test_paper_geometry_teardown_never_reads_cell_by_cell(monkeypatch):
     assert ctrl.fetch_and_reset(1, 0) == expected
     assert ctrl.fetch_and_reset(1, 1) == {}
     ctrl.deallocate(1)
-    assert all(aa.registers._cells.count((None, 0)) == aa.size for aa in switch.pool.arrays)
+    # Both copies were cleared whole: every page is the shared blank again.
+    assert all(aa.control_occupied(0, aa.size) == [] for aa in switch.pool.arrays)
+    assert sum(aa.registers.resident_cells for aa in switch.pool.arrays) == 0
 
 
 @pytest.mark.parametrize("switch_cls", [AskSwitch])
