@@ -3,9 +3,9 @@
 The orchestrator is backend-agnostic: it injects through the runtime
 lifecycle hooks only — ``crash()``/``restore()`` on the node objects
 (host daemons and switches), ``partition()``/``heal()`` and the other
-window methods on the fabric — so the same schedule runs against the
-discrete-event simulator, the asyncio/UDP rack and every replica of a
-sharded run.  Which hook an event calls is its kind's row of
+window methods on the fabric's topology — so the same schedule runs
+against the discrete-event simulator, the asyncio/UDP rack and every
+replica of a sharded run.  Which hook an event calls is its kind's row of
 :data:`~repro.chaos.schedule.KINDS`.  After every injection it pokes the
 failure supervisor's heartbeat loop, since a restore while the
 deployment is otherwise quiescent would not wake it by itself.
@@ -92,11 +92,10 @@ class ChaosOrchestrator:
             raise RuntimeError("schedule already armed")
         self._armed = True
         schedule = self.schedule
-        fabric = self.deployment.fabric
-        fabric.corruption_rate = schedule.corruption_rate
-        fabric.slow_jitter_ns = schedule.slow_jitter_ns
-        if hasattr(fabric, "slow_multiplier"):  # the sim multiplies link latency
-            fabric.slow_multiplier = schedule.slow_multiplier
+        topology = self.deployment.fabric.topology
+        topology.corruption_rate = schedule.corruption_rate
+        topology.slow_multiplier = schedule.slow_multiplier
+        topology.slow_jitter_ns = schedule.slow_jitter_ns
         clock = self.deployment.clock
         for event in schedule.events:
             clock.schedule(event.at_ns, self._apply, event)
@@ -106,7 +105,7 @@ class ChaosOrchestrator:
         getattr(self._nodes[event.target], event.kind)()
 
     def _on_fabric(self, event: ChaosEvent) -> None:
-        getattr(self.deployment.fabric, event.kind)(event.target)
+        getattr(self.deployment.fabric.topology, event.kind)(event.target)
 
     def _on_daemon(self, event: ChaosEvent) -> None:
         daemon = self.deployment.daemons[event.target]
@@ -125,14 +124,14 @@ class ChaosOrchestrator:
         # flap_period_ns until the paired "steady" closes the window.  The
         # token ties each toggle chain to its own window, so a pending
         # toggle of a closed window never acts on a later one.
-        fabric = self.deployment.fabric
+        topology = self.deployment.fabric.topology
         if event.kind == "steady":
             self._flapping.pop(event.target, None)
-            fabric.heal(event.target)
+            topology.heal(event.target)
             return
         self._flap_windows += 1
         self._flapping[event.target] = self._flap_windows
-        fabric.partition(event.target)
+        topology.partition(event.target)
         self._schedule_toggle(event.target, self._flap_windows, False)
 
     _APPLY: ClassVar[Dict[str, Callable[["ChaosOrchestrator", ChaosEvent], None]]] = {
@@ -163,11 +162,11 @@ class ChaosOrchestrator:
         the paired ``steady`` event closes the window)."""
         if self._flapping.get(target) != token:
             return
-        fabric = self.deployment.fabric
+        topology = self.deployment.fabric.topology
         if dark:
-            fabric.partition(target)
+            topology.partition(target)
         else:
-            fabric.heal(target)
+            topology.heal(target)
         self.flap_toggles += 1
         self._schedule_toggle(target, token, not dark)
         self._notice_activity()

@@ -94,6 +94,7 @@ class DegradationReport:
             if entry:
                 robustness[name] = entry
 
+        topology = deployment.fabric.topology
         totals = {
             "faults_injected": sum(
                 1 for e in injected if e["kind"] in FAIL_STOP_KINDS
@@ -101,9 +102,7 @@ class DegradationReport:
             "frames_dropped_at_down_nodes": sum(
                 getattr(n, "dropped_while_down", 0) for n in nodes
             ),
-            "frames_dropped_by_partition": getattr(
-                deployment.fabric, "partition_drops", 0
-            ),
+            "frames_dropped_by_partition": topology.partition_drops,
             "daemon_crashes": sum(
                 getattr(d, "crashes", 0) for d in deployment.daemons.values()
             ),
@@ -114,9 +113,7 @@ class DegradationReport:
             # the nodes refused (checksum/validation drops — includes the
             # quarantine admissions, which are also counted drops), and
             # the dead-letter admissions on their own.
-            "corrupted_frames_injected": getattr(
-                deployment.fabric, "corruption_injected", 0
-            ),
+            "corrupted_frames_injected": topology.corruption_injected,
             "robustness_drops": drops,
             "frames_quarantined": quarantined,
         }
@@ -138,10 +135,7 @@ class DegradationReport:
             )
         # Gray-failure accounting: what was slowed, how the retransmit
         # timers coped, and how the supervisor's suspicion moved.
-        fabric = deployment.fabric
-        packets_slowed = getattr(fabric, "packets_slowed", 0) or getattr(
-            fabric, "frames_slowed", 0
-        )
+        packets_slowed = topology.link_total("packets_slowed")
         packets_straggled = sum(
             getattr(d, "packets_straggled", 0)
             for d in deployment.daemons.values()

@@ -166,8 +166,9 @@ class ChaosSchedule:
     The window fields say how strong each fault is while its window is
     open; the orchestrator pushes the fabric's share of them (corruption
     rate, slowdown multiplier and jitter) when it arms the schedule.
-    ``slow_multiplier`` applies to the sim fabric's link latency; the
-    asyncio fabric holds a slowed datagram by its own ``slow_delay_ns``.
+    ``slow_multiplier`` scales a simulated link's latency; a UDP link,
+    with no fixed latency to scale, holds a slowed datagram a fixed
+    ``SLOW_HOLD_NS`` instead.  Jitter applies on both.
     """
 
     seed: int

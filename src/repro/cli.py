@@ -266,9 +266,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"served {tick} feed rounds; final aggregate:")
         for key, value in sorted(result.values.items()):
             print(f"  {key.decode():>12}: {value}")
+        topology = service.topology
         print(
-            f"frames: {service.fabric.frames_sent} sent, "
-            f"{service.fabric.frames_dropped} dropped by fault injection, "
+            f"frames: {topology.link_total('packets_sent')} sent, "
+            f"{topology.link_total('packets_dropped')} dropped by fault injection, "
             f"{result.stats.retransmissions} retransmissions healed"
         )
     finally:

@@ -392,13 +392,8 @@ class AskService:
 
     @property
     def topology(self) -> Any:
-        """The concrete network topology (sim backend only)."""
-        topology = getattr(self.fabric, "topology", None)
-        if topology is None:
-            raise AttributeError(
-                f"the {self.backend!r} backend exposes no topology object"
-            )
-        return topology
+        """The network topology and its link registry (every backend)."""
+        return self.fabric.topology
 
     def close(self) -> None:
         """Release backend resources (asyncio sockets/tasks; no-op sim)."""

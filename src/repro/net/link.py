@@ -14,9 +14,10 @@ rate when packets are small (Fig. 8a); the analytic counterpart lives in
 
 from __future__ import annotations
 
+import random
 from typing import Any, Callable, Optional
 
-from repro.net.fault import CorruptedFrame, FaultModel, LinkSlowdown
+from repro.net.fault import CorruptedFrame, FaultModel, LinkSlowdown, corrupt_packet_fields
 from repro.net.simulator import NS_PER_S, Simulator
 from repro.net.trace import PacketTrace
 
@@ -195,6 +196,11 @@ class Link:
                 dup_arrival += self.slowdown.extra_ns(self.latency_ns)
                 self.packets_slowed += 1
             self.sim.call_at(dup_arrival, self.deliver, packet)
+
+    def damage(self, packet: Any, rng: random.Random) -> CorruptedFrame:
+        """A corruption window's damage on this wire: a copy with one
+        field flipped, behind the checksum-failed marker."""
+        return CorruptedFrame(corrupt_packet_fields(packet, rng))
 
     # ------------------------------------------------------------------
     def backlog_bytes(self) -> int:

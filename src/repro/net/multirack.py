@@ -1,9 +1,9 @@
 """Rack topology: per-rack ASK TOR switches, one rack, flat mesh or spine–leaf.
 
-Every simulated deployment is one :class:`MultiRackTopology`.  Every host
-is wired to its rack's TOR switch by an uplink and a downlink.  One rack
-is the spineless case with no interconnect at all.  Racks interconnect
-one of two ways:
+Every deployment, on either backend, is one :class:`MultiRackTopology`.
+Every host is wired to its rack's TOR switch by an uplink and a
+downlink.  One rack is the spineless case with no interconnect at all.
+Racks interconnect one of two ways:
 
 Flat mesh (the §7 deployment, a depth-1 tree)
     TOR switches are wired pairwise with (faster, wider) core links.  This
@@ -24,12 +24,17 @@ bypass rule keys on it; empty for spines) and ``send_to_host`` (which
 transparently routes anywhere, including control packets addressed to a
 remote switch by name).
 
-Every direction of every cable is one :class:`~repro.net.link.Link`,
-filed in one registry under its stable name (``<host>->switch``,
-``switch-><host>``, ``core:<a>-><b>``, ``up:<rack>-><spine>``,
-``down:<spine>-><rack>``) with its ``(src, dst)`` endpoint tags
-(``("host"|"rack"|"spine", name)``).  Routing, fault injection, sharding
-and reports all look links up there.
+Every direction of every cable is one wire, filed in one registry under
+its stable name (``<host>->switch``, ``switch-><host>``,
+``core:<a>-><b>``, ``up:<rack>-><spine>``, ``down:<spine>-><rack>``)
+with its ``(src, dst)`` endpoint tags (``("host"|"rack"|"spine",
+name)``).  Only the wire differs by backend: a simulated
+:class:`~repro.net.link.Link`, or a UDP datagram wire
+(:mod:`repro.runtime.asyncio_fabric`).  Both carry the same per-link
+counters (``packets_sent``, ``bytes_sent``, ``packets_dropped``,
+``packets_duplicated``, ``packets_corrupted``, ``packets_slowed``).
+Routing, fault injection, the chaos windows, sharding and reports all
+look links up there.
 
 Link fault streams derive from those names — a host link's under
 ``rack:<rack>`` — so they do not depend on wiring order.  A topology
@@ -39,10 +44,11 @@ exception: its host links draw from the template itself.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+import random
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.core.errors import TopologyError
-from repro.net.fault import FaultModel
+from repro.net.fault import CorruptedFrame, FaultModel, LinkSlowdown
 from repro.net.link import DeliverFn, Link
 from repro.net.simulator import Simulator
 from repro.net.topology import NetworkNode
@@ -50,8 +56,11 @@ from repro.net.trace import PacketTrace
 
 #: A link endpoint: ``("host"|"rack"|"spine", name)``.
 Endpoint = Tuple[str, str]
-#: One registry row: ``(name, src, dst, link)``.
-Wire = Tuple[str, Endpoint, Endpoint, Link]
+#: One registry row: ``(name, src, dst, link)``; ``link`` is the wire the
+#: backend filed (see :class:`MultiRackTopology`).
+Wire = Tuple[str, Endpoint, Endpoint, Any]
+#: A backend's wire constructor: ``(name, src, dst, fault) -> wire``.
+WireFn = Callable[[str, Endpoint, Endpoint, Optional[FaultModel]], Any]
 
 
 class RackView:
@@ -242,11 +251,18 @@ def plan_rack_shards(
 
 class MultiRackTopology:
     """Racks of hosts behind per-rack switches: one rack, flat mesh or
-    spine–leaf."""
+    spine–leaf.
+
+    ``wire`` is the backend's wire constructor, called once per link at
+    build time as ``wire(name, src, dst, fault)``; what it returns is
+    filed under ``name``.  Without one the topology builds a
+    :class:`~repro.net.link.Link` on ``sim`` from the bandwidth, latency
+    and host-rate arguments, which only that default reads.
+    """
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: Optional[Simulator],
         bandwidth_gbps: Optional[float] = 100.0,
         latency_ns: int = 1_000,
         core_bandwidth_gbps: Optional[float] = 400.0,
@@ -255,6 +271,7 @@ class MultiRackTopology:
         fault: Optional[FaultModel] = None,
         trace: Optional[PacketTrace] = None,
         ecn_threshold_bytes: Optional[int] = None,
+        wire: Optional[WireFn] = None,
     ) -> None:
         self.sim = sim
         self.bandwidth_gbps = bandwidth_gbps
@@ -265,8 +282,9 @@ class MultiRackTopology:
         self._fault_template = fault
         self.trace = trace
         self.ecn_threshold_bytes = ecn_threshold_bytes
+        self._new_wire: WireFn = wire if wire is not None else self._link
         #: Every link, by stable name, with its endpoint tags.
-        self._links: Dict[str, tuple[Endpoint, Endpoint, Link]] = {}
+        self._links: Dict[str, tuple[Endpoint, Endpoint, Any]] = {}
         self._switches: Dict[str, NetworkNode] = {}  # rack -> leaf switch
         self._switch_rack: Dict[str, str] = {}  # leaf switch name -> rack
         self._rack_hosts: Dict[str, list[str]] = {}
@@ -278,54 +296,74 @@ class MultiRackTopology:
         #: The fault-stream naming rule (see :meth:`attach_host`).  The
         #: deployment builder sets it for a layout of one spineless rack.
         self.one_rack = False
+        # Chaos windows (see partition, corrupt and slow), seeded from
+        # the fault template so a chaos run replays under its seed.
+        seed = fault.seed if fault is not None else 0
+        self._partitioned: set[str] = set()
+        #: Frames dropped at a partitioned host's egress (its ingress
+        #: drops are counted on the node itself).
+        self.partition_drops = 0
+        self._corrupting: set[str] = set()
+        #: Per-frame corruption probability inside an open window.
+        self.corruption_rate = 0.5
+        #: Frames a corruption window damaged (link faults not included).
+        self.window_corruptions = 0
+        self._corrupt_label = f"{seed}:chaos-corrupt"
+        self._corrupt_rngs: Dict[str, random.Random] = {}
+        #: Slowdown strength for every link a ``slow`` window opens on;
+        #: set before the first window, the links keep what they got.
+        self.slow_multiplier = 4.0
+        self.slow_jitter_ns = 0
+        self._slow_label = f"{seed}:chaos-slow"
 
     # ------------------------------------------------------------------
-    def _make_fault(self, label: str) -> Optional[FaultModel]:
-        """Per-link child model keyed by the link's stable name, so core
-        and rack fault streams do not depend on rack creation order."""
-        if self._fault_template is None:
-            return None
-        return self._fault_template.derive(label)
-
     def _wire(
-        self,
-        name: str,
-        src: Endpoint,
-        dst: Endpoint,
-        deliver: DeliverFn,
-        fault: Optional[FaultModel] = None,
-        max_pps: Optional[float] = None,
+        self, name: str, src: Endpoint, dst: Endpoint, fault: Optional[FaultModel] = None
     ) -> None:
-        """Build one link direction and file it under ``name``.  A host
-        link runs at the host rate with the ``fault`` it is given; a
-        switch-to-switch link is a core link and draws its fault stream
-        under its own name."""
+        """File the backend's wire for one link direction under ``name``.
+        A host link takes the ``fault`` it is given; a switch-to-switch
+        link draws its fault stream from the template under its own
+        name, so core streams do not depend on rack creation order."""
         if name in self._links:
             raise TopologyError(f"link {name!r} already exists", name)
+        if src[0] != "host" and dst[0] != "host" and self._fault_template is not None:
+            fault = self._fault_template.derive(name)
+        self._links[name] = (src, dst, self._new_wire(name, src, dst, fault))
+
+    def _link(
+        self, name: str, src: Endpoint, dst: Endpoint, fault: Optional[FaultModel]
+    ) -> Link:
+        """The simulator's wire: a :class:`Link` at the host rate (an
+        uplink under the host pps cap) or the core rate, delivering to
+        the node ``dst`` names; a host link also records ``"rx"``."""
+        sim = self.sim
+        if sim is None:
+            raise TopologyError("a topology without a wire constructor needs a simulator", name)
+        node = self.node_at(dst)
         if src[0] == "host" or dst[0] == "host":
             bandwidth, latency = self.bandwidth_gbps, self.latency_ns
+            deliver = self._host_receive(sim, name, node)
         else:
             bandwidth, latency = self.core_bandwidth_gbps, self.core_latency_ns
-            fault = self._make_fault(name)
-        link = Link(
-            self.sim,
+            deliver = node.receive
+        return Link(
+            sim,
             bandwidth,
             latency,
             fault=fault,
             name=name,
             ecn_threshold_bytes=self.ecn_threshold_bytes,
             deliver=deliver,
-            max_pps=max_pps,
+            max_pps=self.host_max_pps if src[0] == "host" else None,
             trace=self.trace,
         )
-        self._links[name] = (src, dst, link)
 
-    def _host_receive(self, name: str, node: NetworkNode) -> DeliverFn:
+    def _host_receive(self, sim: Simulator, name: str, node: NetworkNode) -> DeliverFn:
         """A host link's far end; it also records ``"rx"`` under a trace."""
         trace = self.trace
         if trace is None:
             return node.receive
-        sim, receive = self.sim, node.receive
+        receive = node.receive
 
         def deliver(packet: Any) -> None:
             trace.record(sim.now, name, "rx", packet)
@@ -333,15 +371,17 @@ class MultiRackTopology:
 
         return deliver
 
+    def _claim(self, name: str) -> None:
+        """Refuse a second node called ``name``: names address frames."""
+        if name in self._host_rack or name in self._switch_rack or name in self._spine_switches:
+            raise TopologyError(f"node {name!r} already placed", name)
+
     # ------------------------------------------------------------------
     def add_spine(self, switch: NetworkNode) -> SpineView:
         """Declare a spine switch, wiring pairwise core links to every
         existing spine.  Spines must be declared before their racks."""
         name = switch.name
-        if name in self._spine_switches:
-            raise TopologyError(f"spine {name!r} already exists", name)
-        if name in self._switch_rack:
-            raise TopologyError(f"switch {name!r} already placed as a leaf", name)
+        self._claim(name)
         if len(self._rack_spine) != len(self._switches):
             raise TopologyError(
                 "cannot add a spine to a flat multi-rack topology: existing "
@@ -350,10 +390,10 @@ class MultiRackTopology:
             )
         self._spine_switches[name] = switch
         spine = ("spine", name)
-        for other, node in self._spine_switches.items():
+        for other in self._spine_switches:
             if other != name:
-                self._wire(f"core:{name}->{other}", spine, ("spine", other), node.receive)
-                self._wire(f"core:{other}->{name}", ("spine", other), spine, switch.receive)
+                self._wire(f"core:{name}->{other}", spine, ("spine", other))
+                self._wire(f"core:{other}->{name}", ("spine", other), spine)
         return SpineView(self, name)
 
     def add_rack(
@@ -365,8 +405,7 @@ class MultiRackTopology:
         and inter-rack traffic routes up the tree."""
         if rack in self._switches:
             raise TopologyError(f"rack {rack!r} already exists", rack)
-        if switch.name in self._switch_rack or switch.name in self._spine_switches:
-            raise TopologyError(f"switch {switch.name!r} already placed", switch.name)
+        self._claim(switch.name)
         if spine is None and self._spine_switches:
             raise TopologyError(
                 f"rack {rack!r} needs a spine: this topology is spine–leaf",
@@ -383,15 +422,14 @@ class MultiRackTopology:
         self._rack_hosts[rack] = []
         tor = ("rack", rack)
         if spine is None:
-            for other, node in self._switches.items():
+            for other in self._switches:
                 if other != rack:
-                    self._wire(f"core:{rack}->{other}", tor, ("rack", other), node.receive)
-                    self._wire(f"core:{other}->{rack}", ("rack", other), tor, switch.receive)
+                    self._wire(f"core:{rack}->{other}", tor, ("rack", other))
+                    self._wire(f"core:{other}->{rack}", ("rack", other), tor)
         else:
             self._rack_spine[rack] = spine
-            spine_node = self._spine_switches[spine]
-            self._wire(f"up:{rack}->{spine}", tor, ("spine", spine), spine_node.receive)
-            self._wire(f"down:{spine}->{rack}", ("spine", spine), tor, switch.receive)
+            self._wire(f"up:{rack}->{spine}", tor, ("spine", spine))
+            self._wire(f"down:{spine}->{rack}", ("spine", spine), tor)
         return RackView(self, rack)
 
     def attach_host(self, rack: str, host: NetworkNode) -> None:
@@ -405,33 +443,19 @@ class MultiRackTopology:
         every one-rack schedule has always been drawn with.
         """
         name = host.name
-        if name in self._host_rack:
-            raise TopologyError(f"host {name!r} already attached", name)
+        self._claim(name)
         if rack not in self._switches:
             raise TopologyError(f"unknown rack {rack!r}", rack)
         template = self._fault_template
         if template is not None and not self.one_rack:
             template = template.derive(f"rack:{rack}")
-        up, down = f"{name}->switch", f"switch->{name}"
-        end, tor = ("host", name), ("rack", rack)
-        self._wire(
-            up,
-            end,
-            tor,
-            self._host_receive(up, self._switches[rack]),
-            fault=None if template is None else template.derive(up),
-            max_pps=self.host_max_pps,
-        )
-        self._wire(
-            down,
-            tor,
-            end,
-            self._host_receive(down, host),
-            fault=None if template is None else template.derive(down),
-        )
         self._hosts[name] = host
         self._host_rack[name] = rack
         self._rack_hosts[rack].append(name)
+        up, down = f"{name}->switch", f"switch->{name}"
+        end, tor = ("host", name), ("rack", rack)
+        self._wire(up, end, tor, None if template is None else template.derive(up))
+        self._wire(down, tor, end, None if template is None else template.derive(down))
 
     # ------------------------------------------------------------------
     # Lookups
@@ -450,29 +474,47 @@ class MultiRackTopology:
         self.rack_of_host(host)
         return self._hosts[host]
 
+    def _endpoint(self, name: str) -> Endpoint:
+        """The endpoint tag of the host, TOR or spine called ``name``."""
+        if name in self._host_rack:
+            return ("host", name)
+        if name in self._spine_switches:
+            return ("spine", name)
+        if name in self._switch_rack:
+            return ("rack", self._switch_rack[name])
+        raise TopologyError(f"unknown node {name!r}", name)
+
+    def node_at(self, endpoint: Endpoint) -> NetworkNode:
+        """The node behind an endpoint tag."""
+        kind, name = endpoint
+        if kind == "host":
+            return self._hosts[name]
+        if kind == "rack":
+            return self._switches[name]
+        return self._spine_switches[name]
+
     def node(self, name: str) -> NetworkNode:
         """The host, TOR or spine switch called ``name``."""
-        if name in self._switch_rack:
-            return self._switches[self._switch_rack[name]]
-        if name in self._spine_switches:
-            return self._spine_switches[name]
-        return self.host_node(name)
+        return self.node_at(self._endpoint(name))
 
-    def uplink(self, host: str) -> Link:
+    def nodes(self) -> Iterator[NetworkNode]:
+        """Every spine, TOR and host, each kind in wiring order."""
+        yield from self._spine_switches.values()
+        yield from self._switches.values()
+        yield from self._hosts.values()
+
+    def uplink(self, host: str) -> Any:
         """The host→TOR link of ``host``."""
         self.rack_of_host(host)
         return self._links[f"{host}->switch"][2]
 
-    def downlink(self, host: str) -> Link:
+    def downlink(self, host: str) -> Any:
         """The TOR→host link of ``host``."""
         self.rack_of_host(host)
         return self._links[f"switch->{host}"][2]
 
     def rack_of_switch(self, switch_name: str) -> str:
         return self._switch_rack[switch_name]
-
-    def switch_of(self, rack: str) -> NetworkNode:
-        return self._switches[rack]
 
     def spine_of_rack(self, rack: str) -> Optional[str]:
         """The rack's spine switch name (None in the flat layout)."""
@@ -523,6 +565,12 @@ class MultiRackTopology:
         wires.sort(key=lambda wire: (wire[1][0], wire[2][0]))
         return iter(wires)
 
+    def link_total(self, counter: str) -> int:
+        """One per-link counter (``packets_sent``, ``bytes_sent``,
+        ``packets_dropped``, ``packets_duplicated``, ``packets_corrupted``
+        or ``packets_slowed``) summed over the registry."""
+        return int(sum(getattr(link, counter) for _src, _dst, link in self._links.values()))
+
     # ------------------------------------------------------------------
     # Data movement
     # ------------------------------------------------------------------
@@ -530,8 +578,19 @@ class MultiRackTopology:
         self._links[name][2].send(packet, size_bytes)
 
     def send_to_switch(self, host: str, packet: Any, size_bytes: int) -> None:
-        """Host uplink: always to the host's own TOR (its leaf)."""
-        self.uplink(host).send(packet, size_bytes)
+        """Host uplink: ``host``'s frame toward its own TOR (its leaf).
+
+        Every frame enters the fabric here, so this is where a
+        partitioned host's egress is dropped and where corruption
+        windows act (see :meth:`corrupt`).
+        """
+        if host in self._partitioned:
+            self.partition_drops += 1
+            return
+        uplink = self._links[f"{host}->switch"][2]
+        if self._corrupting:
+            packet = self._maybe_corrupt(host, packet, uplink)
+        uplink.send(packet, size_bytes)
 
     def route_from_switch(
         self, rack: str, destination: str, packet: Any, size_bytes: int
@@ -583,3 +642,91 @@ class MultiRackTopology:
             self._send(f"down:{spine}->{rack}", packet, size_bytes)
         else:
             self._send(f"core:{spine}->{target_spine}", packet, size_bytes)
+
+    # ------------------------------------------------------------------
+    # Chaos windows: one rule on every backend; only the damage a frame
+    # takes is its wire's (``damage``, ``slowdown``).
+    # ------------------------------------------------------------------
+    def partition(self, name: str) -> None:
+        """Cut ``name`` off: a host's egress is dropped by
+        :meth:`send_to_switch` (counted in :attr:`partition_drops`) and
+        every node's ingress at the node.  A partitioned *switch* still
+        flushes frames already in its pipeline — exactly the asymmetry a
+        real link flap exhibits."""
+        node = self.node(name)
+        self._partitioned.add(name)
+        node.set_partitioned(True)
+
+    def heal(self, name: str) -> None:
+        node = self.node(name)
+        self._partitioned.discard(name)
+        node.set_partitioned(False)
+
+    def corrupt(self, name: str) -> None:
+        """Open a corruption window on ``name`` until :meth:`cleanse`.
+
+        A frame is at risk when its sending host, that host's TOR or
+        ``packet.dst`` is in a window; a window on a TOR therefore breaks
+        every frame its rack's hosts send, on one rack, a mesh or a tree
+        alike.  Each frame at risk is damaged, by its uplink's
+        ``damage``, with probability :attr:`corruption_rate`.  Switch
+        egress is left to the per-link ``FaultModel.corrupt_rate``.
+
+        Draws come from per-*host* streams ``{seed}:chaos-corrupt:{host}``,
+        apart from the link fault streams.  A fabric-wide stream would
+        interleave draws in global packet order, which a rack-sharded run
+        cannot reproduce; a host's own send order is identical serial and
+        sharded, so the shards' :attr:`window_corruptions` sum to the
+        serial count draw for draw.
+        """
+        self._corrupting.add(name)
+
+    def cleanse(self, name: str) -> None:
+        self._corrupting.discard(name)
+
+    def _maybe_corrupt(self, host: str, packet: Any, uplink: Any) -> Any:
+        targets = self._corrupting
+        tor = self._switches[self._host_rack[host]].name
+        if type(packet) is CorruptedFrame or not (
+            host in targets or tor in targets or getattr(packet, "dst", None) in targets
+        ):
+            return packet
+        rng = self._corrupt_rngs.get(host)
+        if rng is None:
+            rng = self._corrupt_rngs[host] = random.Random(f"{self._corrupt_label}:{host}")
+        if rng.random() >= self.corruption_rate or not hasattr(packet, "bitmap"):
+            return packet
+        self.window_corruptions += 1
+        return uplink.damage(packet, rng)
+
+    @property
+    def corruption_injected(self) -> int:
+        """Corrupted frames this fabric sent: corruption windows plus
+        per-link ``FaultModel.corrupt_rate`` draws."""
+        return self.window_corruptions + self.link_total("packets_corrupted")
+
+    def _set_slow(self, name: str, active: bool) -> None:
+        """Open or close the slowdown on every link ``name`` terminates
+        (both of a host's links; a TOR's host links included)."""
+        endpoint = self._endpoint(name)
+        for link_name, (src, dst, link) in self._links.items():
+            if endpoint == src or endpoint == dst:
+                if link.slowdown is None:
+                    link.slowdown = LinkSlowdown(
+                        self._slow_label,
+                        link_name,
+                        multiplier=self.slow_multiplier,
+                        jitter_ns=self.slow_jitter_ns,
+                    )
+                link.slowdown.active = active
+
+    def slow(self, name: str) -> None:
+        """Gray failure: every link touching ``name`` gets slower (never
+        lossy) until :meth:`revive` — the node stays alive and heartbeats
+        keep answering, just late.  Each link keeps one
+        :class:`~repro.net.fault.LinkSlowdown`, jitter stream
+        ``{seed}:chaos-slow:{link}``, across windows."""
+        self._set_slow(name, True)
+
+    def revive(self, name: str) -> None:
+        self._set_slow(name, False)

@@ -13,18 +13,20 @@ interfaces defined here:
 - :class:`~repro.runtime.interfaces.TaskRunner` — run-to-completion vs
   run-forever execution of a deployment.
 
-Two backends ship, one fabric each, and each wires every rack layout —
-one rack, a flat mesh, a spine–leaf tree — the same way (one rack is the
-spineless one-rack case):
+Two backends ship, one fabric each.  Both wire every rack layout — one
+rack, a flat mesh, a spine–leaf tree — through the same
+:class:`~repro.net.multirack.MultiRackTopology` (one rack is the
+spineless one-rack case), which names, routes and faults every link;
+they differ only in the wire filed under each link name:
 
 - :class:`~repro.runtime.sim.SimFabric` — a wrapper over the
   deterministic discrete-event stack (`Simulator`, `MultiRackTopology`,
   one `Link` per cable direction).  The same seed produces the same
   schedule, stats and retransmission counts.
 - :class:`~repro.runtime.asyncio_fabric.AsyncioFabric` — a real-time
-  backend that frames :class:`~repro.core.packet.AskPacket` onto UDP
-  sockets between asyncio endpoints (one per host daemon and one per
-  switch), with wall-clock timers and real packet loss tolerated by the
+  backend whose links each send a :class:`~repro.core.packet.AskPacket`
+  as one UDP datagram between asyncio endpoints (one socket per node),
+  with wall-clock timers and real packet loss tolerated by the
   unchanged reliability layer.
 
 :class:`~repro.runtime.builder.DeploymentBuilder` assembles either

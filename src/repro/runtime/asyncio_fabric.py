@@ -13,12 +13,16 @@ protocol stack is unchanged: the same sender/receiver state machines run
 against :class:`AsyncioClock` (wall-clock nanoseconds, ``loop.call_later``
 timers) and recover real or injected loss exactly as they do simulated.
 
-Fault injection happens at the fabric's transmit hook, before the
-datagram is handed to the kernel, with a per-direction
-:class:`~repro.net.fault.FaultModel` derived from the template — the same
-derivation the simulated links use, so a lossy asyncio rack exercises the
-reliability layer with a reproducible *decision* sequence even though
-wall-clock arrival times vary run to run.
+The wiring is the simulator's: one
+:class:`~repro.net.multirack.MultiRackTopology` names the nodes and
+links, routes, and runs the partition/corrupt/slow windows.  Only the
+wire filed under each link name differs — here a :class:`_Datagram`,
+which encodes the frame, draws its fault from the link's own
+:class:`~repro.net.fault.FaultModel` stream before the kernel sees it
+(the streams the simulated links draw, under the same names), and calls
+``sendto``.  A lossy asyncio rack therefore exercises the reliability
+layer with a reproducible *decision* sequence even though wall-clock
+arrival times vary run to run.
 
 One fabric owns one private event loop.  The public entry points
 (:meth:`AsyncioRunner.run_until`, :meth:`AsyncioRunner.run_forever`) are
@@ -34,17 +38,23 @@ import random
 import socket
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.errors import FabricTimeoutError, TopologyError
+from repro.core.errors import FabricTimeoutError
 from repro.core.packet import AskPacket
-from repro.net.fault import FaultModel, corrupt_bytes
+from repro.net.fault import FaultModel, LinkSlowdown, corrupt_bytes
+from repro.net.multirack import Endpoint, MultiRackTopology
 from repro.net.trace import PacketTrace
 from repro.runtime.codec import VERSION, CodecError, decode_packet, encode_packet, name_prefix
+from repro.runtime.fabric import TopologyFabric
 from repro.runtime.interfaces import Node, TimerHandle
 
 NS_PER_S = 1_000_000_000
 #: Datagrams one readable callback takes from its socket before it hands
 #: the loop back to the other sockets and the due timers (DPDK's rx burst).
 RX_BURST = 32
+#: How long a slowdown window holds each datagram before the kernel gets
+#: it, plus the window's jitter draw (the simulator multiplies its link
+#: latency instead).
+SLOW_HOLD_NS = 2_000_000
 #: No UDP payload is larger.  One receive buffer serves every socket: a
 #: datagram is decoded out of it before the next one is read.
 _MAX_DATAGRAM = 65536
@@ -88,26 +98,27 @@ class AsyncioClock:
 
 
 class _NodeEndpoint:
-    """One node's UDP socket and the callback that drains it."""
+    """One node's UDP socket, bound and read from construction on, and
+    the callback that drains it."""
 
     def __init__(self, fabric: "AsyncioFabric", node: Node) -> None:
         self.fabric = fabric
         self.node = node
-        self.sock: Optional[socket.socket] = None
-        self.address: Optional[Tuple[Any, ...]] = None
-
-    def open(self) -> None:
-        info = socket.getaddrinfo(self.fabric.bind_host, 0, type=socket.SOCK_DGRAM)[0]
-        self.sock = sock = socket.socket(*info[:3])  # close() owns it from here
-        sock.setblocking(False)
-        sock.bind(info[4])
-        self.address = sock.getsockname()
-        self.fabric.loop.add_reader(sock, self.drain, sock)
+        info = socket.getaddrinfo(fabric.bind_host, 0, type=socket.SOCK_DGRAM)[0]
+        sock = socket.socket(*info[:3])
+        try:
+            sock.setblocking(False)
+            sock.bind(info[4])
+        except OSError:
+            sock.close()
+            raise
+        self.sock = sock
+        self.address: Tuple[Any, ...] = sock.getsockname()
+        fabric.loop.add_reader(sock, self.drain, sock)
 
     def close(self) -> None:
-        if self.sock is not None:
-            self.fabric.loop.remove_reader(self.sock)
-            self.sock.close()
+        self.fabric.loop.remove_reader(self.sock)
+        self.sock.close()
 
     def drain(self, sock: socket.socket) -> None:
         """Run up to :data:`RX_BURST` waiting datagrams to completion; the
@@ -139,50 +150,117 @@ class _NodeEndpoint:
             node.receive(packet)
 
 
-class _AsyncioRackView:
-    """A TOR (leaf) switch's fabric view: its rack's ``host_names`` plus
-    next-hop routing, within the rack or across the mesh or tree, for
-    everything egressing."""
+class _Datagram:
+    """One link direction on localhost UDP: what the topology files under
+    a link name on this backend, where the simulator files a
+    :class:`~repro.net.link.Link`, with the same counters.
 
-    def __init__(self, fabric: "AsyncioFabric", rack: str) -> None:
-        self._fabric = fabric
-        self.rack = rack
+    A frame sent before :meth:`AsyncioFabric.start` is held until the
+    sockets open.  Each frame is encoded, its fault drawn from the link's
+    own stream before the kernel sees it, and handed from the sending
+    node's socket to the far end's address — now, or after the fault's
+    reorder/duplicate delay and an open slowdown's hold.
+    """
 
-    @property
-    def host_names(self) -> list[str]:
-        return self._fabric.hosts_of(self.rack)
+    def __init__(
+        self, fabric: "AsyncioFabric", name: str, fault: Optional[FaultModel]
+    ) -> None:
+        self.fabric = fabric
+        self.name = name
+        self.fault = fault
+        self.slowdown: Optional[LinkSlowdown] = None
+        #: Frames sent before :meth:`open`; None once open.
+        self._held: Optional[list[Tuple[Any, int]]] = []
+        self.packets_sent = 0
+        self.bytes_sent = 0
+        self.packets_dropped = 0
+        self.packets_duplicated = 0
+        self.packets_corrupted = 0
+        self.packets_slowed = 0
 
-    def send_to_host(self, destination: str, packet: AskPacket, size_bytes: int) -> None:
-        self._fabric.route_from_switch(self.rack, destination, packet)
+    def open(self, source: _NodeEndpoint, target: _NodeEndpoint) -> None:
+        """Bind both ends' sockets and send what was held."""
+        self._source, self._target = source, target
+        held, self._held = self._held or [], None
+        for packet, size_bytes in held:
+            self.send(packet, size_bytes)
+
+    def _encode(self, packet: AskPacket) -> bytes:
+        fabric = self.fabric
+        return encode_packet(packet, fabric.frame_version, fabric._name_prefixes)
+
+    def damage(self, packet: AskPacket, rng: random.Random) -> bytes:
+        """A corruption window's damage on this wire: the encoded datagram
+        with bits flipped, which the codec's CRC32 trailer rejects."""
+        return corrupt_bytes(self._encode(packet), rng)
+
+    def send(self, packet: Any, size_bytes: int) -> None:
+        """``packet`` is an :class:`AskPacket`, or the bytes
+        :meth:`damage` returned."""
+        if self.fabric._closed:
+            return  # late timers during shutdown; the rack is gone
+        held = self._held
+        if held is not None:
+            held.append((packet, size_bytes))
+            return
+        self.packets_sent += 1
+        self.bytes_sent += size_bytes
+        trace = self.fabric.trace
+        if trace is not None:
+            trace.record(self.fabric.clock.now, self.name, "tx", packet)
+        damaged = type(packet) is bytes
+        data = packet if damaged else self._encode(packet)
+        fault = self.fault
+        if fault is None:
+            self._launch(data, 0)
+            return
+        decision = fault.decide()
+        if decision.drop:
+            self.packets_dropped += 1
+            return
+        if decision.corrupt:
+            # Real bit flips; the far end's CRC check turns them into a
+            # counted drop, which retransmission recovers.
+            self.packets_corrupted += 1
+            if not damaged:
+                data = fault.corrupt_payload(data)
+        self._launch(data, decision.extra_delay_ns)
+        if decision.duplicate:
+            self.packets_duplicated += 1
+            self._launch(data, max(1, decision.duplicate_delay_ns))
+
+    def _launch(self, data: bytes, delay_ns: int) -> None:
+        slowdown = self.slowdown
+        if slowdown is not None and slowdown.active:
+            # Wall clock has no fixed link latency to multiply: a slowed
+            # datagram is held SLOW_HOLD_NS plus its jitter draw.
+            delay_ns += SLOW_HOLD_NS + slowdown.extra_ns(0)
+            self.packets_slowed += 1
+        if delay_ns:
+            self.fabric.clock.call_later(delay_ns, self._sendto, data)
+        else:
+            self._sendto(data)
+
+    def _sendto(self, data: bytes) -> None:
+        """Hand one datagram to the kernel, unless the rack shut down."""
+        if self.fabric._closed:
+            return
+        try:
+            self._source.sock.sendto(data, self._target.address)
+        except OSError:
+            # ``BlockingIOError`` is a full socket buffer; nothing waits
+            # for it.  A counted drop, healed by §3.3 retransmission.
+            self.fabric.socket_errors += 1
 
 
-class _AsyncioSpineView:
-    """A spine switch's fabric view: no local hosts (the combiner rule
-    admits packets by region ``sources``), next-hop routing down/across."""
-
-    def __init__(self, fabric: "AsyncioFabric", spine: str) -> None:
-        self._fabric = fabric
-        self.spine = spine
-
-    @property
-    def host_names(self) -> list[str]:
-        return []
-
-    def send_to_host(self, destination: str, packet: AskPacket, size_bytes: int) -> None:
-        self._fabric.route_from_spine(self.spine, destination, packet)
-
-
-class AsyncioFabric:
+class AsyncioFabric(TopologyFabric):
     """One ASK deployment on localhost UDP sockets.
 
-    ``install_switch(switch, rack, spine=...)`` (after any
-    ``install_spine``) gives every switch its own
-    :class:`_AsyncioRackView`/:class:`_AsyncioSpineView`, and frames hop
-    name-to-name along the same host→TOR→[spine→]TOR→host paths the
-    simulated :class:`~repro.net.multirack.MultiRackTopology` takes; one
-    rack is the spineless case where every frame is host↔TOR.  Each hop
-    is a real kernel datagram with its own per-direction fault stream
-    (``fault.derive("src->dst")``), so per-hop loss falls out for free.
+    The wiring, names, routing, link registry and chaos windows are the
+    fabric's :class:`~repro.net.multirack.MultiRackTopology`, exactly as
+    on the simulator; every link name holds a :class:`_Datagram`, so
+    each hop is a real kernel datagram with its own fault stream.  Every
+    node gets its own socket when the fabric starts.
     """
 
     backend = "asyncio"
@@ -201,57 +279,27 @@ class AsyncioFabric:
         #: Resolved with the first exception a loop callback raises.
         self._failed: asyncio.Future[None] = self.loop.create_future()
         self.loop.set_exception_handler(self._on_loop_exception)
-        self.fault = fault
         self.bind_host = bind_host
         self.trace = trace
         #: Wire frame version for every encode.  The default carries the
         #: CRC32 integrity trailer; the builder passes the legacy version
         #: when ``AskConfig.integrity_checks`` is disabled.
         self.frame_version = frame_version
+        self.topology = MultiRackTopology(None, fault=fault, wire=self._datagram)
+        #: Every node's socket, by node name (opened by :meth:`start`).
         self._endpoints: Dict[str, _NodeEndpoint] = {}
-        #: Wire form of every registered node's name, for ``encode_packet``.
+        #: Wire form of every node's name, for ``encode_packet``.
         self._name_prefixes: Dict[str, bytes] = {}
-        self._faults: Dict[Tuple[str, str], FaultModel] = {}
-        self._rack_switch: Dict[str, str] = {}  # rack -> TOR switch name
-        self._switch_rack: Dict[str, str] = {}  # TOR switch name -> rack
-        self._rack_spine: Dict[str, str] = {}  # rack -> spine (trees only)
-        self._spines: set[str] = set()
-        self._host_rack: Dict[str, str] = {}
-        self._host_tor: Dict[str, str] = {}  # host -> its TOR's name
-        self._rack_hosts: Dict[str, list[str]] = {}
         self._started = False
         self._closed = False
-        # Frames sent before the sockets are open (a task submitted before
-        # the first run) are buffered and flushed the moment the endpoints
-        # are live — the protocol stack never sees a "not started" error.
-        self._pending: list[Tuple[str, str, AskPacket]] = []
-        self._partitioned: set[str] = set()
-        self.partition_drops = 0
         self.malformed_frames = 0
         self.socket_errors = 0
-        self.frames_sent = 0
-        self.frames_dropped = 0
-        self.frames_duplicated = 0
-        self.frames_corrupted = 0
-        # Chaos corruption windows ("corrupt"/"cleanse" events): while a
-        # node is in the window, datagrams it sends or receives get bit
-        # flips with probability ``corruption_rate``.  A dedicated RNG
-        # keeps the per-direction FaultModel streams untouched.
-        self._corrupting: set[str] = set()
-        self.corruption_rate = 0.5
-        seed = fault.seed if fault is not None else 0
-        self._chaos_rng = random.Random(f"{seed}:chaos-corrupt")
-        # Chaos slowdown windows ("slow"/"revive"): while a node is in the
-        # window, datagrams it sends or receives are held back pre-kernel
-        # by slow_delay_ns plus a jitter draw from a per-direction named
-        # stream — the UDP analogue of the sim backend's per-link latency
-        # multiplier (wall-clock has no fixed link latency to multiply).
-        self._slowed: set[str] = set()
-        self.slow_delay_ns = 2_000_000
-        self.slow_jitter_ns = 0
-        self.frames_slowed = 0
-        self._slow_seed = seed
-        self._slow_rngs: Dict[Tuple[str, str], random.Random] = {}
+
+    def _datagram(
+        self, name: str, src: Endpoint, dst: Endpoint, fault: Optional[FaultModel]
+    ) -> _Datagram:
+        """The wire constructor this fabric hands its topology."""
+        return _Datagram(self, name, fault)
 
     # ------------------------------------------------------------------
     @property
@@ -274,99 +322,44 @@ class AsyncioFabric:
         else:
             loop.default_exception_handler(context)
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def install_switch(
-        self, switch: Node, rack: str, spine: Optional[str] = None
-    ) -> "_AsyncioRackView":
-        """Install ``rack``'s TOR ``switch`` and bind it to its view,
-        optionally hanging the rack under an already-installed ``spine``."""
-        if rack in self._rack_switch:
-            raise TopologyError(f"rack {rack!r} already exists", rack)
-        if spine is None and self._rack_spine:
-            raise TopologyError(
-                f"rack {rack!r} needs a spine: this fabric is spine–leaf", rack
-            )
-        if spine is not None and spine not in self._spines:
-            raise TopologyError(f"unknown spine {spine!r}", spine)
-        self._register(switch)
-        self._rack_switch[rack] = switch.name
-        self._switch_rack[switch.name] = rack
-        self._rack_hosts[rack] = []
-        if spine is not None:
-            self._rack_spine[rack] = spine
-        view = _AsyncioRackView(self, rack)
-        bind = getattr(switch, "bind", None)
-        if bind is not None:
-            bind(view)
-        return view
-
-    def install_spine(self, switch: Node) -> "_AsyncioSpineView":
-        """Declare a spine switch (trees; before its racks) and bind its view."""
-        if self._rack_switch and len(self._rack_spine) != len(self._rack_switch):
-            raise TopologyError(
-                "cannot add a spine to a flat multi-rack fabric", switch.name
-            )
-        self._register(switch)
-        self._spines.add(switch.name)
-        view = _AsyncioSpineView(self, switch.name)
-        bind = getattr(switch, "bind", None)
-        if bind is not None:
-            bind(view)
-        return view
-
-    def attach_host(self, host: Node, rack: str) -> None:
-        if rack not in self._rack_switch:
-            raise TopologyError(f"unknown rack {rack!r}", rack)
-        self._register(host)
-        self._host_rack[host.name] = rack
-        self._host_tor[host.name] = self._rack_switch[rack]
-        self._rack_hosts[rack].append(host.name)
-
-    def _register(self, node: Node) -> None:
+    def _place(self, node: Node) -> None:
         if self._started:
             raise RuntimeError("cannot attach nodes after the fabric started")
-        if node.name in self._endpoints:
-            raise ValueError(f"node {node.name!r} already attached")
-        self._name_prefixes[node.name] = name_prefix(node.name)
-        self._endpoints[node.name] = _NodeEndpoint(self, node)
-
-    @property
-    def host_names(self) -> list[str]:
-        return list(self._host_rack)
-
-    def hosts_of(self, rack: str) -> list[str]:
-        return list(self._rack_hosts[rack])
-
-    def rack_of_host(self, host: str) -> str:
-        try:
-            return self._host_rack[host]
-        except KeyError:
-            raise TopologyError(f"unknown host {host!r}", host) from None
 
     def port_of(self, name: str) -> Optional[int]:
         """UDP port bound by ``name`` (None before :meth:`start`)."""
-        address = self._endpoints[name].address
-        return None if address is None else address[1]
+        endpoint = self._endpoints.get(name)
+        if endpoint is None:
+            return None
+        port: int = endpoint.address[1]
+        return port
+
+    @property
+    def frames_sent(self) -> int:
+        """Datagrams handed to the fault hook, over every link."""
+        return self.topology.link_total("packets_sent")
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Open every node's socket and start draining it."""
+        """Open every node's socket, then send what the links held."""
         if self._started:
             return
         if self._closed:
             raise RuntimeError("fabric already closed")
-        if not self._rack_switch:
+        topology = self.topology
+        if not topology.racks:
             raise RuntimeError("install_switch() must run before start()")
-        for endpoint in self._endpoints.values():
-            endpoint.open()
+        for node in topology.nodes():
+            self._name_prefixes[node.name] = name_prefix(node.name)
+            self._endpoints[node.name] = _NodeEndpoint(self, node)
         self._started = True
-        pending, self._pending = self._pending, []
-        for src, dst, packet in pending:
-            self._transmit(src, dst, packet)
+        endpoints = self._endpoints
+        for _name, src, dst, wire in topology.links():
+            wire.open(
+                endpoints[topology.node_at(src).name], endpoints[topology.node_at(dst).name]
+            )
 
     def close(self) -> None:
         """Close the sockets and the private loop."""
@@ -377,208 +370,22 @@ class AsyncioFabric:
             endpoint.close()
         self.loop.close()
 
-    # ------------------------------------------------------------------
-    # Frame movement (the fault hook lives here, pre-kernel)
-    # ------------------------------------------------------------------
-    def _direction_fault(self, src: str, dst: str) -> Optional[FaultModel]:
-        if self.fault is None:
-            return None
-        key = (src, dst)
-        model = self._faults.get(key)
-        if model is None:
-            model = self.fault.derive(f"{src}->{dst}")
-            self._faults[key] = model
-        return model
-
-    def _transmit(self, src: str, dst: str, packet: AskPacket) -> None:
-        if self._closed:
-            return  # late timers during shutdown; the rack is gone
-        if not self._started:
-            self._pending.append((src, dst, packet))
-            return
-        if src in self._partitioned or dst in self._partitioned:
-            self.partition_drops += 1
-            return
-        try:
-            sock, address = self._endpoints[src].sock, self._endpoints[dst].address
-        except KeyError as exc:
-            raise KeyError(f"unknown fabric node {exc.args[0]!r}") from None
-        if sock is None or address is None:
-            raise RuntimeError("fabric endpoints are not open")
-        self.frames_sent += 1
-        if self.trace is not None:
-            self.trace.record(self._clock.now, f"{src}->{dst}", "tx", packet)
-        data = encode_packet(packet, self.frame_version, self._name_prefixes)
-        corrupted = False
-        if self._corrupting and (src in self._corrupting or dst in self._corrupting):
-            if self._chaos_rng.random() < self.corruption_rate:
-                data = corrupt_bytes(data, self._chaos_rng)
-                corrupted = True
-                self.frames_corrupted += 1
-        slow_extra = self._slow_extra(src, dst)
-        fault = self._direction_fault(src, dst)
-        if fault is None:
-            self._send(sock, data, address, slow_extra)
-            return
-        decision = fault.decide()
-        if decision.drop:
-            self.frames_dropped += 1
-            return
-        if decision.corrupt and not corrupted:
-            # Real bit flips on the encoded datagram; the codec's CRC32
-            # trailer rejects it at the destination, so corruption is
-            # observed as loss and retransmission recovers it.
-            data = fault.corrupt_payload(data)
-            self.frames_corrupted += 1
-        self._send(sock, data, address, decision.extra_delay_ns + slow_extra)
-        if decision.duplicate:
-            self.frames_duplicated += 1
-            self._send(sock, data, address, max(1, decision.duplicate_delay_ns) + slow_extra)
-
-    def _send(
-        self, sock: socket.socket, data: bytes, address: Tuple[Any, ...], delay_ns: int = 0
-    ) -> None:
-        """Hand one datagram to the kernel, now or ``delay_ns`` from now —
-        unless the rack shut down in between."""
-        if delay_ns:
-            self._clock.schedule(delay_ns, self._send, sock, data, address)
-        elif not self._closed:
-            try:
-                sock.sendto(data, address)
-            except OSError:
-                # ``BlockingIOError`` is a full socket buffer; nothing waits
-                # for it.  A counted drop, healed by §3.3 retransmission.
-                self.socket_errors += 1
-
     def send_to_switch(self, host: str, packet: AskPacket, size_bytes: int) -> None:
-        self._transmit(host, self._host_tor[host], packet)
-
-    # ------------------------------------------------------------------
-    # Switch egress: name-level next hops over _transmit (the views)
-    # ------------------------------------------------------------------
-    def route_from_switch(self, rack: str, destination: str, packet: AskPacket) -> None:
-        """Next hop for a packet leaving ``rack``'s leaf switch."""
-        me = self._rack_switch[rack]
-        if destination in self._switch_rack:
-            target_rack = self._switch_rack[destination]
-            if target_rack == rack:
-                self._transmit(me, me, packet)  # self-addressed loopback
-            elif rack in self._rack_spine:
-                self._transmit(me, self._rack_spine[rack], packet)
-            else:
-                self._transmit(me, destination, packet)
-            return
-        if destination in self._spines:
-            self._transmit(me, self._rack_spine[rack], packet)
-            return
-        if destination not in self._host_rack:
-            raise TopologyError(f"unknown destination {destination!r}", destination)
-        target_rack = self._host_rack[destination]
-        if target_rack == rack:
-            self._transmit(me, destination, packet)
-        elif rack in self._rack_spine:
-            self._transmit(me, self._rack_spine[rack], packet)
-        else:
-            self._transmit(me, self._rack_switch[target_rack], packet)
-
-    def route_from_spine(self, spine: str, destination: str, packet: AskPacket) -> None:
-        """Next hop for a packet leaving ``spine``."""
-        if destination == spine:
-            self._transmit(spine, spine, packet)
-            return
-        if destination in self._spines:
-            self._transmit(spine, destination, packet)
-            return
-        if destination in self._switch_rack:
-            rack = self._switch_rack[destination]
-        else:
-            if destination not in self._host_rack:
-                raise TopologyError(f"unknown destination {destination!r}", destination)
-            rack = self._host_rack[destination]
-        target_spine = self._rack_spine[rack]
-        if target_spine == spine:
-            self._transmit(spine, self._rack_switch[rack], packet)
-        else:
-            self._transmit(spine, target_spine, packet)
-
-    # ------------------------------------------------------------------
-    # Fault injection: network partitions (pure loss, pre-kernel)
-    # ------------------------------------------------------------------
-    def partition(self, name: str) -> None:
-        """Cut ``name`` off the fabric: every datagram to or from it is
-        dropped at the transmit hook (counted in :attr:`partition_drops`)
-        until :meth:`heal`.  The node itself keeps running."""
-        self._partitioned.add(name)
-
-    def heal(self, name: str) -> None:
-        self._partitioned.discard(name)
-
-    # ------------------------------------------------------------------
-    # Fault injection: gray slowdown windows (chaos "slow"/"revive")
-    # ------------------------------------------------------------------
-    def _slow_extra(self, src: str, dst: str) -> int:
-        """Extra pre-kernel delay for one datagram (0 outside windows).
-
-        Jitter draws come from lazily-created per-direction streams named
-        ``{seed}:chaos-slow:{src}->{dst}``, so the draw sequence depends
-        only on the chaos seed and that direction's own traffic order —
-        the same stable-naming rule the per-direction fault models use.
-        """
-        if not self._slowed or (
-            src not in self._slowed and dst not in self._slowed
-        ):
-            return 0
-        self.frames_slowed += 1
-        extra = self.slow_delay_ns
-        if self.slow_jitter_ns:
-            key = (src, dst)
-            rng = self._slow_rngs.get(key)
-            if rng is None:
-                rng = self._slow_rngs[key] = random.Random(
-                    f"{self._slow_seed}:chaos-slow:{src}->{dst}"
-                )
-            extra += rng.randint(0, self.slow_jitter_ns)
-        return extra
-
-    def slow(self, name: str) -> None:
-        """Gray failure: datagrams ``name`` sends or receives are delayed
-        by :attr:`slow_delay_ns` (plus jitter) until :meth:`revive` — the
-        node stays alive, its traffic just arrives late."""
-        self._slowed.add(name)
-
-    def revive(self, name: str) -> None:
-        self._slowed.discard(name)
-
-    # ------------------------------------------------------------------
-    # Fault injection: corruption windows (chaos "corrupt"/"cleanse")
-    # ------------------------------------------------------------------
-    def corrupt(self, name: str) -> None:
-        """Open a corruption window on ``name``: datagrams it sends or
-        receives get wire bit flips (with probability
-        :attr:`corruption_rate`) until :meth:`cleanse`."""
-        self._corrupting.add(name)
-
-    def cleanse(self, name: str) -> None:
-        self._corrupting.discard(name)
-
-    @property
-    def corruption_injected(self) -> int:
-        """Corrupted datagrams handed to the kernel (fault-model draws
-        plus chaos windows)."""
-        return self.frames_corrupted
+        """Host uplink: ``host``'s frame toward its own TOR."""
+        self.topology.send_to_switch(host, packet, size_bytes)
 
     # ------------------------------------------------------------------
     def pending_snapshot(self) -> Dict[str, int]:
         """Per-node count of unacked sender window entries (diagnostics
-        for :class:`~repro.core.errors.FabricTimeoutError`).  The fabric
-        holds no frames itself, and datagrams still waiting in a kernel
-        socket buffer are invisible to it, so this is all there is."""
+        for :class:`~repro.core.errors.FabricTimeoutError`).  Datagrams
+        still waiting in a kernel socket buffer are invisible to the
+        fabric, so this is all there is."""
         snapshot: Dict[str, int] = {}
-        for name, endpoint in self._endpoints.items():
-            channels = getattr(endpoint.node, "channels", ())
+        for node in self.topology.nodes():
+            channels = getattr(node, "channels", ())
             pending = sum(channel.window.in_flight for channel in channels)
             if pending:
-                snapshot[name] = pending
+                snapshot[node.name] = pending
         return snapshot
 
 

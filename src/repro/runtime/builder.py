@@ -30,6 +30,7 @@ from repro.net.fault import FaultModel
 from repro.net.trace import PacketTrace
 from repro.runtime.asyncio_fabric import AsyncioFabric
 from repro.runtime.codec import VERSION, VERSION_LEGACY
+from repro.runtime.fabric import TopologyFabric
 from repro.runtime.interfaces import Clock, TaskRunner
 from repro.runtime.sim import SimFabric
 
@@ -197,23 +198,24 @@ class DeploymentBuilder:
             # Integrity off => speak the legacy v1 frame (no CRC trailer),
             # the wire-level equivalent of skipping the checksum verify.
             frame_version = VERSION if config.integrity_checks else VERSION_LEGACY
-            return AsyncioFabric(
+            fabric: TopologyFabric = AsyncioFabric(
                 fault=self.fault,
                 bind_host=self.bind_host,
                 trace=trace,
                 frame_version=frame_version,
             )
-        fabric = SimFabric(
-            bandwidth_gbps=config.link_bandwidth_gbps,
-            latency_ns=config.link_latency_ns,
-            core_bandwidth_gbps=self.core_bandwidth_gbps,
-            core_latency_ns=self.core_latency_ns,
-            host_max_pps=config.host_max_pps,
-            fault=self.fault,
-            trace=trace,
-            ecn_threshold_bytes=ecn,
-        )
-        # The fault-stream naming rule (MultiRackTopology.add_rack): only a
+        else:
+            fabric = SimFabric(
+                bandwidth_gbps=config.link_bandwidth_gbps,
+                latency_ns=config.link_latency_ns,
+                core_bandwidth_gbps=self.core_bandwidth_gbps,
+                core_latency_ns=self.core_latency_ns,
+                host_max_pps=config.host_max_pps,
+                fault=self.fault,
+                trace=trace,
+                ecn_threshold_bytes=ecn,
+            )
+        # The fault-stream naming rule (MultiRackTopology.attach_host): only a
         # layout of one spineless rack draws its host-link streams from the
         # template itself, under the names one-rack schedules were recorded with.
         fabric.topology.one_rack = len(self._racks) == 1 and not self._spines

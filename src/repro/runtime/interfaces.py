@@ -162,10 +162,9 @@ class SwitchFabricView(Protocol):
     """What a switch program sees of its fabric.
 
     :meth:`Fabric.install_switch` and :meth:`Fabric.install_spine` hand
-    each switch its own view: the sim backend's per-rack
+    each switch its own view, on either backend: a per-rack
     :class:`~repro.net.multirack.RackView` or per-spine
-    :class:`~repro.net.multirack.SpineView`, or their asyncio
-    counterparts.  The §7 bypass rule keys on ``host_names`` (the
+    :class:`~repro.net.multirack.SpineView`.  The §7 bypass rule keys on ``host_names`` (the
     switch's own rack; empty for a spine); egress — aggregation results,
     ACKs, routed transit traffic — goes through ``send_to_host``, which
     routes toward any host or switch of the fabric.

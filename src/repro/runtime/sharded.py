@@ -355,8 +355,8 @@ def _collect(
         "tasks": {index: _task_fingerprint(task) for index, task in sorted(tasks.items())},
         "hosts": {host: hosts[host] for host in sorted(hosts)},
         "links": {name: links[name] for name in sorted(links)},
-        "partition_drops": service.fabric.partition_drops,
-        "chaos_corruption_injected": service.fabric._corruption.injected,  # noqa: SLF001
+        "partition_drops": topology.partition_drops,
+        "chaos_corruption_injected": topology.window_corruptions,
         "events_processed": service.sim.events_processed,
     }
 

@@ -77,7 +77,7 @@ def test_corruption_is_indistinguishable_from_loss_on_sim(seed, rate):
     # every damaged frame reaches exactly one decoder and is refused
     # there.  (Sim corruption mutates fields behind a checksum-failed
     # wrapper, so nothing ever gets deep enough to be quarantined.)
-    injected = service.fabric.corruption_injected
+    injected = service.topology.corruption_injected
     drops, quarantined = _robustness_books(service.deployment)
     assert quarantined == 0
     assert drops == injected
@@ -93,7 +93,7 @@ def test_sim_corruption_actually_injects_and_heals():
     expected = _expected(service, streams)
     result = service.aggregate(streams, receiver="h2")
     assert result.values == expected
-    assert service.fabric.corruption_injected > 100
+    assert service.topology.corruption_injected > 100
     assert result.stats.retransmissions > 0
 
 
@@ -129,12 +129,12 @@ def test_tor_window_breaks_its_racks_uplink_frames_on_every_layout(layout, tor):
     refused and counted at its first ingress: mostly that TOR, plus the
     other racks' TORs for frames addressed to it."""
     service = AskService(AskConfig.small(), **layout)
-    service.fabric.corrupt(tor)
+    service.topology.corrupt(tor)
     streams = _streams()
     expected = _expected(service, streams)
     result = service.aggregate(streams, receiver="h2")
     assert result.values == expected
-    injected = service.fabric.corruption_injected
+    injected = service.topology.corruption_injected
     assert service.deployment.switches[tor].robustness.get("checksum") > 500
     drops, quarantined = _robustness_books(service.deployment)
     assert (drops, quarantined) == (injected, 0)
@@ -171,7 +171,7 @@ def test_corruption_is_indistinguishable_from_loss_on_asyncio(seed):
         # give the loop a moment to decode (and refuse) the stragglers.
         for _ in range(2):
             service.run(until=service.clock.now + 100_000_000)  # 100 ms
-        injected = service.fabric.corruption_injected
+        injected = service.topology.corruption_injected
         drops, quarantined = _robustness_books(service.deployment)
         # The books balance for everything that reached a decoder: every
         # refused datagram is attributed to exactly one node's counters.

@@ -1,11 +1,10 @@
 """Named-stream determinism for gray slowdown jitter.
 
 Every slowdown jitter stream is seeded from a stable name — the chaos
-seed plus the link (sim backend) or the datagram direction (asyncio
-backend) — never from construction order or from how many other links
-happen to be slowed.  These tests pin that contract on both backends:
-same name, same draws; different names, independent draws; probing a
-closed window consumes nothing.
+seed plus the link's registry name, on both backends — never from
+construction order or from how many other links happen to be slowed.
+These tests pin that contract: same name, same draws; different names,
+independent draws; probing a closed window consumes nothing.
 """
 
 import pytest
@@ -83,47 +82,50 @@ def test_rejects_bad_parameters():
 
 
 # ---------------------------------------------------------------------------
-# Asyncio backend: per-direction streams named {seed}:chaos-slow:{src}->{dst}
+# Both backends: one LinkSlowdown per link, named {seed}:chaos-slow:{link}
 # ---------------------------------------------------------------------------
-def _asyncio_draws(order):
-    from repro.net.fault import FaultModel
-    from repro.runtime.asyncio_fabric import AsyncioFabric
+_MESH = {"r0": ("h0", "h1"), "r1": ("h2",)}
 
-    fabric = AsyncioFabric(fault=FaultModel(seed=42))
-    try:
-        fabric.slow_jitter_ns = 5_000
-        fabric.slow("h0")
-        fabric.slow("h1")
-        return {
-            key: [fabric._slow_extra(*key) for _ in range(10)] for key in order
+
+def _slowed_links(backend, seed, order):
+    """Open a slow window on h0 and the r1 TOR; return each slowed link's
+    first ten jitter draws, queried link by link in ``order``."""
+    from repro.core.config import AskConfig
+    from repro.core.service import AskService
+    from repro.net.fault import FaultModel
+
+    with AskService(
+        AskConfig.small(), fault=FaultModel(seed=seed), backend=backend, racks=_MESH
+    ) as service:
+        service.topology.slow_jitter_ns = 5_000
+        service.topology.slow("h0")
+        service.topology.slow("tor-r1")
+        slowed = {
+            name: link.slowdown
+            for name, _src, _dst, link in service.topology.links()
+            if link.slowdown is not None
         }
-    finally:
-        fabric.close()
+        return {name: _draws(slowed[name], n=10, latency_ns=0) for name in order(slowed)}
 
 
-def test_asyncio_direction_streams_are_query_order_independent():
-    keys = [("h0", "switch"), ("h1", "switch"), ("switch", "h0")]
-    forward = _asyncio_draws(keys)
-    backward = _asyncio_draws(list(reversed(keys)))
-    # Same seed, same direction -> same draws, no matter which direction
-    # was slowed or queried first.
+def test_asyncio_link_streams_are_query_order_independent():
+    forward = _slowed_links("asyncio", 42, sorted)
+    backward = _slowed_links("asyncio", 42, lambda names: sorted(names, reverse=True))
+    # Same seed, same link -> same draws, whichever link is drawn first.
     assert forward == backward
-    # And the three directions are genuinely independent streams.
-    assert len({tuple(v) for v in forward.values()}) == 3
+    # And the links are genuinely independent streams.
+    assert len({tuple(v) for v in forward.values()}) == len(forward)
 
 
-def test_asyncio_direction_streams_depend_on_the_chaos_seed():
-    from repro.net.fault import FaultModel
-    from repro.runtime.asyncio_fabric import AsyncioFabric
+def test_asyncio_link_streams_depend_on_the_chaos_seed():
+    assert _slowed_links("asyncio", 42, sorted) == _slowed_links("asyncio", 42, sorted)
+    assert _slowed_links("asyncio", 42, sorted) != _slowed_links("asyncio", 7, sorted)
 
-    def one(seed):
-        fabric = AsyncioFabric(fault=FaultModel(seed=seed))
-        try:
-            fabric.slow_jitter_ns = 5_000
-            fabric.slow("h0")
-            return [fabric._slow_extra("h0", "switch") for _ in range(10)]
-        finally:
-            fabric.close()
 
-    assert one(42) == one(42)
-    assert one(42) != one(7)
+def test_slow_windows_take_the_same_links_and_streams_on_both_backends():
+    sim = _slowed_links("sim", 42, sorted)
+    udp = _slowed_links("asyncio", 42, sorted)
+    assert list(udp) == [
+        "core:r0->r1", "core:r1->r0", "h0->switch", "h2->switch", "switch->h0", "switch->h2",
+    ]
+    assert udp == sim

@@ -19,7 +19,7 @@ from repro.core.robustness import RobustnessCounters
 from repro.core.service import AskService
 from repro.net.fault import FaultModel
 from repro.runtime import AsyncioFabric
-from repro.runtime.asyncio_fabric import RX_BURST
+from repro.runtime.asyncio_fabric import RX_BURST, SLOW_HOLD_NS
 from repro.runtime.codec import encode_packet
 
 
@@ -56,6 +56,11 @@ def stub_rack(*hosts):
     return fabric, nodes
 
 
+def dropped(fabric):
+    """Frames the links' fault streams dropped, over the registry."""
+    return fabric.topology.link_total("packets_dropped")
+
+
 def frame_for(dst, seq=0):
     return encode_packet(AskPacket(PacketFlag.ACK, 1, "switch", dst, 0, seq))
 
@@ -83,7 +88,7 @@ def test_exactly_once_over_real_udp_with_loss():
         # What must hold on any schedule (how many drops a retransmission
         # happens to cover depends on the order timers and datagrams wake).
         fabric, stats = service.fabric, result.stats
-        assert fabric.frames_dropped > 0  # loss actually happened ...
+        assert dropped(fabric) > 0  # loss actually happened ...
         assert stats.retransmissions > 0  # ... and was healed by resending
         assert fabric.malformed_frames == 0 and fabric.socket_errors == 0
         # Every sender transmission is one frame handed to the fabric
@@ -92,7 +97,7 @@ def test_exactly_once_over_real_udp_with_loss():
         sender_frames = sum(d.sender_packets() for d in service.daemons.values())
         assert sender_frames > stats.data_packets_sent + stats.retransmissions
         assert fabric.frames_sent >= sender_frames + stats.data_packets_sent
-        assert fabric.frames_dropped < fabric.frames_sent
+        assert dropped(fabric) < fabric.frames_sent
     finally:
         service.close()
 
@@ -102,7 +107,7 @@ def test_clean_fabric_runs_without_retransmissions_mattering():
     try:
         result = service.aggregate({"h0": [(b"cat", 1), (b"cat", 2)]}, receiver="h1")
         assert result.values == {b"cat": 3}
-        assert service.fabric.frames_dropped == 0
+        assert dropped(service.fabric) == 0
     finally:
         service.close()
 
@@ -139,8 +144,11 @@ def test_sim_only_surfaces_raise_on_asyncio():
     try:
         with pytest.raises(AttributeError, match="simulator"):
             service.sim
-        with pytest.raises(AttributeError, match="topology"):
-            service.topology
+        # The topology and its link registry are the same on both backends.
+        assert service.topology is service.fabric.topology
+        assert [name for name, *_ in service.topology.links()] == [
+            "h0->switch", "switch->h0", "h1->switch", "switch->h1",
+        ]
     finally:
         service.close()
 
@@ -328,7 +336,7 @@ def test_full_send_buffer_is_a_counted_drop_that_retransmission_heals():
         blocked = sum(e.sock.calls // 7 for e in service.fabric._endpoints.values())
         assert service.fabric.socket_errors == blocked > 0
         assert result.stats.retransmissions > 0
-        assert service.fabric.frames_dropped == 0  # not an injected fault
+        assert dropped(service.fabric) == 0  # not an injected fault
     finally:
         service.close()
 
@@ -388,6 +396,44 @@ def test_context_manager_closes():
     assert service.fabric._closed
 
 
+def test_chaos_windows_act_through_the_udp_wire():
+    """The topology's windows, with the damage the datagram wire does: a
+    corruption window flips bits after encoding, so the switch's codec
+    refuses the frame; a slowdown holds each datagram before the kernel
+    for at least SLOW_HOLD_NS."""
+    host = RecordingNode("h0")
+    fabric, nodes = stub_rack(host)
+    switch, topology = nodes["switch"], fabric.topology
+
+    def send(seq):
+        packet = AskPacket(PacketFlag.DATA, 1, "h0", "switch", 0, seq)
+        fabric.send_to_switch("h0", packet, packet.wire_bytes())
+
+    try:
+        topology.corruption_rate = 1.0
+        topology.corrupt("h0")
+        for seq in range(3):
+            send(seq)
+        fabric.runner().run_until(lambda: fabric.malformed_frames == 3, timeout_s=30.0)
+        assert switch.received == []
+        assert topology.window_corruptions == topology.corruption_injected == 3
+        topology.cleanse("h0")
+        topology.slow("h0")
+        sent_at = fabric.clock.now
+        send(3)
+        fabric.runner().run_until(lambda: len(switch.received) == 1, timeout_s=30.0)
+        assert fabric.clock.now - sent_at >= SLOW_HOLD_NS
+        assert topology.uplink("h0").packets_slowed == 1
+        topology.revive("h0")
+        send(4)
+        fabric.runner().run_until(lambda: len(switch.received) == 2, timeout_s=30.0)
+        assert [packet.seq for packet in switch.received] == [3, 4]
+        assert topology.link_total("packets_slowed") == 1
+        assert fabric.frames_sent == 5
+    finally:
+        fabric.close()
+
+
 def test_run_until_timeout_raises_with_pending_counts():
     """A wedged run must fail loudly, not hang: run_until raises
     FabricTimeoutError naming the budget and carrying each node's unacked
@@ -396,7 +442,8 @@ def test_run_until_timeout_raises_with_pending_counts():
 
     service = AskService(realtime_config(), hosts=3, backend="asyncio")
     try:
-        # Cut the switch off: h0's first window goes out and is never ACKed.
+        # Cut the switch off: h0's first window goes out and is dropped at
+        # the switch's ingress, so it is never ACKed.
         service.fabric.partition(service.switch.name)
         service.submit({"h0": [(b"k%d" % i, 1) for i in range(400)]}, receiver="h2")
         with pytest.raises(FabricTimeoutError) as excinfo:
@@ -411,7 +458,10 @@ def test_run_until_timeout_raises_with_pending_counts():
         channels = len(service.daemons["h0"].channels)
         assert 0 < pending["h0"] <= window * channels
         assert pending == service.fabric.pending_snapshot()
-        assert service.fabric.partition_drops >= pending["h0"]
+        # Every unacked entry was dropped somewhere a partition drops:
+        # at a partitioned host's egress or a partitioned node's ingress.
+        dropped_at_switch = service.switch.dropped_while_down
+        assert service.topology.partition_drops + dropped_at_switch >= pending["h0"]
     finally:
         service.close()
 

@@ -20,15 +20,15 @@ def test_build_without_racks_rejected():
 
 
 def test_multirack_asyncio_builds():
-    """Multi-rack asyncio deployments are supported: each switch gets its
-    own UDP endpoint and a rack view, frames hop name-to-name."""
+    """Multi-rack asyncio deployments are supported: the fabric's topology
+    holds the racks, and every link of the registry is a datagram wire."""
     builder = DeploymentBuilder(AskConfig.small(), backend="asyncio")
     builder.add_rack(2).add_rack(2)
     deployment = builder.build(on_task_complete=lambda t: None)
     try:
         assert set(deployment.switches) == {"switch", "tor-r1"}
         assert deployment.fabric.host_names == ["h0", "h1", "h2", "h3"]
-        assert deployment.fabric.rack_of_host("h2") == "r1"
+        assert deployment.fabric.topology.rack_of_host("h2") == "r1"
     finally:
         deployment.close()
 
