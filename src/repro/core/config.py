@@ -8,7 +8,7 @@ defensive copying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import constants
@@ -58,9 +58,10 @@ class AskConfig:
     data_channels_per_host:
         Data channels per daemon (4 in the evaluation, footnote 6).
     link_bandwidth_gbps / link_latency_ns / host_max_pps:
-        Defaults for the simulated fabric.
-    switch_pipeline_latency_ns:
-        Time a packet spends traversing the switch pipeline.
+        Defaults for the simulated fabric.  The switch pipeline and
+        control-plane latencies are fixed module constants
+        (``constants.SWITCH_PIPELINE_LATENCY_NS``,
+        ``constants.CONTROL_LATENCY_NS``).
     """
 
     # Switch geometry
@@ -77,14 +78,10 @@ class AskConfig:
     use_compact_seen: bool = True
 
     # Failure domain (crash/partition tolerance).  All defaults preserve
-    # the fault-free fast path bit-for-bit: detection off, backoff factor
-    # 1.0 (fixed RTO, no RNG draw), no jitter, no give-up deadline.
+    # the fault-free fast path bit-for-bit: detection off, no give-up
+    # deadline.  The lease is ``failover.LEASE_MULTIPLE`` heartbeats.
     failure_detection: bool = False
     heartbeat_interval_us: float = 50.0
-    lease_multiple: int = 3
-    retransmit_backoff: float = 1.0
-    retransmit_backoff_cap_us: float = 10_000.0
-    retransmit_jitter: float = 0.0
     give_up_timeout_us: Optional[float] = None
 
     # Gray-failure domain (slow-is-the-new-dead).  Both default off so the
@@ -95,13 +92,12 @@ class AskConfig:
     # ``gray_detection`` teaches the failure supervisor a per-switch
     # suspicion score fed by observed timeout bursts, so a slow-but-alive
     # path is routed around via subtree bypass *before* its lease would
-    # ever lapse (it never does — the node still heartbeats).
+    # ever lapse (it never does — the node still heartbeats); its decay and
+    # threshold are ``failover.GRAY_SUSPICION_DECAY``/``_THRESHOLD``.
     adaptive_rto: bool = False
     rto_min_us: float = 50.0
     rto_max_us: float = 10_000.0
     gray_detection: bool = False
-    gray_suspicion_threshold: float = 3.0
-    gray_suspicion_decay: float = 0.5
 
     # Data integrity.  When enabled (the default), frames failing their
     # integrity check (CRC32 trailer on the wire codec; the
@@ -143,8 +139,6 @@ class AskConfig:
     link_bandwidth_gbps: Optional[float] = 100.0
     link_latency_ns: int = 1_000
     host_max_pps: Optional[float] = None
-    switch_pipeline_latency_ns: int = 600
-    control_latency_ns: int = 10_000
 
     # Diagnostics
     trace: bool = False
@@ -183,16 +177,6 @@ class AskConfig:
             raise ConfigError("data_channels_per_host must be >= 1")
         if self.heartbeat_interval_us <= 0:
             raise ConfigError("heartbeat_interval_us must be positive")
-        if self.lease_multiple < 1:
-            raise ConfigError("lease_multiple must be >= 1")
-        if self.retransmit_backoff < 1.0:
-            raise ConfigError("retransmit_backoff must be >= 1.0")
-        if self.retransmit_backoff_cap_us < self.retransmit_timeout_us:
-            raise ConfigError(
-                "retransmit_backoff_cap_us must be >= retransmit_timeout_us"
-            )
-        if not 0.0 <= self.retransmit_jitter <= 1.0:
-            raise ConfigError("retransmit_jitter must lie within [0, 1]")
         if self.give_up_timeout_us is not None and (
             self.give_up_timeout_us < self.retransmit_timeout_us
         ):
@@ -207,12 +191,6 @@ class AskConfig:
             raise ConfigError(
                 "gray_detection needs the failure supervisor; set "
                 "failure_detection=True"
-            )
-        if self.gray_suspicion_threshold <= 0:
-            raise ConfigError("gray_suspicion_threshold must be positive")
-        if not 0.0 <= self.gray_suspicion_decay < 1.0:
-            raise ConfigError(
-                "gray_suspicion_decay must lie within [0, 1)"
             )
         if self.swap_threshold_packets < 1:
             raise ConfigError("swap_threshold_packets must be >= 1")
@@ -281,18 +259,8 @@ class AskConfig:
         return int(round(self.retransmit_timeout_us * 1_000))
 
     @property
-    def retransmit_backoff_cap_ns(self) -> int:
-        return int(round(self.retransmit_backoff_cap_us * 1_000))
-
-    @property
     def heartbeat_interval_ns(self) -> int:
         return int(round(self.heartbeat_interval_us * 1_000))
-
-    @property
-    def lease_ns(self) -> int:
-        """A node whose heartbeats stop for this long is presumed failed
-        (its lease lapses) and its switch regions become reclaimable."""
-        return self.heartbeat_interval_ns * self.lease_multiple
 
     @property
     def rto_min_ns(self) -> int:
@@ -339,13 +307,15 @@ class AskConfig:
 
         ``vectorized=False`` is accepted and ignored: ``bench/workloads.py``
         still passes it, from when a second switch data plane existed.
-        ``vectorized=True`` raises.
+        ``vectorized=True`` raises.  The cap of the removed fixed-RTO
+        backoff is dropped the same way: ``udp_rack`` still passes it.
         """
         if overrides.pop("vectorized", False):
             raise ConfigError(
                 "vectorized=True: the numpy switch data plane was removed; "
                 "the scalar AskSwitch is the only data plane"
             )
+        overrides.pop("retransmit_backoff_cap_us", None)
         params: dict = dict(
             num_aas=8,
             aggregators_per_aa=64,

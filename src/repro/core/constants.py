@@ -57,3 +57,10 @@ STAGES_PER_PIPELINE = 16
 #: Retransmission timeout chosen by the paper (§3.3): 100 us, not the Linux
 #: default 200 ms.
 DEFAULT_RTO_US = 100.0
+
+#: Time a packet spends traversing the switch pipeline (ns).
+SWITCH_PIPELINE_LATENCY_NS = 600
+
+#: One control-plane step — task setup, sender start, a swap or finalize
+#: round trip, a switch re-install — takes this long (ns).
+CONTROL_LATENCY_NS = 10_000

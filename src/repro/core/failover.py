@@ -8,7 +8,7 @@ a fault-free run):
 Leases
     Every node (host daemon, ASK switch) is observed on a management path
     each ``heartbeat_interval_ns``; a node continuously dark for
-    ``lease_ns`` (heartbeat × ``lease_multiple``) has *lapsed*.
+    ``lease_ns`` (heartbeat × ``LEASE_MULTIPLE``) has *lapsed*.
 
 Switch failover (degrade-to-bypass)
     A switch whose lease lapsed, or that rebooted and awaits state
@@ -41,11 +41,19 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import AskConfig
+from repro.core.constants import CONTROL_LATENCY_NS
 from repro.core.controlplane import ControlPlane
 from repro.core.daemon import HostDaemon
 from repro.core.sender import SenderChannel
 from repro.core.task import AggregationTask, TaskPhase
 from repro.runtime.interfaces import Clock, TimerHandle
+
+#: A node dark for this many heartbeat intervals has lapsed its lease.
+LEASE_MULTIPLE = 3
+#: Gray detection: a switch whose decayed timeout score crosses this is
+#: routed around; the score is multiplied by the decay once per tick.
+GRAY_SUSPICION_THRESHOLD = 3.0
+GRAY_SUSPICION_DECAY = 0.5
 
 
 class FailureSupervisor:
@@ -78,7 +86,7 @@ class FailureSupervisor:
             else {host: (tor,) for host, tor in host_tor.items()}
         )
         self.heartbeat_ns = config.heartbeat_interval_ns
-        self.lease_ns = config.lease_ns
+        self.lease_ns = self.heartbeat_ns * LEASE_MULTIPLE
         self._tasks: Dict[int, AggregationTask] = {}
         self._timer: Optional[TimerHandle] = None
         # Lease bookkeeping (management path: the supervisor observes node
@@ -228,8 +236,6 @@ class FailureSupervisor:
         loses data: route-around reuses the supervised-restart machinery,
         and re-adoption re-baselines dedup state before non-bypass entries
         resume."""
-        decay = self.config.gray_suspicion_decay
-        threshold = self.config.gray_suspicion_threshold
         deltas: Dict[str, int] = {}
         for host, daemon in self.daemons.items():
             path = self.host_paths.get(host, ())
@@ -244,7 +250,7 @@ class FailureSupervisor:
                     for name in path:
                         deltas[name] = deltas.get(name, 0) + current - seen
         for name, sw in self.switches.items():
-            score = self.suspicion.get(name, 0.0) * decay + deltas.get(name, 0)
+            score = self.suspicion.get(name, 0.0) * GRAY_SUSPICION_DECAY + deltas.get(name, 0)
             if score < 1e-9:
                 score = 0.0
             self.suspicion[name] = score
@@ -253,7 +259,7 @@ class FailureSupervisor:
             if name in self._gray:
                 if score < 1.0:
                     self._gray_readopt(name)
-            elif score >= threshold and name not in self._handled:
+            elif score >= GRAY_SUSPICION_THRESHOLD and name not in self._handled:
                 self._gray_suspect(name, score)
 
     def _gray_suspect(self, name: str, score: float) -> None:
@@ -325,7 +331,7 @@ class FailureSupervisor:
                 self._restart_task_id(task_id)
         self._reinstalling.add(name)
         self.clock.schedule(
-            self.config.control_latency_ns, self._reinstall, name, sw.boot_count
+            CONTROL_LATENCY_NS, self._reinstall, name, sw.boot_count
         )
 
     def _reinstall(self, name: str, boot: int) -> None:

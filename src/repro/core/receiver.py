@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.core.config import AskConfig
+from repro.core.constants import CONTROL_LATENCY_NS
 from repro.core.controlplane import ControlPlane
 from repro.core.errors import ProtocolError
 from repro.core.keyspace import KeySpaceLayout, unpad_key
@@ -282,7 +283,7 @@ class ReceiverEngine:
         # round trip, fetch and reset the idle one.
         read_part = 1 - (state.swap_epoch & 1)
         self.clock.schedule(
-            self.config.control_latency_ns,
+            CONTROL_LATENCY_NS,
             self._complete_swap,
             state,
             read_part,
@@ -328,7 +329,7 @@ class ReceiverEngine:
     def _finalize(self, state: ReceiverTaskState) -> None:
         state.pending_finalize = False
         self.clock.schedule(
-            self.config.control_latency_ns,
+            CONTROL_LATENCY_NS,
             self._complete_finalize,
             state,
             state.incarnation,

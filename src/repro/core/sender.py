@@ -8,7 +8,6 @@ losses with the fine-grained timeout, and ends the job with a reliable FIN.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -116,12 +115,6 @@ class SenderChannel:
         self.send_fn = send_fn
         self.switch_names = switch_names
         self.window = SlidingWindow(config.window_size)
-        # Stable per-channel jitter seed so asyncio and sim runs of the
-        # same deployment draw identical backoff jitter sequences.
-        jitter_seed = int.from_bytes(
-            hashlib.blake2b(f"{host}:{index}".encode(), digest_size=8).digest(),
-            "big",
-        )
         estimator: Optional[AdaptiveRto] = None
         if config.adaptive_rto:
             estimator = AdaptiveRto(
@@ -134,10 +127,6 @@ class SenderChannel:
             self.window,
             config.retransmit_timeout_ns,
             self._resend,
-            backoff=config.retransmit_backoff,
-            backoff_cap_ns=config.retransmit_backoff_cap_ns,
-            jitter=config.retransmit_jitter,
-            jitter_seed=jitter_seed,
             give_up_ns=config.give_up_timeout_ns,
             on_give_up=self._give_up,
             estimator=estimator,

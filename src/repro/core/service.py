@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import AskConfig
+from repro.core.constants import CONTROL_LATENCY_NS
 from repro.core.daemon import HostDaemon
 from repro.core.errors import (
     RegionExhaustedError,
@@ -293,8 +294,9 @@ class AskService:
     :class:`~repro.switch.trio.TrioSwitch` (§6) — the host side is
     identical either way.  ``backend`` selects the fabric: ``"sim"``
     (deterministic discrete-event, the default) or ``"asyncio"`` (real
-    localhost UDP under wall-clock time).  ``core_bandwidth_gbps`` and
-    ``core_latency_ns`` price the switch-to-switch links.
+    localhost UDP under wall-clock time).  ``core_latency_ns`` prices
+    the switch-to-switch links; their bandwidth is
+    :data:`~repro.net.multirack.CORE_BANDWIDTH_GBPS`.
     """
 
     def __init__(
@@ -304,7 +306,6 @@ class AskService:
         fault: Optional[FaultModel] = None,
         switch_name: str = "switch",
         max_tasks: int = 64,
-        max_channels: int = 256,
         switch_factory: Optional[Any] = None,
         backend: str = "sim",
         bind_host: str = "127.0.0.1",
@@ -312,7 +313,6 @@ class AskService:
         racks: Optional[Mapping[str, Iterable[str]]] = None,
         pods: Optional[Mapping[str, Mapping[str, Iterable[str]]]] = None,
         placement: Optional[str] = None,
-        core_bandwidth_gbps: Optional[float] = 400.0,
         core_latency_ns: int = 2_000,
     ) -> None:
         self.layout = layout = RackLayout.of(hosts, racks, pods, switch_name)
@@ -322,9 +322,7 @@ class AskService:
             backend=backend,
             fault=fault,
             max_tasks=max_tasks,
-            max_channels=max_channels,
             switch_factory=switch_factory,
-            core_bandwidth_gbps=core_bandwidth_gbps,
             core_latency_ns=core_latency_ns,
             bind_host=bind_host,
         )
@@ -540,7 +538,7 @@ class AskService:
         self.tasks[task.task_id] = task
         # Step ②③ after one control-plane latency: shared memory + region.
         self.clock.schedule(
-            self.config.control_latency_ns, self._setup_task, task, placement, feed
+            CONTROL_LATENCY_NS, self._setup_task, task, placement, feed
         )
         if self.supervisor is not None:
             self.supervisor.notice_activity()
@@ -577,7 +575,7 @@ class AskService:
         task.advance(TaskPhase.SETUP)
         # Step ④⑤: notify every sender over the control channel.
         self.clock.schedule(
-            self.config.control_latency_ns, self._start_senders, task, feed, bypass
+            CONTROL_LATENCY_NS, self._start_senders, task, feed, bypass
         )
 
     def _fail_allocation(self, task: AggregationTask, exc: Exception) -> None:
@@ -727,8 +725,6 @@ def TreeAskService(
     placement: str = "both",
     fault: Optional[FaultModel] = None,
     max_tasks: int = 64,
-    max_channels: int = 256,
-    core_bandwidth_gbps: Optional[float] = 400.0,
     core_latency_ns: int = 2_000,
     backend: str = "sim",
     bind_host: str = "127.0.0.1",
@@ -739,11 +735,9 @@ def TreeAskService(
         config,
         fault=fault,
         max_tasks=max_tasks,
-        max_channels=max_channels,
         backend=backend,
         bind_host=bind_host,
         pods=pods or SMALL_TREE,
         placement=placement,
-        core_bandwidth_gbps=core_bandwidth_gbps,
         core_latency_ns=core_latency_ns,
     )

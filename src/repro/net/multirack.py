@@ -54,6 +54,9 @@ from repro.net.simulator import Simulator
 from repro.net.topology import NetworkNode
 from repro.net.trace import PacketTrace
 
+#: Bandwidth of every switch-to-switch (core, up, down) link.
+CORE_BANDWIDTH_GBPS = 400.0
+
 #: A link endpoint: ``("host"|"rack"|"spine", name)``.
 Endpoint = Tuple[str, str]
 #: One registry row: ``(name, src, dst, link)``; ``link`` is the wire the
@@ -265,7 +268,6 @@ class MultiRackTopology:
         sim: Optional[Simulator],
         bandwidth_gbps: Optional[float] = 100.0,
         latency_ns: int = 1_000,
-        core_bandwidth_gbps: Optional[float] = 400.0,
         core_latency_ns: int = 2_000,
         host_max_pps: Optional[float] = None,
         fault: Optional[FaultModel] = None,
@@ -276,7 +278,6 @@ class MultiRackTopology:
         self.sim = sim
         self.bandwidth_gbps = bandwidth_gbps
         self.latency_ns = latency_ns
-        self.core_bandwidth_gbps = core_bandwidth_gbps
         self.core_latency_ns = core_latency_ns
         self.host_max_pps = host_max_pps
         self._fault_template = fault
@@ -344,7 +345,7 @@ class MultiRackTopology:
             bandwidth, latency = self.bandwidth_gbps, self.latency_ns
             deliver = self._host_receive(sim, name, node)
         else:
-            bandwidth, latency = self.core_bandwidth_gbps, self.core_latency_ns
+            bandwidth, latency = CORE_BANDWIDTH_GBPS, self.core_latency_ns
             deliver = node.receive
         return Link(
             sim,

@@ -125,9 +125,7 @@ class DeploymentBuilder:
         backend: str = "sim",
         fault: Optional[FaultModel] = None,
         max_tasks: int = 64,
-        max_channels: int = 256,
         switch_factory: Optional[Callable[..., Any]] = None,
-        core_bandwidth_gbps: Optional[float] = 400.0,
         core_latency_ns: int = 2_000,
         bind_host: str = "127.0.0.1",
     ) -> None:
@@ -143,9 +141,7 @@ class DeploymentBuilder:
         self.backend = backend
         self.fault = fault
         self.max_tasks = max_tasks
-        self.max_channels = max_channels
         self.switch_factory = switch_factory
-        self.core_bandwidth_gbps = core_bandwidth_gbps
         self.core_latency_ns = core_latency_ns
         self.bind_host = bind_host
         self._racks: List[tuple[str, str, List[str], Optional[str]]] = []
@@ -208,7 +204,6 @@ class DeploymentBuilder:
             fabric = SimFabric(
                 bandwidth_gbps=config.link_bandwidth_gbps,
                 latency_ns=config.link_latency_ns,
-                core_bandwidth_gbps=self.core_bandwidth_gbps,
                 core_latency_ns=self.core_latency_ns,
                 host_max_pps=config.host_max_pps,
                 fault=self.fault,
@@ -252,7 +247,6 @@ class DeploymentBuilder:
                 fabric.clock,
                 name=spine_name,
                 max_tasks=self.max_tasks,
-                max_channels=self.max_channels,
                 trace=active_trace,
             )
             fabric.install_spine(spine_switch)
@@ -265,7 +259,6 @@ class DeploymentBuilder:
                 fabric.clock,
                 name=switch_name,
                 max_tasks=self.max_tasks,
-                max_channels=self.max_channels,
                 trace=active_trace,
             )
             fabric.install_switch(switch, rack, spine=spine)

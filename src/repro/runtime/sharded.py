@@ -126,7 +126,10 @@ class ShardedScenario:
     :class:`~repro.core.errors.ChaosScheduleError`.  Replaying the gray
     kinds is safe: per-link slowdown jitter streams only draw on the
     shard whose packets cross the link, and a straggling daemon on a
-    non-owning replica never receives a frame.
+    non-owning replica never receives a frame.  A ``config`` the sharded
+    backend cannot replicate (:func:`validate_sharded_config`) is rejected
+    here, so :func:`run_serial` and :func:`run_sharded` accept the same
+    scenarios.
     """
 
     config: AskConfig
@@ -136,14 +139,12 @@ class ShardedScenario:
     tasks: Tuple[ShardedTask, ...] = ()
     chaos: ChaosSchedule = ChaosSchedule(seed=0, horizon_ns=0, events=())
     fault: Optional[Mapping[str, Any]] = None
-    core_bandwidth_gbps: Optional[float] = 400.0
     core_latency_ns: int = 2_000
-    max_tasks: int = 64
-    max_channels: int = 256
 
     def __post_init__(self) -> None:
         if (self.racks is None) == (self.pods is None):
             raise ValueError("set exactly one of racks= (flat) or pods= (tree)")
+        validate_sharded_config(self.config)
         layout = self.layout
         if len(layout.rack_hosts) < 2:
             raise ValueError("a sharded scenario needs at least two racks")
@@ -269,12 +270,9 @@ def _build_service(scenario: ShardedScenario) -> AskService:
     return AskService(
         scenario.config,
         fault=fault,
-        max_tasks=scenario.max_tasks,
-        max_channels=scenario.max_channels,
         racks=scenario.racks,
         pods=scenario.pods,
         placement=scenario.placement,
-        core_bandwidth_gbps=scenario.core_bandwidth_gbps,
         core_latency_ns=scenario.core_latency_ns,
     )
 
@@ -477,7 +475,6 @@ def _probe_topology(scenario: ShardedScenario) -> MultiRackTopology:
         Simulator(),
         bandwidth_gbps=scenario.config.link_bandwidth_gbps,
         latency_ns=scenario.config.link_latency_ns,
-        core_bandwidth_gbps=scenario.core_bandwidth_gbps,
         core_latency_ns=scenario.core_latency_ns,
     )
     layout = scenario.layout
@@ -501,7 +498,6 @@ def run_sharded(
     ``processes=True`` forks one worker per shard (the performance mode);
     the default runs shards in-process (the reference/debug mode).
     """
-    validate_sharded_config(scenario.config)
     homes = task_homes(scenario, plan)
     order = submission_order(scenario, plan)
     probe = _probe_topology(scenario)

@@ -87,7 +87,6 @@ class SimFabric(TopologyFabric):
         self,
         bandwidth_gbps: Optional[float] = 100.0,
         latency_ns: int = 1_000,
-        core_bandwidth_gbps: Optional[float] = 400.0,
         core_latency_ns: int = 2_000,
         host_max_pps: Optional[float] = None,
         fault: Optional[FaultModel] = None,
@@ -100,7 +99,6 @@ class SimFabric(TopologyFabric):
             self.sim,
             bandwidth_gbps=bandwidth_gbps,
             latency_ns=latency_ns,
-            core_bandwidth_gbps=core_bandwidth_gbps,
             core_latency_ns=core_latency_ns,
             host_max_pps=host_max_pps,
             fault=fault,

@@ -10,7 +10,7 @@ Builds the pipeline layout (Fig. 6 / §4):
 
 On packet arrival the program runs immediately (state changes are atomic per
 packet — the PISA guarantee) and the resulting packets leave the switch
-after ``switch_pipeline_latency_ns``.
+after ``SWITCH_PIPELINE_LATENCY_NS``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import AskConfig
+from repro.core.constants import SWITCH_PIPELINE_LATENCY_NS
 from repro.core.errors import ProtocolError, RegionExhaustedError
 from repro.core.packet import AskPacket
 from repro.core.robustness import (
@@ -178,7 +179,7 @@ class AskSwitch(NetworkNode):
             self.trace.record(self.clock.now, self.name, "ingress", packet)
         if not self._should_run_program(packet):
             self.clock.call_later(
-                self.config.switch_pipeline_latency_ns, self._route, packet
+                SWITCH_PIPELINE_LATENCY_NS, self._route, packet
             )
             return
         reason = validate_switch_ingress(
@@ -209,7 +210,7 @@ class AskSwitch(NetworkNode):
         if decision.emit:
             # Pipeline egress is never cancelled: allocation-free scheduling.
             self.clock.call_later(
-                self.config.switch_pipeline_latency_ns, self._emit, decision
+                SWITCH_PIPELINE_LATENCY_NS, self._emit, decision
             )
         elif self.trace is not None:
             self.trace.record(self.clock.now, self.name, "drop", packet)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.config import AskConfig
+from repro.core.constants import SWITCH_PIPELINE_LATENCY_NS
 from repro.core.errors import RegionExhaustedError, TaskStateError
 from repro.core.keyspace import KeySpaceLayout, unpad_key
 from repro.core.packet import AskPacket, ack_for
@@ -168,7 +169,7 @@ class TrioSwitch:
 
     @property
     def processing_latency_ns(self) -> int:
-        return self.config.switch_pipeline_latency_ns * TRIO_LATENCY_FACTOR
+        return SWITCH_PIPELINE_LATENCY_NS * TRIO_LATENCY_FACTOR
 
     # ------------------------------------------------------------------
     def _channel(self, key: tuple[str, int]) -> _ChannelState:

@@ -17,14 +17,13 @@ as duplicates of something long since handled.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Optional
 
 from repro.runtime.interfaces import Clock
 from repro.transport.window import SlidingWindow, WindowEntry
 
-#: Exponent clamp for the backoff schedule; 2**16 × RTO is far beyond any
-#: sane cap, so growing the exponent further would only risk overflow.
+#: Exponent clamp for the estimator's backoff; 2**16 × RTO is far beyond
+#: any sane cap, so growing the exponent further would only risk overflow.
 _MAX_BACKOFF_EXP = 16
 
 
@@ -43,8 +42,7 @@ class AdaptiveRto:
     first transmission are fed to :meth:`observe` (a retransmitted entry's
     ACK is ambiguous).  The estimator owns the exponential backoff — each
     timeout doubles the armed value (still capped), and the next clean
-    sample resets it — so a configured ``retransmit_backoff`` factor is
-    never double-applied on top.
+    sample resets it.
     """
 
     __slots__ = ("min_ns", "max_ns", "srtt_ns", "rttvar_ns", "samples",
@@ -90,13 +88,9 @@ class AdaptiveRto:
 class RetransmitTimers:
     """Per-packet timeout management for one data channel.
 
-    With the default policy (``backoff=1.0``, no jitter, no give-up) the
-    timeout is a fixed ``timeout_ns`` and arming draws no randomness —
-    bit-identical to the pre-failure-domain behaviour.  When a backoff
-    factor > 1 is configured, retransmission *n* waits
-    ``timeout_ns * backoff**(n-1)`` (capped), optionally stretched by a
-    uniform jitter fraction so synchronized crash-recovery retransmits
-    decorrelate.  A ``give_up_ns`` deadline measured from the entry's
+    Every retransmission waits the fixed §3.3 ``timeout_ns``, or the
+    attached :class:`AdaptiveRto` estimator's current value (which carries
+    its own backoff).  A ``give_up_ns`` deadline measured from the entry's
     first transmission invokes ``on_give_up`` instead of retransmitting
     forever — the caller fails the task loudly.
     """
@@ -107,10 +101,6 @@ class RetransmitTimers:
         window: SlidingWindow,
         timeout_ns: int,
         resend: Callable[[WindowEntry], None],
-        backoff: float = 1.0,
-        backoff_cap_ns: Optional[int] = None,
-        jitter: float = 0.0,
-        jitter_seed: int = 0,
         give_up_ns: Optional[int] = None,
         on_give_up: Optional[Callable[[WindowEntry], None]] = None,
         estimator: Optional[AdaptiveRto] = None,
@@ -119,13 +109,9 @@ class RetransmitTimers:
         self.window = window
         self.timeout_ns = timeout_ns
         self._resend = resend
-        self.backoff = backoff
-        self.backoff_cap_ns = backoff_cap_ns
-        self.jitter = jitter
         self.give_up_ns = give_up_ns
         self.on_give_up = on_give_up
         self.estimator = estimator
-        self._jitter_rng = random.Random(jitter_seed) if jitter > 0.0 else None
         self.retransmissions = 0
         self.timeouts = 0
         self.give_ups = 0
@@ -137,33 +123,16 @@ class RetransmitTimers:
         self.min_rtt_ns: Optional[int] = None
         self.spurious_retransmissions = 0
 
-    def _delay_ns(self, entry: WindowEntry) -> int:
-        if self.estimator is not None:
-            # The estimator owns the backoff schedule (reset by clean
-            # samples); only the decorrelation jitter stacks on top.
-            delay = float(self.estimator.rto_ns())
-            if self._jitter_rng is not None:
-                delay *= 1.0 + self._jitter_rng.random() * self.jitter
-            return int(delay)
-        if self.backoff == 1.0 and self._jitter_rng is None:
-            return self.timeout_ns
-        exponent = min(max(entry.transmissions - 1, 0), _MAX_BACKOFF_EXP)
-        delay = self.timeout_ns * self.backoff**exponent
-        if self.backoff_cap_ns is not None:
-            delay = min(delay, self.backoff_cap_ns)
-        if self._jitter_rng is not None:
-            delay *= 1.0 + self._jitter_rng.random() * self.jitter
-        return int(delay)
-
     def arm(self, entry: WindowEntry) -> None:
         """(Re)arm the timeout for an entry that was just transmitted."""
         if entry.timer is not None:
             entry.timer.cancel()
-        delay = self._delay_ns(entry)
+        estimator = self.estimator
+        delay = self.timeout_ns if estimator is None else estimator.rto_ns()
         if self.give_up_ns is not None and self.on_give_up is not None:
-            # A capped/backed-off delay must not slide the next firing past
-            # the give-up deadline: clamp so the timer lands exactly on it
-            # and _fire's deadline check converts the firing into give-up.
+            # A (possibly backed-off) delay must not slide the next firing
+            # past the give-up deadline: clamp so the timer lands exactly on
+            # it and _fire's deadline check converts the firing into give-up.
             remaining = entry.first_sent_ns + self.give_up_ns - self.clock.now
             if delay > remaining:
                 delay = max(remaining, 0)

@@ -461,10 +461,10 @@ def test_submission_order_is_shard_major():
 
 
 def test_sharded_backend_rejects_incompatible_config():
-    scenario = ShardedScenario(
-        config=AskConfig.small(admission_control=True),
-        racks={"r0": ("h0",), "r1": ("h1",)},
-    )
-    plan = make_plan(scenario, 2)
+    # Rejected at construction, so run_serial cannot accept a scenario
+    # that run_sharded would refuse.
     with pytest.raises(ConfigError):
-        run_sharded(scenario, plan)
+        ShardedScenario(
+            config=AskConfig.small(admission_control=True),
+            racks={"r0": ("h0",), "r1": ("h1",)},
+        )

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.config import AskConfig
+from repro.core.constants import SWITCH_PIPELINE_LATENCY_NS
 from repro.core.errors import RegionExhaustedError, TaskStateError
 from repro.core.service import AskService
 from repro.net.fault import FaultModel
@@ -77,7 +78,7 @@ def test_processing_latency_is_slower_than_pisa():
     service = _service()
     assert (
         service.switch.processing_latency_ns
-        == service.config.switch_pipeline_latency_ns * TRIO_LATENCY_FACTOR
+        == SWITCH_PIPELINE_LATENCY_NS * TRIO_LATENCY_FACTOR
     )
 
 

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.net.simulator import Simulator
-from repro.transport.reliability import ReceiveWindow, RetransmitTimers
+from repro.transport.reliability import (
+    AdaptiveRto,
+    ReceiveWindow,
+    RetransmitTimers,
+)
 from repro.transport.window import SlidingWindow
 
 
@@ -126,13 +130,14 @@ def test_rearm_replaces_previous_timer():
 
 
 # ---------------------------------------------------------------------------
-# Give-up / backoff-cap interaction
+# Give-up / estimator-backoff interaction
 # ---------------------------------------------------------------------------
 def test_capped_backoff_cannot_slide_past_give_up_deadline():
-    # Regression guard: with backoff growing toward the cap, the nth
-    # re-arm's natural delay can overshoot ``first_sent + give_up_ns``.
-    # The arm path must clamp the delay so the timer lands exactly on the
-    # deadline and fires on_give_up there — not one full capped delay late.
+    # Regression guard: with the estimator's backoff growing toward its
+    # cap, the nth re-arm's natural delay can overshoot
+    # ``first_sent + give_up_ns``.  The arm path must clamp the delay so the
+    # timer lands exactly on the deadline and fires on_give_up there — not
+    # one full backed-off delay late.
     sim = Simulator()
     window = SlidingWindow(size=4)
     resent, gave_up = [], []
@@ -141,10 +146,9 @@ def test_capped_backoff_cannot_slide_past_give_up_deadline():
         window,
         1000,
         resent.append,
-        backoff=4.0,
-        backoff_cap_ns=8000,
         give_up_ns=6000,
         on_give_up=gave_up.append,
+        estimator=AdaptiveRto(1000, 500, 8000),
     )
     entry = window.open("p")
     entry.first_sent_ns = sim.now
@@ -156,12 +160,12 @@ def test_capped_backoff_cannot_slide_past_give_up_deadline():
 
     timers._resend = resend
     timers.arm(entry)
-    # Fires at 1000 (resend, next delay 4000 -> 5000), then the next
-    # natural delay would be 16000 capped to 8000 -> t=13000, past the
-    # 6000 deadline.  The clamp must pin the third firing to exactly 6000,
+    # Fires at 1000 (resend, estimator-doubled delay 2000 -> 3000), then
+    # the next natural delay would be 4000 -> t=7000, past the 6000
+    # deadline.  The clamp must pin the third firing to exactly 6000,
     # where the deadline check converts it into the give-up.
     sim.run(until=20_000)
-    assert resent == [1000, 5000]
+    assert resent == [1000, 3000]
     assert timers.give_ups == 1
     assert gave_up == [entry]
 
@@ -175,10 +179,9 @@ def test_give_up_fire_time_is_exactly_the_deadline():
         window,
         1000,
         lambda e: None,
-        backoff=8.0,
-        backoff_cap_ns=50_000,
         give_up_ns=2500,
         on_give_up=lambda e: fired_at.append(sim.now),
+        estimator=AdaptiveRto(1000, 500, 50_000),
     )
     entry = window.open("p")
     entry.first_sent_ns = sim.now
@@ -190,7 +193,7 @@ def test_give_up_fire_time_is_exactly_the_deadline():
     timers._resend = resend
     timers.arm(entry)
     sim.run(until=100_000)
-    # t=1000 resend (next natural delay 8000 > 2500-1000): clamped to 2500.
+    # t=1000 resend (next natural delay 2000 > 2500-1000): clamped to 2500.
     assert fired_at == [2500]
 
 
@@ -198,8 +201,6 @@ def test_give_up_fire_time_is_exactly_the_deadline():
 # AdaptiveRto estimator
 # ---------------------------------------------------------------------------
 def test_adaptive_rto_starts_at_clamped_initial():
-    from repro.transport.reliability import AdaptiveRto
-
     est = AdaptiveRto(100_000, 50_000, 10_000_000)
     assert est.rto_ns() == 100_000
     est = AdaptiveRto(10, 50_000, 10_000_000)
@@ -207,8 +208,6 @@ def test_adaptive_rto_starts_at_clamped_initial():
 
 
 def test_adaptive_rto_tracks_inflation_up_and_down():
-    from repro.transport.reliability import AdaptiveRto
-
     est = AdaptiveRto(100_000, 50_000, 10_000_000)
     for _ in range(50):
         est.observe(40_000)
@@ -224,8 +223,6 @@ def test_adaptive_rto_tracks_inflation_up_and_down():
 
 
 def test_adaptive_rto_timeout_backoff_resets_on_clean_sample():
-    from repro.transport.reliability import AdaptiveRto
-
     est = AdaptiveRto(100_000, 50_000, 10_000_000)
     est.observe(40_000)
     base = est.rto_ns()
@@ -238,8 +235,6 @@ def test_adaptive_rto_timeout_backoff_resets_on_clean_sample():
 
 
 def test_adaptive_rto_rejects_bad_bounds():
-    from repro.transport.reliability import AdaptiveRto
-
     with pytest.raises(ValueError):
         AdaptiveRto(1000, 0, 10)
     with pytest.raises(ValueError):
@@ -247,17 +242,12 @@ def test_adaptive_rto_rejects_bad_bounds():
 
 
 def test_estimator_owns_delay_and_backoff():
-    from repro.transport.reliability import AdaptiveRto
-
     sim = Simulator()
     window = SlidingWindow(size=4)
     est = AdaptiveRto(1000, 500, 1_000_000)
     resent = []
 
-    timers = RetransmitTimers(
-        sim, window, 1000, lambda e: None,
-        backoff=4.0, backoff_cap_ns=100_000, estimator=est,
-    )
+    timers = RetransmitTimers(sim, window, 1000, lambda e: None, estimator=est)
 
     def resend(e):
         resent.append(sim.now)
@@ -268,8 +258,8 @@ def test_estimator_owns_delay_and_backoff():
     entry.first_sent_ns = sim.now
     entry.transmissions = 1
     timers.arm(entry)
-    # Estimator path ignores the config backoff factor: firings at 1000,
-    # then estimator-doubled 2000 -> 3000, 4000 -> 7000 (not 4**n).
+    # The estimator sets every delay: firings at 1000, then
+    # estimator-doubled 2000 -> 3000, 4000 -> 7000.
     sim.run(until=3500)
     assert len(resent) == 2
     assert timers.timeouts == 2
