@@ -11,7 +11,7 @@ key-value data.  Sending tasks are load-balanced over data channels with
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from dataclasses import dataclass
 
@@ -54,17 +54,21 @@ class StreamHandle:
     closed: bool = False
     tuples_fed: int = 0
 
-    def feed(self, tuples) -> int:
-        """Pack and enqueue more tuples; returns payloads appended."""
+    def feed(self, tuples: Iterable[tuple[bytes, int]]) -> int:
+        """Pack and enqueue more tuples; returns payloads appended.
+
+        ``tuples`` may be any iterable, a generator included: the count
+        fed comes from the packer's own tally, never from ``len``."""
         if self.closed:
             raise RuntimeError("stream already finished")
         self.packer.add_stream(tuples)
-        payloads = list(self.packer.payloads())
-        self.tuples_fed += len(tuples)
-        self.job.task.stats.input_tuples += len(tuples)
-        self.job.extend(payloads)
+        plan = self.packer.plan()
+        fed = self.packer.stats.tuples_in - self.tuples_fed
+        self.tuples_fed += fed
+        self.job.task.stats.input_tuples += fed
+        self.job.extend(plan)
         self.channel._pump()  # noqa: SLF001 - the daemon owns its channels
-        return len(payloads)
+        return len(plan)
 
     def finish(self) -> None:
         """Close the stream; the FIN goes out once everything is ACKed."""
@@ -91,6 +95,10 @@ class HostDaemon(NetworkNode):
         self.clock = clock
         self.config = config
         self.shm = SharedMemoryAllocator(name)
+        #: key -> (lane, form), shared by every packer this daemon makes:
+        #: one geometry per daemon, so a key's assignment is computed once
+        #: per host rather than once per job.
+        self._routes: dict[bytes, tuple[int, Any]] = {}
         self.channels = [
             SenderChannel(name, i, clock, config, send_fn, control.switch_names)
             for i in range(config.data_channels_per_host)
@@ -199,6 +207,10 @@ class HostDaemon(NetworkNode):
         """Steps ⑤–⑧: application data arrives via shared memory, the daemon
         packs it and enqueues the job on the hash-selected data channel.
 
+        The region adopts ``tuples`` (the list is handed over, not copied),
+        and the job holds the packer's plan: payloads are built as the
+        channel's window admits them.
+
         ``force_bypass`` marks every entry of the job BYPASS before it is
         enqueued (enqueueing pumps immediately): the admission controller's
         degrade path, where a task that never got switch memory aggregates
@@ -207,9 +219,9 @@ class HostDaemon(NetworkNode):
         region.write(tuples)
         region.seal()
 
-        packer = Packer(self.config)
+        packer = Packer(self.config, self._routes)
         packer.add_stream(region.tuples)
-        payloads = list(packer.payloads())
+        plan = packer.plan()
         task.stats.pack_stats.append(packer.stats)
 
         def _done(job: SendingJob) -> None:
@@ -219,7 +231,7 @@ class HostDaemon(NetworkNode):
                 on_complete(job)
 
         job = SendingJob(
-            task=task, dst=task.receiver, payloads=payloads,
+            task=task, dst=task.receiver, plans=[plan],
             on_complete=_done, force_bypass=force_bypass,
         )
         self._jobs_by_task[task.task_id] = job
@@ -233,7 +245,7 @@ class HostDaemon(NetworkNode):
         hash-selected data channel (§3.1 load balancing applies to
         streaming tasks exactly as to batch ones)."""
         region = self.shm.allocate(task.task_id, role="send")
-        packer = Packer(self.config)
+        packer = Packer(self.config, self._routes)
         task.stats.pack_stats.append(packer.stats)
 
         def _done(job: SendingJob) -> None:
@@ -242,7 +254,7 @@ class HostDaemon(NetworkNode):
             self.shm.release(task.task_id, role="send")
 
         job = SendingJob(
-            task=task, dst=task.receiver, payloads=[], on_complete=_done,
+            task=task, dst=task.receiver, plans=[], on_complete=_done,
             finished=False, force_bypass=force_bypass,
         )
         channel = self.channel_for_task(task.task_id)

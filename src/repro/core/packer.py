@@ -6,22 +6,25 @@ The packer turns a key-value stream into multi-key payloads:
   key-space partition, queued for its dedicated packet slot or coalesced
   group — so one key always travels in the same slot and is always handled
   by the same AA (no single-key-multiple-spot waste),
-- payloads are built by taking at most one tuple from each subspace queue;
-  empty queues leave their slot blank, which is the goodput loss Fig. 8(b)
+- payloads are built by taking at most one tuple from each subspace lane;
+  empty lanes leave their slot blank, which is the goodput loss Fig. 8(b)
   quantifies,
 - long keys are batched into separate long-key payloads that bypass switch
   aggregation entirely.
 
 The packer is pure: it knows nothing about sequence numbers or the network.
-The sender assigns sequence numbers when payloads enter the sliding window.
+It drains its lanes into a :class:`PayloadPlan`, whose packet counts are
+known at once; the sender builds each payload from the plan, and assigns
+its sequence number, when the sliding window admits it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import islice, starmap, zip_longest
-from operator import sub
-from typing import Iterable, Optional
+from itertools import chain, islice, repeat, zip_longest
+from operator import itemgetter, sub
+from typing import Any, Iterable, Iterator, MutableSequence, Optional
 
 from repro.core.config import AskConfig
 from repro.core.errors import KeyTooLongError
@@ -30,9 +33,10 @@ from repro.core.keyspace import KeyClass, KeySpaceLayout
 from repro.core.packet import Slot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackedPayload:
-    """One packet's worth of tuples, before transport framing."""
+    """One packet's worth of tuples, before transport framing.  A sender
+    holds at most a window of them (slotted: no per-instance dict)."""
 
     slots: tuple[Optional[Slot], ...]
     bitmap: int
@@ -77,50 +81,140 @@ class PackStats:
         return cdf
 
 
+class PayloadPlan:
+    """The payloads one drain of a packer's lanes stands for, built on demand.
+
+    A plan keeps each lane's keys and values, plus the runs of packets that
+    share a bitmap, so its length is known up front.  Iterating it builds
+    the payloads in order, one at a time, and every iteration starts afresh
+    from the lanes: a sender builds a payload only when its window opens
+    the entry, and a rewound job replays the identical sequence by
+    iterating again.
+
+    Packet *p* carries the *p*-th tuple of every lane that holds more than
+    *p* tuples, and leaves the other lanes' slots blank.  So the lanes are
+    transposed: one lazy :class:`Slot` column per packet slot, and
+    ``zip_longest`` builds each packet's slot tuple.  Long-key payloads
+    follow, batched up to ``num_aas`` tuples per packet (the PktState
+    bitmap width bounds the batch).
+    """
+
+    __slots__ = ("_keys", "_values", "_runs", "_layout", "_num_slots", "_length")
+
+    def __init__(
+        self,
+        keys: list[list],
+        values: list[MutableSequence[int]],
+        runs: list[tuple[int, int]],
+        layout: KeySpaceLayout,
+        num_slots: int,
+    ) -> None:
+        self._keys = keys
+        self._values = values
+        #: (packets, bitmap) in packet order: the bitmap changes only where
+        #: a lane runs out.
+        self._runs = runs
+        self._layout = layout
+        self._num_slots = num_slots
+        long_packets = -(-len(keys[-1]) // num_slots)
+        self._length = sum(count for count, _ in runs) + long_packets
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[PackedPayload]:
+        keys, values = self._keys, self._values
+        short = self._layout.num_short_slots
+        last = self._layout.group_width - 1
+        columns: list[Iterator[Slot]] = [
+            map(Slot, keys[lane], values[lane]) for lane in range(short)
+        ]
+        for lane in range(short, len(keys) - 1):
+            segments = keys[lane]
+            columns.extend(
+                map(Slot, map(itemgetter(pos), segments), repeat(0))
+                for pos in range(last)
+            )
+            # A medium key's value rides on its last segment (§3.2.3).
+            columns.append(map(Slot, map(itemgetter(last), segments), values[lane]))
+        rows = zip_longest(*columns)
+        # Iterators all the way down: no Python frame resumes per packet.
+        runs = (
+            map(PackedPayload, islice(rows, count), repeat(bitmap))
+            for count, bitmap in self._runs
+        )
+        longs = map(self._long_payload, range(0, len(keys[-1]), self._num_slots))
+        return chain(chain.from_iterable(runs), longs)
+
+    def _long_payload(self, start: int) -> PackedPayload:
+        stop = start + self._num_slots
+        keys, values = self._keys[-1][start:stop], self._values[-1][start:stop]
+        batch = tuple(map(Slot, keys, values))
+        return PackedPayload(batch, (1 << len(batch)) - 1, is_long=True)
+
+
 class Packer:
-    """Builds multi-key payloads for one sending task."""
+    """Queues one sending task's tuples in per-lane lists and drains them
+    into payload plans.
+
+    A lane is a short slot, a medium group, or (last) the long keys; it
+    holds the queued tuples' key forms in a list and their values in an
+    array, about 13 bytes per tuple.
+    """
 
     #: Routing-cache bound: streams usually cycle over a working set far
     #: smaller than this; an adversarial all-unique stream just stops
     #: caching instead of growing without limit.
     _CACHE_LIMIT = MEMO_LIMIT
 
-    def __init__(self, config: AskConfig) -> None:
+    def __init__(
+        self, config: AskConfig, routes: Optional[dict[bytes, tuple[int, Any]]] = None
+    ) -> None:
         self.config = config
         self.layout = KeySpaceLayout(config)
         self.stats = PackStats()
-        # One queue per short slot, per medium group, and for long keys.
-        # Routes hold the queues' bound ``append``s, so the lists are only
-        # ever cleared in place, never rebound.
-        self._short: list[list] = [[] for _ in range(self.layout.num_short_slots)]
-        self._groups: list[list] = [[] for _ in range(self.layout.num_groups)]
-        self._long: list = []
-        # key -> (append, form).  ``layout.assign`` is pure and
-        # deterministic (classify + pad + partition hash), so its outcome is
-        # computed once per distinct key instead of once per tuple: the
-        # queue the key's tuples join, and the form they are queued in —
-        # the padded key, the medium segments, or the long key itself.
-        self._routes: dict[bytes, tuple] = {}
+        # Values are masked to ``value_bits``, so a lane keeps them in a C
+        # array of the narrowest unsigned type that holds them (4 bytes a
+        # value at the default 32 bits, not an 8-byte pointer); values
+        # wider than 64 bits stay in a list.
+        self._value_code = next(
+            (code for code in "IQ" if config.value_bits <= 8 * array(code).itemsize), None
+        )
+        self._keys, self._values = self._empty_lanes()
+        # key -> (lane, form).  ``layout.assign`` is pure and deterministic
+        # (classify + pad + partition hash), so its outcome is computed once
+        # per distinct key instead of once per tuple: the lane the key's
+        # tuples join, and the form they are queued in — the padded key,
+        # the medium segments, or the long key itself.  A daemon hands every
+        # packer it makes the same memo, so its jobs share it.
+        self._routes: dict[bytes, tuple[int, Any]] = {} if routes is None else routes
 
-    def _route(self, key: bytes) -> tuple:
+    def _empty_lanes(self) -> tuple[list[list], list[MutableSequence[int]]]:
+        lanes = range(self.layout.num_short_slots + self.layout.num_groups + 1)
+        code = self._value_code
+        values: list[MutableSequence[int]] = [
+            array(code) if code else [] for _ in lanes
+        ]
+        return [[] for _ in lanes], values
+
+    def _route(self, key: bytes) -> tuple[int, Any]:
         """Compute the routing entry for one key."""
+        layout = self.layout
         try:
-            assignment = self.layout.assign(key)
+            assignment = layout.assign(key)
         except KeyTooLongError:
             # Covers both genuinely long keys and the rare full-width keys
             # whose padded form would be ambiguous (AmbiguousKeyError).
-            return (self._long.append, key)
+            return (len(self._keys) - 1, key)
         if assignment.key_class is KeyClass.SHORT:
-            return (self._short[assignment.primary_slot].append, assignment.padded)
-        group = self.layout.group_of_slot(assignment.primary_slot)
-        return (self._groups[group].append, self.layout.segments(assignment.padded))
+            return (assignment.primary_slot, assignment.padded)
+        group = layout.group_of_slot(assignment.primary_slot)
+        return (layout.num_short_slots + group, layout.segments(assignment.padded))
 
     def _queued(self) -> tuple[int, int, int]:
-        return (
-            sum(map(len, self._short)),
-            sum(map(len, self._groups)),
-            len(self._long),
-        )
+        lengths = list(map(len, self._keys))
+        short = self.layout.num_short_slots
+        return sum(lengths[:short]), sum(lengths[short:-1]), lengths[-1]
 
     # ------------------------------------------------------------------
     def add(self, key: bytes, value: int) -> None:
@@ -129,12 +223,14 @@ class Packer:
 
     def add_stream(self, stream: Iterable[tuple[bytes, int]]) -> None:
         """Queue every tuple of ``stream``: one loop over locally bound
-        state, with the class counters taken from the queue lengths once
+        state, with the class counters taken from the lane lengths once
         the loop ends."""
         routes = self._routes
         route_of = self._route
         limit = self._CACHE_LIMIT
         mask = self.config.value_mask
+        add_key = [lane.append for lane in self._keys]
+        add_value = [lane.append for lane in self._values]
         before = self._queued()
         try:
             for key, value in stream:
@@ -143,7 +239,10 @@ class Packer:
                     route = route_of(key)
                     if len(routes) < limit:
                         routes[key] = route
-                route[0]((route[1], value & mask))
+                lane, form = route
+                # The value first: if masking it raises, neither list grew.
+                add_value[lane](value & mask)
+                add_key[lane](form)
         finally:
             short, medium, long = map(sub, self._queued(), before)
             stats = self.stats
@@ -155,48 +254,30 @@ class Packer:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> bool:
-        return (
-            any(self._short)
-            or any(self._groups)
-            or bool(self._long)
-        )
+        return any(self._keys)
 
-    def payloads(self) -> list[PackedPayload]:
-        """Drain the queues into payloads.
+    def plan(self) -> PayloadPlan:
+        """Drain the lanes into a :class:`PayloadPlan` and count its
+        packets into :attr:`stats`.
 
-        Packet *p* carries the *p*-th tuple of every queue that holds more
-        than *p* tuples, and leaves the other queues' slots blank.  So the
-        queues are transposed: one :class:`Slot` column per packet slot,
-        and ``zip_longest`` builds each packet's slot tuple.  Bitmap and
-        occupancy change only where a queue runs out, so they are taken
-        from the sorted queue lengths.  Long-key payloads follow, batched
-        up to ``num_aas`` tuples per packet (the PktState bitmap width
-        bounds the batch).
+        Bitmap and occupancy change only where a lane runs out, so they
+        are taken from the sorted lane lengths, without building a packet.
         """
+        keys, values = self._keys, self._values
+        self._keys, self._values = self._empty_lanes()
         num_slots = self.config.num_aas
-        stats = self.stats
-        columns: list[list[Slot]] = []
-        # (queued tuples, bitmap bits) per non-empty short slot / group
-        lanes: list[tuple[int, int]] = []
-        for index, queue in enumerate(self._short):
-            if queue:
-                lanes.append((len(queue), 1 << index))
-            columns.append(list(starmap(Slot, queue)))
-            queue.clear()
+        short = self.layout.num_short_slots
         width = self.layout.group_width
-        group_bits = ((1 << width) - 1) << self.layout.num_short_slots
-        for queue in self._groups:
-            if queue:
-                lanes.append((len(queue), group_bits))
-            # A medium key's value rides on its last segment (§3.2.3).
-            for pos in range(width - 1):
-                columns.append([Slot(segments[pos], 0) for segments, _ in queue])
-            columns.append([Slot(segments[-1], value) for segments, value in queue])
-            queue.clear()
+        # (queued tuples, bitmap bits) per non-empty short slot / group
+        lanes = [(len(keys[lane]), 1 << lane) for lane in range(short) if keys[lane]]
+        group_bits = ((1 << width) - 1) << short
+        for lane in range(short, len(keys) - 1):
+            if keys[lane]:
+                lanes.append((len(keys[lane]), group_bits))
             group_bits <<= width
 
-        out: list[PackedPayload] = []
-        rows = zip_longest(*columns)
+        stats = self.stats
+        runs: list[tuple[int, int]] = []
         bitmap = 0
         for _, bits in lanes:
             bitmap |= bits
@@ -209,21 +290,20 @@ class Packer:
         for length, bits in sorted(lanes):
             if length > built:
                 count = length - built
-                out.extend([PackedPayload(row, bitmap) for row in islice(rows, count)])
+                runs.append((count, bitmap))
                 stats.packets += count
                 stats.blank_slots += count * (num_slots - bitmap.bit_count())
                 histogram[live] = histogram.get(live, 0) + count
                 built = length
             bitmap ^= bits
             live -= 1
+        plan = PayloadPlan(keys, values, runs, self.layout, num_slots)
+        stats.long_packets += len(plan) - built  # the long-key payloads
+        return plan
 
-        queue = self._long
-        for start in range(0, len(queue), num_slots):
-            batch = tuple(starmap(Slot, queue[start : start + num_slots]))
-            out.append(PackedPayload(batch, (1 << len(batch)) - 1, is_long=True))
-            stats.long_packets += 1
-        queue.clear()
-        return out
+    def payloads(self) -> list[PackedPayload]:
+        """Drain the lanes into a list of every payload."""
+        return list(self.plan())
 
 
 def pack_stream(

@@ -2,18 +2,20 @@
 
 A data channel owns one continuous sequence space, one sliding window and a
 FIFO of sending jobs (multiple aggregation tasks multiplex a channel).  The
-channel streams the active job's payloads while the window permits, recovers
+channel streams the active job's payloads while the window permits — each
+built from the job's payload plans as its window entry opens — recovers
 losses with the fine-grained timeout, and ends the job with a reliable FIN.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, Iterator, Optional
 
 from repro.core.config import AskConfig
-from repro.core.packer import PackedPayload
+from repro.core.packer import PackedPayload, PayloadPlan
 from repro.core.packet import (
     FLAG_BYPASS,
     FLAG_DATA,
@@ -34,17 +36,22 @@ SendFn = Callable[[AskPacket], None]
 class SendingJob:
     """One task's outbound stream on one data channel.
 
-    Batch jobs are born ``finished`` (all payloads known up front).  A
-    streaming job starts with ``finished=False``: more payloads may be
-    appended while it runs, and the FIN is withheld until the application
-    closes the stream — the unbounded key-value streams of §2.1.3.
+    The job holds a chain of payload plans (:class:`PayloadPlan`), not
+    payloads: :meth:`take` builds the next payload when the window opens an
+    entry for it, so a job holds its lanes and at most a window of
+    payloads, however long its stream.  Batch jobs are born ``finished``
+    with one plan.  A streaming job starts with ``finished=False``: each
+    feed appends a plan while it runs, and the FIN is withheld until the
+    application closes the stream — the unbounded key-value streams of
+    §2.1.3.
     """
 
     task: AggregationTask
     dst: str
-    payloads: list[PackedPayload]
+    plans: list[PayloadPlan]
     on_complete: Optional[Callable[["SendingJob"], None]] = None
     finished: bool = True
+    #: Payloads taken from the chain (opened in the window) so far.
     next_payload: int = 0
     unacked: int = 0
     fin_sent: bool = False
@@ -59,23 +66,45 @@ class SendingJob:
     #: ``activation_hook`` (tree deployments baseline the spine's dedup
     #: state there); supervised restart clears it so the replay re-fires.
     activated: bool = False
+    #: Payloads in the whole chain.
+    length: int = field(init=False)
+    _cursor: Iterator[PackedPayload] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.length = sum(map(len, self.plans))
+        self.rewind()
 
     @property
     def data_exhausted(self) -> bool:
-        return self.next_payload >= len(self.payloads)
+        return self.next_payload >= self.length
 
-    def extend(self, payloads: list[PackedPayload]) -> None:
-        """Append more payloads (streaming feed)."""
+    def take(self) -> PackedPayload:
+        """Build the chain's next payload (the caller checks
+        :attr:`data_exhausted` first).  The cursor walks the plan list
+        lazily, so a plan appended while the job runs is reached as long
+        as the cursor is never asked past :attr:`length`."""
+        self.next_payload += 1
+        return next(self._cursor)
+
+    def rewind(self) -> None:
+        """Restart the chain at payload 0: every plan rebuilds its payloads
+        from its lanes, identical to the first pass."""
+        self.next_payload = 0
+        self._cursor = chain.from_iterable(self.plans)
+
+    def extend(self, plan: PayloadPlan) -> None:
+        """Append a plan (streaming feed)."""
         if self.finished:
             raise RuntimeError("cannot feed a finished job")
-        self.payloads.extend(payloads)
+        self.plans.append(plan)
+        self.length += len(plan)
 
     def finish(self) -> None:
         """No more data will arrive; the FIN may go out once drained."""
         self.finished = True
 
 
-@dataclass
+@dataclass(slots=True)
 class _EntryTag:
     """What a window entry is carrying.
 
@@ -200,10 +229,8 @@ class SenderChannel:
             self.bypass_probe is not None and self.bypass_probe()
         )
         while self._admits() and not job.data_exhausted:
-            payload = job.payloads[job.next_payload]
-            job.next_payload += 1
             job.unacked += 1
-            entry = self.window.open(_EntryTag(job, payload, bypass))
+            entry = self.window.open(_EntryTag(job, job.take(), bypass))
             self._transmit(entry)
         if job.finished and job.data_exhausted and job.unacked == 0 and not job.fin_sent:
             if self._admits():
@@ -322,7 +349,8 @@ class SenderChannel:
     # Failure domain
     # ------------------------------------------------------------------
     def abort_job(self, job: SendingJob) -> int:
-        """Withdraw ``job``'s in-window entries and rewind it to payload 0.
+        """Withdraw ``job``'s in-window entries and rewind it to payload 0,
+        which its plans rebuild from their lanes.
 
         Used by supervised task restart: every unacked entry is cancelled
         and removed from the window (acking it — the window's removal
@@ -340,7 +368,7 @@ class SenderChannel:
                 self.timers.cancel(entry)
                 self.window.ack(entry.seq)
                 withdrawn += 1
-        job.next_payload = 0
+        job.rewind()
         job.unacked = 0
         job.fin_sent = False
         job.fin_acked = False

@@ -241,13 +241,12 @@ class StreamingSession:
             raise TaskStateError("session is closed")
         if host not in self.senders:
             raise KeyError(f"{host!r} is not a sender of this session")
-        items = list(tuples)
         handle = self._handles.get(host)
         if handle is None:
-            self._buffers[host].extend(items)
-            self.task.stats.input_tuples += len(items)
+            # Counted into ``input_tuples`` when the handle feeds them.
+            self._buffers[host].extend(tuples)
         else:
-            handle.feed(items)
+            handle.feed(tuples)
 
     def close(self) -> None:
         """End every sender's stream; FINs flow once data is ACKed."""

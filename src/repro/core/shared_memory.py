@@ -26,10 +26,18 @@ class SharedMemoryRegion:
     sealed: bool = False
 
     def write(self, tuples: list[tuple[bytes, int]]) -> None:
-        """Application writes its key-value data (step ⑥)."""
+        """Application writes its key-value data (step ⑥).
+
+        An empty region adopts the list it is handed instead of copying
+        it: the list *is* the shared buffer, as the application's pages
+        are on a real host.  The writer hands it over and keeps no use of
+        it.  A later write appends."""
         if self.sealed:
             raise RuntimeError("region already sealed")
-        self.tuples.extend(tuples)
+        if self.tuples:
+            self.tuples.extend(tuples)
+        else:
+            self.tuples = tuples
 
     def seal(self) -> None:
         """Application signals the data is complete (step ⑦)."""

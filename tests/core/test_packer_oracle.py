@@ -1,11 +1,13 @@
 """The transposed packer against its frozen per-tuple oracle.
 
-``Packer`` queues a stream in one loop and builds payloads by transposing
-its queues; ``tests/oracles/packer.py`` is the body it replaced.  For any
-interleaving of ``add``, ``add_stream`` and ``payloads`` — the shape of a
-streaming session, which feeds and drains repeatedly — both must produce
-the same payload list, the same ``pending`` answer, and the same
-``PackStats`` field by field, including the histogram's insertion order.
+``Packer`` queues a stream in one loop and drains its lanes into a payload
+plan, which builds payloads on demand by transposing the lanes;
+``tests/oracles/packer.py`` is the body it replaced.  For any interleaving
+of ``add``, ``add_stream`` and ``payloads`` — the shape of a streaming
+session, which feeds and drains repeatedly — both must produce the same
+payload list, the same ``pending`` answer, and the same ``PackStats`` field
+by field, including the histogram's insertion order.  The plans a sending
+job chains must replay that list exactly however often the job rewinds.
 """
 
 import dataclasses
@@ -15,6 +17,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import AskConfig
 from repro.core.packer import Packer, pack_stream
+from repro.core.sender import SendingJob
+from repro.core.task import AggregationTask
+from tests.conftest import fuzz_budget
 from tests.oracles.packer import ReferencePacker
 
 CONFIGS = {
@@ -70,7 +75,7 @@ def _assert_same_stats(product, oracle):
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=fuzz_budget(150), deadline=None)
 @given(_session())
 def test_packer_matches_the_per_tuple_oracle(session):
     name, ops = session
@@ -99,3 +104,64 @@ def test_paper_geometry_stream_matches_the_oracle():
     oracle.add_stream(stream)
     assert payloads == list(oracle.payloads())
     _assert_same_stats(stats, oracle.stats)
+
+
+@settings(max_examples=fuzz_budget(100), deadline=None)
+@given(_session(), st.data())
+def test_plan_chain_replays_the_oracle_under_rewinds(session, data):
+    """A streaming job chains one plan per drain.  Payloads are taken a
+    random number at a time and the job rewinds at random points, as a
+    supervised restart does mid-window; whatever was taken must be the
+    oracle's payload at that position."""
+    name, ops = session
+    config = CONFIGS[name]
+    product, oracle = Packer(config), ReferencePacker(config)
+    task = AggregationTask(task_id=1, receiver="h1", senders=("h0",))
+    job = SendingJob(task=task, dst="h1", plans=[], finished=False)
+    expected = []
+    for kind, arg in ops + [("payloads", None)]:
+        if kind == "add":
+            product.add(*arg)
+            oracle.add(*arg)
+        elif kind == "stream":
+            product.add_stream(arg)
+            oracle.add_stream(arg)
+        else:
+            plan = product.plan()
+            drained = list(oracle.payloads())
+            assert len(plan) == len(drained)
+            expected.extend(drained)
+            job.extend(plan)
+            assert job.length == len(expected)
+            if data.draw(st.booleans(), label="rewind"):
+                job.rewind()
+            left = job.length - job.next_payload
+            for _ in range(data.draw(st.integers(0, left), label="take")):
+                position = job.next_payload
+                assert job.take() == expected[position]
+        _assert_same_stats(product.stats, oracle.stats)
+    job.rewind()
+    assert [job.take() for _ in range(job.length)] == expected
+    assert job.data_exhausted
+
+
+def test_a_plan_rebuilds_its_payloads_on_every_pass():
+    """Iterating a plan again, after a partial pass or a full one, starts
+    from the lanes and gives the same payloads."""
+    config = CONFIGS["small"]
+    keys = [b"k%d" % i for i in range(9)] + [b"medium-k", b"x" * 40]
+    stream = [(keys[(i * 5) % len(keys)], i) for i in range(300)]
+    packer = Packer(config)
+    packer.add_stream(stream)
+    plan = packer.plan()
+    assert not packer.pending
+    first = iter(plan)
+    head = [next(first) for _ in range(7)]
+    full = list(plan)
+    assert full[:7] == head
+    assert list(plan) == full
+    assert len(plan) == len(full)
+    assert any(payload.is_long for payload in full)
+    oracle = ReferencePacker(config)
+    oracle.add_stream(stream)
+    assert full == list(oracle.payloads())

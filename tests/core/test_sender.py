@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import AskConfig
-from repro.core.packer import pack_stream
+from repro.core.packer import Packer, pack_stream
 from repro.core.packet import ack_for
 from repro.core.sender import SenderChannel, SendingJob
 from repro.core.task import AggregationTask
@@ -20,9 +20,10 @@ def _harness(window=4, rto_us=100.0):
 
 def _job(cfg, tuples, completions=None):
     task = AggregationTask(task_id=1, receiver="h1", senders=("h0",))
-    payloads, _ = pack_stream(tuples, cfg)
+    packer = Packer(cfg)
+    packer.add_stream(tuples)
     done = (completions.append if completions is not None else None)
-    return SendingJob(task=task, dst="h1", payloads=payloads, on_complete=done)
+    return SendingJob(task=task, dst="h1", plans=[packer.plan()], on_complete=done)
 
 
 def _ack(channel, pkt, replier="switch"):
@@ -205,3 +206,37 @@ def test_stats_count_first_transmissions_only():
     sim.run(until=26_000)  # several retransmissions
     assert job.task.stats.data_packets_sent == 1
     assert job.task.stats.retransmissions >= 3
+
+
+def _wire(packet):
+    return (packet.is_long, packet.bitmap, packet.slots)
+
+
+def test_abort_mid_window_then_replay_emits_the_identical_payloads():
+    # Supervised restart withdraws the in-window entries and rewinds the
+    # job; its plan rebuilds every payload from the lanes, so the replay
+    # (with fresh sequence numbers) carries exactly the first pass's
+    # payloads, in order, short, medium and long keys alike.
+    cfg, sim, sent, channel = _harness(window=4)
+    keys = [b"k%d" % i for i in range(7)] + [b"medium-k", b"x" * 40]
+    tuples = [(keys[(i * 3) % len(keys)], i + 1) for i in range(90)]
+    job = _job(cfg, tuples)
+    expected = pack_stream(tuples, cfg)[0]
+    assert len(expected) > 8
+    channel.enqueue(job)
+    for packet in list(sent[:3]):
+        _ack(channel, packet)
+    first_pass = [p for p in sent if p.is_data]
+    assert len(first_pass) == 7 and channel.window.in_flight == 4
+    assert channel.abort_job(job) == 4
+    assert channel.window.is_empty and job.next_payload == 0
+    sent.clear()
+    channel.requeue(job)
+    while not any(p.is_fin for p in sent):
+        _ack(channel, next(p for p in sent if channel.window.get(p.seq)))
+    replay = [p for p in sent if p.is_data]
+    assert [p.seq for p in replay] == list(range(7, 7 + len(expected)))
+    assert [_wire(p) for p in replay] == [
+        (payload.is_long, payload.bitmap, payload.slots) for payload in expected
+    ]
+    assert [_wire(p) for p in first_pass] == [_wire(p) for p in replay[:7]]

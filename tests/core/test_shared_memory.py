@@ -14,6 +14,16 @@ def test_allocate_and_write():
     assert region.sealed
 
 
+def test_first_write_adopts_the_list_and_later_writes_append():
+    # The region is the handed-over buffer: no copy of the stream.
+    region = SharedMemoryAllocator("h0").allocate(1)
+    data = [(b"a", 1)]
+    region.write(data)
+    assert region.tuples is data
+    region.write([(b"b", 2)])
+    assert region.tuples == [(b"a", 1), (b"b", 2)]
+
+
 def test_write_after_seal_rejected():
     alloc = SharedMemoryAllocator("h0")
     region = alloc.allocate(1)

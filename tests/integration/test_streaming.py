@@ -130,3 +130,21 @@ def test_validation_of_stream_endpoints():
         service.open_stream(["h0"], receiver="h9")
     with pytest.raises(ValueError):
         service.open_stream([], receiver="h1")
+
+
+def test_feeds_accept_generators_and_count_each_tuple_once():
+    # A generator is consumed by the packer, so the count fed comes from
+    # the packer's tally; buffered tuples are counted when the channel
+    # attaches and feeds them, not again when they were buffered.
+    service = AskService(AskConfig.small(), hosts=2)
+    session = service.open_stream(["h0"], receiver="h1")
+    session.feed("h0", ((b"a", 1) for _ in range(5)))
+    service.run()
+    assert session.is_live
+    session.feed("h0", ((b"k%d" % (i % 3), i) for i in range(12)))
+    service.run()
+    session.feed("h0", iter([(b"a", 2)]))
+    session.close()
+    service.run_to_completion()
+    assert session.result.values == {b"a": 7, b"k0": 18, b"k1": 22, b"k2": 26}
+    assert session.task.stats.input_tuples == 18

@@ -2,9 +2,10 @@
 
 ``add`` routes one tuple per call and ``payloads`` builds each packet by
 scanning every subspace queue and popping at most one tuple from each.
-The product packer queues a whole stream in one loop and builds the
-payloads by transposing its queues; ``tests/core/test_packer_oracle.py``
-requires both to produce the same payload list and the same
+The product packer queues a whole stream in one loop into per-lane lists
+and drains them into a payload plan, which builds the payloads by
+transposing its lanes; ``tests/core/test_packer_oracle.py`` requires both
+to produce the same payload list and the same
 :class:`~repro.core.packer.PackStats`, field by field.
 """
 
