@@ -27,7 +27,7 @@ from repro.core.errors import (
     TaskStateError,
     TopologyError,
 )
-from repro.core.packet import AskPacket, PacketFlag, Slot
+from repro.core.packet import AskPacket, PacketFlag
 from repro.core.results import AggregationResult, TaskStats, reference_aggregate
 from repro.core.service import AskService, TreeAskService
 from repro.core.task import AggregationTask, TaskPhase
@@ -56,7 +56,6 @@ __all__ = [
     "KeyTooLongError",
     "PacketFlag",
     "QuotaAccountingError",
-    "Slot",
     "TaskPhase",
     "TenantQuotaError",
     "TaskStateError",

@@ -15,7 +15,7 @@ from repro.core.errors import (
     TaskStateError,
 )
 from repro.core.keyspace import KeyClass, KeySpaceLayout, classify_key
-from repro.core.packet import AskPacket, PacketFlag, Slot, ack_for
+from repro.core.packet import AskPacket, PacketFlag, ack_for
 from repro.core.results import AggregationResult, TaskStats
 from repro.core.service import AskService
 from repro.core.task import AggregationTask, TaskPhase
@@ -33,7 +33,6 @@ __all__ = [
     "KeyTooLongError",
     "PacketFlag",
     "RegionExhaustedError",
-    "Slot",
     "TaskPhase",
     "TaskStateError",
     "TaskStats",

@@ -103,7 +103,7 @@ class SlotAssignment:
 class KeySpaceLayout:
     """Maps keys to packet slots / AAs for one configuration.
 
-    Slot map (N = ``num_aas``, k groups of m medium slots at the end)::
+    The slot map (N = ``num_aas``, k groups of m medium slots at the end)::
 
         slot:   0 .. S-1            S .. S+m-1   ...   N-m .. N-1
                 short subspaces     group 0      ...   group k-1

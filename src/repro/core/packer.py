@@ -30,22 +30,18 @@ from repro.core.config import AskConfig
 from repro.core.errors import KeyTooLongError
 from repro.core.hashing import MEMO_LIMIT
 from repro.core.keyspace import KeyClass, KeySpaceLayout
-from repro.core.packet import Slot
 
 
 @dataclass(frozen=True, slots=True)
 class PackedPayload:
-    """One packet's worth of tuples, before transport framing.  A sender
+    """One packet's worth of tuples, before transport framing: the key and
+    value column of every slot, ``None`` in both for a blank one.  A sender
     holds at most a window of them (slotted: no per-instance dict)."""
 
-    slots: tuple[Optional[Slot], ...]
+    keys: tuple[Optional[bytes], ...]
+    values: tuple[Optional[int], ...]
     bitmap: int
     is_long: bool = False
-
-    @property
-    def tuple_slots(self) -> int:
-        """Occupied slots (the paper's "non-blank key-value tuples")."""
-        return self.bitmap.bit_count()
 
 
 @dataclass
@@ -93,10 +89,12 @@ class PayloadPlan:
 
     Packet *p* carries the *p*-th tuple of every lane that holds more than
     *p* tuples, and leaves the other lanes' slots blank.  So the lanes are
-    transposed: one lazy :class:`Slot` column per packet slot, and
-    ``zip_longest`` builds each packet's slot tuple.  Long-key payloads
-    follow, batched up to ``num_aas`` tuples per packet (the PktState
-    bitmap width bounds the batch).
+    transposed, once for the keys and once for the values: one lazy key
+    column and one value column per packet slot, and ``zip_longest`` builds
+    each packet's key and value tuples, ``None`` where a lane has run out,
+    so no object is built per tuple.  Long-key payloads follow, batched up
+    to ``num_aas`` tuples per packet (the PktState bitmap width bounds the
+    batch).
     """
 
     __slots__ = ("_keys", "_values", "_runs", "_layout", "_num_slots", "_length")
@@ -125,22 +123,25 @@ class PayloadPlan:
     def __iter__(self) -> Iterator[PackedPayload]:
         keys, values = self._keys, self._values
         short = self._layout.num_short_slots
-        last = self._layout.group_width - 1
-        columns: list[Iterator[Slot]] = [
-            map(Slot, keys[lane], values[lane]) for lane in range(short)
-        ]
+        width = self._layout.group_width
+        key_columns: list[Iterable] = list(keys[:short])
+        value_columns: list[Iterable] = list(values[:short])
         for lane in range(short, len(keys) - 1):
             segments = keys[lane]
-            columns.extend(
-                map(Slot, map(itemgetter(pos), segments), repeat(0))
-                for pos in range(last)
-            )
+            key_columns.extend(map(itemgetter(pos), segments) for pos in range(width))
             # A medium key's value rides on its last segment (§3.2.3).
-            columns.append(map(Slot, map(itemgetter(last), segments), values[lane]))
-        rows = zip_longest(*columns)
+            value_columns.extend(repeat(0, len(segments)) for _ in range(width - 1))
+            value_columns.append(values[lane])
+        key_rows = zip_longest(*key_columns)
+        value_rows = zip_longest(*value_columns)
         # Iterators all the way down: no Python frame resumes per packet.
         runs = (
-            map(PackedPayload, islice(rows, count), repeat(bitmap))
+            map(
+                PackedPayload,
+                islice(key_rows, count),
+                islice(value_rows, count),
+                repeat(bitmap),
+            )
             for count, bitmap in self._runs
         )
         longs = map(self._long_payload, range(0, len(keys[-1]), self._num_slots))
@@ -148,9 +149,9 @@ class PayloadPlan:
 
     def _long_payload(self, start: int) -> PackedPayload:
         stop = start + self._num_slots
-        keys, values = self._keys[-1][start:stop], self._values[-1][start:stop]
-        batch = tuple(map(Slot, keys, values))
-        return PackedPayload(batch, (1 << len(batch)) - 1, is_long=True)
+        keys = tuple(self._keys[-1][start:stop])
+        values = tuple(self._values[-1][start:stop])
+        return PackedPayload(keys, values, (1 << len(keys)) - 1, is_long=True)
 
 
 class Packer:

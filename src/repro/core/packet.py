@@ -12,13 +12,16 @@ goodput, which is what Fig. 8(b) measures.
 
 Hot-path layout
 ---------------
-``AskPacket`` and ``Slot`` are ``__slots__`` classes, not dataclasses: a
-frozen dataclass pays ``object.__setattr__`` per derived field per packet,
-which dominated the simulator profile.  Flags are stored as a plain ``int``
-(the :class:`PacketFlag` *values*), and the module exports the raw bit
-masks (``FLAG_DATA`` …) so hot receive paths test membership with a single
-C-level ``&`` instead of ``IntFlag.__and__``.  The ``is_data``/``is_ack``/…
-attributes and the frame size are computed once at construction.
+``AskPacket`` is a ``__slots__`` class, not a dataclass: a frozen
+dataclass pays ``object.__setattr__`` per derived field per packet, which
+dominated the simulator profile.  The payload is two parallel columns,
+``keys`` and ``values``, the way a PISA parser extracts the slots as plain
+header fields: no object is built per tuple.  Flags are stored as a plain
+``int`` (the :class:`PacketFlag` *values*), and the module exports the raw
+bit masks (``FLAG_DATA`` …) so hot receive paths test membership with a
+single C-level ``&`` instead of ``IntFlag.__and__``.  The
+``is_data``/``is_ack``/… attributes and the frame size are computed once at
+construction.
 
 Packets are never pooled or recycled: the discrete-event fabric delivers
 packet objects by reference — a faulty link may deliver the same object
@@ -30,10 +33,9 @@ construction.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.core import constants
-from repro.core.errors import ProtocolError
 
 
 #: Pseudo channel index used by swap notifications and their ACKs, so the
@@ -65,38 +67,6 @@ FLAG_BYPASS = 0x20
 _FLAG_DATA_OR_FIN = FLAG_DATA | FLAG_FIN
 
 
-class Slot:
-    """One key-value tuple slot: a padded key segment and a value.
-
-    For a short key the slot holds the whole (padded) key.  For a medium key
-    the tuple spans the ``m`` slots of its group: every slot holds one
-    segment, and only the last slot carries the value (§3.2.3,
-    ``(key, val) = {(key_1, 0), ..., (key_k, val)}``).
-    """
-
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: bytes, value: int) -> None:
-        if not isinstance(key, bytes):
-            raise TypeError(f"slot key must be bytes, got {type(key).__name__}")
-        self.key = key
-        self.value = value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Slot):
-            return self.key == other.key and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.key, self.value))
-
-    def __reduce__(self) -> tuple:
-        return Slot, (self.key, self.value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Slot(key={self.key!r}, value={self.value})"
-
-
 class AskPacket:
     """An ASK packet.
 
@@ -104,6 +74,13 @@ class AskPacket:
     space ``seq`` belongs to.  ``bitmap`` bit *i* set means slot *i* carries
     a tuple that has **not** been aggregated yet; the switch unsets bits as
     it consumes tuples (§3.2.1).
+
+    The payload's slot *i* is the pair ``(keys[i], values[i])``: a padded
+    key segment and a value, ``None`` in both for a blank slot.  For a
+    short key the slot holds the whole padded key.  A medium key spans the
+    ``m`` slots of its group: each holds one segment, and only the last
+    carries the value, the others 0 (§3.2.3,
+    ``(key, val) = {(key_1, 0), ..., (key_k, val)}``).
 
     ``flags`` is stored as a plain ``int``; it compares equal to the
     corresponding :class:`PacketFlag` value.  The flag predicates
@@ -118,7 +95,8 @@ class AskPacket:
         "channel_index",
         "seq",
         "bitmap",
-        "slots",
+        "keys",
+        "values",
         "ecn",
         "channel_key",
         "is_data",
@@ -139,7 +117,9 @@ class AskPacket:
         channel_index: int,
         seq: int,
         bitmap: int = 0,
-        slots: tuple[Optional[Slot], ...] = (),
+        keys: tuple[Optional[bytes], ...] = (),
+        # ``Any``: a value is an int exactly where ``keys`` holds a key.
+        values: tuple[Any, ...] = (),
         ecn: bool = False,
     ) -> None:
         self.flags = flags = int(flags)
@@ -149,7 +129,8 @@ class AskPacket:
         self.channel_index = channel_index
         self.seq = seq
         self.bitmap = bitmap
-        self.slots = slots
+        self.keys = keys
+        self.values = values
         self.ecn = ecn
         self.channel_key = (src, channel_index)
         self.is_data = bool(flags & 0x1)
@@ -160,12 +141,12 @@ class AskPacket:
         self.is_bypass = bool(flags & 0x20)
         if flags & 0x10:  # LONG: variable-length tuple encoding
             payload = 0
-            for slot in slots:
-                if slot is not None:
-                    payload += 1 + len(slot.key) + 4
+            for key in keys:
+                if key is not None:
+                    payload += 1 + len(key) + 4
             self._frame_bytes = constants.HEADER_BYTES + payload
         elif flags & 0x5:  # DATA | FIN: all N fixed-size slots on the wire
-            self._frame_bytes = constants.HEADER_BYTES + len(slots) * constants.TUPLE_BYTES
+            self._frame_bytes = constants.HEADER_BYTES + len(keys) * constants.TUPLE_BYTES
         else:
             self._frame_bytes = constants.HEADER_BYTES
 
@@ -181,7 +162,8 @@ class AskPacket:
             self.channel_index,
             self.seq,
             self.bitmap,
-            self.slots,
+            self.keys,
+            self.values,
             self.ecn,
         )
 
@@ -200,31 +182,15 @@ class AskPacket:
     # ------------------------------------------------------------------
     @property
     def num_slots(self) -> int:
-        return len(self.slots)
+        return len(self.keys)
 
     @property
     def tuple_count(self) -> int:
         """Live (bitmap-set) tuples in the payload.
 
-        A medium key contributes one count per occupied slot; use
-        :meth:`live_slots` when per-slot detail is needed.
+        A medium key contributes one count per occupied slot.
         """
         return self.bitmap.bit_count()
-
-    def live_slots(self) -> list[tuple[int, Slot]]:
-        """(slot index, slot) pairs whose bitmap bit is still set.
-
-        Raises :class:`~repro.core.errors.ProtocolError` on a live bit
-        over a blank slot, so ingress facades can dead-letter the frame
-        with every other protocol-invariant violation.
-        """
-        out = []
-        for i, slot in enumerate(self.slots):
-            if self.bitmap >> i & 1:
-                if slot is None:
-                    raise ProtocolError(f"bitmap bit {i} set but slot is blank")
-                out.append((i, slot))
-        return out
 
     # ------------------------------------------------------------------
     def with_bitmap(self, bitmap: int) -> "AskPacket":
@@ -239,7 +205,8 @@ class AskPacket:
             self.channel_index,
             self.seq,
             bitmap,
-            self.slots,
+            self.keys,
+            self.values,
             self.ecn,
         )
 
@@ -255,7 +222,8 @@ class AskPacket:
             self.channel_index,
             self.seq,
             self.bitmap,
-            self.slots,
+            self.keys,
+            self.values,
             True,
         )
 
@@ -304,7 +272,8 @@ def _packet_fields(packet: AskPacket) -> Iterator[tuple[str, object]]:
         "channel_index",
         "seq",
         "bitmap",
-        "slots",
+        "keys",
+        "values",
         "ecn",
     ):
         yield name, getattr(packet, name)

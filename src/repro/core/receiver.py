@@ -175,44 +175,39 @@ class ReceiverEngine:
         mask = self.config.value_mask
         residual = state.residual
         merged = 0
-        if pkt.is_long:
-            for _index, slot in pkt.live_slots():
-                residual[slot.key] = (residual.get(slot.key, 0) + slot.value) & mask
+        keys, values = pkt.keys, pkt.values
+        bitmap = pkt.bitmap
+        # Walk only the set bits (lowest first, matching slot order) instead
+        # of scanning every slot per packet.  Long keys travel whole; short
+        # ones padded.
+        is_long = pkt.is_long
+        bits = bitmap if is_long else bitmap & self._short_mask
+        while bits:
+            slot_index = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            key = keys[slot_index]
+            if key is None:
+                raise ProtocolError(f"live bit {slot_index} on blank slot")
+            if not is_long:
+                key = unpad_key(key)
+            residual[key] = (residual.get(key, 0) + values[slot_index]) & mask
+            merged += 1
+        if not is_long and bitmap & self._medium_mask:
+            for group, (slots, gmask) in enumerate(self._group_masks):
+                hit = bitmap & gmask
+                if not hit:
+                    continue
+                if hit != gmask:
+                    raise ProtocolError(f"medium group {group} arrived with a partial bitmap")
+                segments = []
+                for s in slots:
+                    key = keys[s]
+                    if key is None:
+                        raise ProtocolError(f"live bit {s} on blank slot")
+                    segments.append(key)
+                key = unpad_key(b"".join(segments))
+                residual[key] = (residual.get(key, 0) + values[slots[-1]]) & mask
                 merged += 1
-        else:
-            bitmap = pkt.bitmap
-            # Walk only the set short bits (lowest first, matching slot
-            # order) instead of scanning every short slot per packet.
-            short_bits = bitmap & self._short_mask
-            while short_bits:
-                slot_index = (short_bits & -short_bits).bit_length() - 1
-                short_bits &= short_bits - 1
-                slot = pkt.slots[slot_index]
-                if slot is None:
-                    raise ProtocolError(f"live bit {slot_index} on blank slot")
-                key = unpad_key(slot.key)
-                residual[key] = (residual.get(key, 0) + slot.value) & mask
-                merged += 1
-            if bitmap & self._medium_mask:
-                for group, (slots, gmask) in enumerate(self._group_masks):
-                    hit = bitmap & gmask
-                    if not hit:
-                        continue
-                    if hit != gmask:
-                        raise ProtocolError(
-                            f"medium group {group} arrived with a partial bitmap"
-                        )
-                    segments = []
-                    value = 0
-                    for s in slots:
-                        slot = pkt.slots[s]
-                        if slot is None:
-                            raise ProtocolError(f"live bit {s} on blank slot")
-                        segments.append(slot.key)
-                        value = slot.value
-                    key = unpad_key(b"".join(segments))
-                    residual[key] = (residual.get(key, 0) + value) & mask
-                    merged += 1
         state.task.stats.tuples_merged_at_receiver += merged
 
     # ------------------------------------------------------------------

@@ -220,10 +220,10 @@ def _common_violation(pkt: AskPacket, num_aas: int) -> Optional[str]:
     if bitmap:
         # Every live bit must index a real slot; non-LONG frames are also
         # bounded by the channel width (slot position == AA index).
-        limit = len(pkt.slots) if flags & FLAG_LONG else min(len(pkt.slots), num_aas)
+        limit = len(pkt.keys) if flags & FLAG_LONG else min(len(pkt.keys), num_aas)
         if bitmap >> limit:
             return "bitmap-range"
-    if not (flags & FLAG_LONG) and len(pkt.slots) > num_aas:
+    if not (flags & FLAG_LONG) and len(pkt.keys) > num_aas:
         return "slot-count"
     return None
 

@@ -254,12 +254,14 @@ class SenderChannel:
         tag: _EntryTag = entry.payload
         if tag.is_fin:
             flags = FLAG_FIN
-            slots: tuple = ()
+            keys: tuple = ()
+            values: tuple = ()
             bitmap = 0
         else:
             payload = tag.payload
             flags = FLAG_DATA | FLAG_LONG if payload.is_long else FLAG_DATA
-            slots = payload.slots
+            keys = payload.keys
+            values = payload.values
             bitmap = payload.bitmap
         if tag.bypass:
             flags |= FLAG_BYPASS
@@ -271,7 +273,8 @@ class SenderChannel:
             channel_index=self.index,
             seq=entry.seq,
             bitmap=bitmap,
-            slots=slots,
+            keys=keys,
+            values=values,
         )
 
     def _transmit(self, entry: WindowEntry) -> None:

@@ -24,7 +24,6 @@ from repro.core.config import AskConfig
 from repro.core.hashing import address_hash
 from repro.core.keyspace import KeySpaceLayout, pad_key
 from repro.core.packer import PackStats
-from repro.core.packet import Slot
 from repro.switch.dedup import DedupUnit
 
 
@@ -129,11 +128,12 @@ class RandomSlotPacker:
         self.stats = PackStats()
         self._rng = random.Random(seed)
 
-    def pack(self, stream) -> list[list[tuple[int, Slot]]]:
-        """Greedy random packing: per-packet (slot, tuple) placements."""
-        packets: list[list[tuple[int, Slot]]] = []
+    def pack(self, stream) -> list[list[tuple[int, bytes, int]]]:
+        """Greedy random packing: per-packet (slot, padded key, value)
+        placements."""
+        packets: list[list[tuple[int, bytes, int]]] = []
         free: list[int] = []
-        current: list[tuple[int, Slot]] = []
+        current: list[tuple[int, bytes, int]] = []
         for key, value in stream:
             self.stats.tuples_in += 1
             if not free:
@@ -143,7 +143,7 @@ class RandomSlotPacker:
                 free = list(range(self.config.num_aas))
                 self._rng.shuffle(free)
             padded = pad_key(key, self.config.key_bytes)
-            current.append((free.pop(), Slot(padded, value)))
+            current.append((free.pop(), padded, value))
         if current:
             packets.append(current)
         self.stats.packets = len(packets)
@@ -164,10 +164,8 @@ def aggregator_footprint(
     if randomized:
         packer = RandomSlotPacker(config)
         for packet in packer.pack(stream):
-            for slot_index, slot in packet:
-                occupied.add(
-                    (slot_index, address_hash(slot.key) % config.copy_size)
-                )
+            for slot_index, padded, _value in packet:
+                occupied.add((slot_index, address_hash(padded) % config.copy_size))
     else:
         for key, _value in stream:
             assignment = layout.assign(key)

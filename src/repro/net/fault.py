@@ -313,15 +313,14 @@ def _mutate_flags(fields: dict, rng: random.Random) -> None:
 
 
 def _mutate_value(fields: dict, rng: random.Random) -> None:
-    slots = list(fields["slots"])
-    live = [i for i, s in enumerate(slots) if s is not None]
+    live = [i for i, key in enumerate(fields["keys"]) if key is not None]
     if not live:
         _mutate_bitmap(fields, rng)
         return
     idx = live[rng.randrange(len(live))]
-    slot = slots[idx]
-    slots[idx] = type(slot)(slot.key, slot.value ^ (1 << rng.randrange(0, 64)))
-    fields["slots"] = tuple(slots)
+    values = list(fields["values"])
+    values[idx] ^= 1 << rng.randrange(0, 64)
+    fields["values"] = tuple(values)
 
 
 _FIELD_MUTATORS = (
@@ -350,7 +349,8 @@ def corrupt_packet_fields(packet: Any, rng: random.Random) -> Any:
         channel_index=packet.channel_index,
         seq=packet.seq,
         bitmap=packet.bitmap,
-        slots=packet.slots,
+        keys=packet.keys,
+        values=packet.values,
         ecn=packet.ecn,
     )
     _FIELD_MUTATORS[rng.randrange(len(_FIELD_MUTATORS))](fields, rng)

@@ -57,7 +57,7 @@ from types import MappingProxyType
 from typing import Callable, List, Mapping, Optional, Union
 
 from repro.core.errors import AskError
-from repro.core.packet import AskPacket, PacketFlag, Slot
+from repro.core.packet import AskPacket, PacketFlag
 
 MAGIC = 0xA5
 #: Current frame version: CRC32 integrity trailer.
@@ -136,7 +136,7 @@ def encode_packet(
     """
     if version != VERSION and version != VERSION_LEGACY:
         raise CodecError(f"cannot encode frame version {version}", reason="version")
-    slots = packet.slots
+    keys = packet.keys
     parts = [
         _FIXED.pack(
             MAGIC,
@@ -150,16 +150,15 @@ def encode_packet(
         ),
         names.get(packet.src) or name_prefix(packet.src),
         names.get(packet.dst) or name_prefix(packet.dst),
-        _U16.pack(len(slots)),
+        _U16.pack(len(keys)),
     ]
     append = parts.append
-    for slot in slots:
-        if slot is None:
+    for key, value in zip(keys, packet.values):
+        if key is None:
             append(b"\x00")
             continue
-        key = slot.key
         key_len = len(key)
-        append(_slot_packer(key_len)(1, key_len, key, slot.value & _VALUE_MASK))
+        append(_slot_packer(key_len)(1, key_len, key, value & _VALUE_MASK))
     body = b"".join(parts)
     if version == VERSION_LEGACY:
         return body
@@ -241,14 +240,16 @@ def decode_packet(data: Union[bytes, bytearray, memoryview]) -> AskPacket:
         raise _truncated(2, pos, end)
     (slot_count,) = _u16_unpack_from(frame, pos)
     pos += 2
-    slots: List[Optional[Slot]] = []
-    append = slots.append
+    keys: List[Optional[bytes]] = []
+    values: List[Optional[int]] = []
+    add_key, add_value = keys.append, values.append
     for _ in range(slot_count):
         if pos >= end:
             raise _truncated(1, pos, end)
         present = frame[pos]
         if present == 0:
-            append(None)
+            add_key(None)
+            add_value(None)
             pos += 1
         elif present == 1:
             key_at = pos + 3
@@ -258,11 +259,13 @@ def decode_packet(data: Union[bytes, bytearray, memoryview]) -> AskPacket:
             pos = value_at + _VALUE_SIZE
             if pos > end:
                 raise _truncated(pos - key_at, key_at, end)
-            append(Slot(frame[key_at:value_at], _value_unpack_from(data, value_at)[0]))
+            add_key(frame[key_at:value_at])
+            add_value(_value_unpack_from(data, value_at)[0])
         else:
             raise CodecError(f"bad slot presence byte {present}")
     if pos != end:
         raise CodecError(f"{end - pos} trailing bytes after packet")
     return AskPacket(
-        flags, task_id, names[0], names[1], channel_index, seq, bitmap, tuple(slots), ecn == 1
+        flags, task_id, names[0], names[1], channel_index, seq, bitmap,
+        tuple(keys), tuple(values), ecn == 1,
     )

@@ -232,7 +232,7 @@ class AskSwitchProgram:
         if short_bits:
             registers = self._short_registers
             hashes = self._hashes
-            slots = pkt.slots
+            keys, values = pkt.keys, pkt.values
             size = region.size
             mask = self.config.value_mask
             page_shift, page_mask = PAGE_SHIFT, PAGE_MASK
@@ -244,10 +244,9 @@ class AskSwitchProgram:
                     bit = short_bits & -short_bits
                     short_bits ^= bit
                     slot = bit.bit_length() - 1
-                    tup = slots[slot]
-                    if tup is None:
+                    key = keys[slot]
+                    if key is None:
                         raise ProtocolError(f"bitmap bit {slot} set on a blank slot")
-                    key = tup.key
                     digest = hashes.get(key)
                     if digest is None:
                         digest = address_hash(key)
@@ -280,13 +279,13 @@ class AskSwitchProgram:
                     stored = page[offset]
                     if stored[0] is None:
                         if page is reg._blank:
-                            reg._put(index, (key, tup.value & mask))
+                            reg._put(index, (key, values[slot] & mask))
                         else:
-                            page[offset] = (key, tup.value & mask)
+                            page[offset] = (key, values[slot] & mask)
                         reserved += 1
                     elif stored[0] == key:
                         # An occupied cell lives on a materialized page.
-                        page[offset] = (key, (stored[1] + tup.value) & mask)
+                        page[offset] = (key, (stored[1] + values[slot]) & mask)
                     else:
                         failed += 1
                         continue
@@ -311,13 +310,12 @@ class AskSwitchProgram:
                         "group tuples must be aggregated all-or-nothing"
                     )
                 segments = []
-                value = 0
                 for s in slots:
-                    tup = pkt.slots[s]
-                    if tup is None:
+                    key = pkt.keys[s]
+                    if key is None:
                         raise ProtocolError(f"bitmap bit {s} set on a blank slot")
-                    segments.append(tup.key)
-                    value = tup.value  # the value rides in the last slot
+                    segments.append(key)
+                value = pkt.values[slots[-1]]  # the value rides in the last slot
                 padded = b"".join(segments)
                 index = base + address_hash(padded) % region.size
                 if self.pool.aggregate_group(ctx, slots, index, tuple(segments), value):

@@ -33,10 +33,15 @@ from typing import Dict, Optional
 
 from repro.core.config import AskConfig
 from repro.core.constants import SWITCH_PIPELINE_LATENCY_NS
-from repro.core.errors import RegionExhaustedError, TaskStateError
+from repro.core.errors import ProtocolError, RegionExhaustedError, TaskStateError
 from repro.core.keyspace import KeySpaceLayout, unpad_key
 from repro.core.packet import AskPacket, ack_for
-from repro.core.robustness import RobustnessCounters
+from repro.core.robustness import (
+    Quarantine,
+    RobustnessCounters,
+    quarantine_packet,
+    validate_switch_ingress,
+)
 from repro.core.tenancy import TenantQuotas
 from repro.net.fault import CorruptedFrame
 from repro.net.trace import PacketTrace
@@ -156,6 +161,7 @@ class TrioSwitch:
         self.tuples_aggregated = 0
         self.tuples_failed = 0
         self.robustness = RobustnessCounters()
+        self.quarantine = Quarantine()
 
     # ------------------------------------------------------------------
     def bind(self, fabric: SwitchFabricView) -> None:
@@ -196,9 +202,42 @@ class TrioSwitch:
             packet = packet.packet
         if self.trace is not None:
             self.trace.record(self.clock.now, self.name, "ingress", packet)
-        emit = self._process(packet)
+        emit: Optional[AskPacket] = packet  # routed untouched unless processed
+        if self._should_run_program(packet):
+            # The same ingress contract as the PISA backend as well:
+            # structurally invalid frames and per-slot invariant violations
+            # are dead-lettered, never raised, so one poison pill cannot
+            # stop the switch.
+            reason = validate_switch_ingress(
+                packet, self.config.num_aas, self.config.data_channels_per_host
+            )
+            if reason is not None:
+                self._quarantine(reason, packet)
+                return
+            try:
+                emit = self._process(packet)
+            except ProtocolError:
+                self._quarantine("protocol-invariant", packet)
+                return
+            except RegionExhaustedError:
+                self._quarantine("region-exhausted", packet)
+                return
         if emit is not None:
             self.clock.schedule(self.processing_latency_ns, self._emit, emit)
+
+    def _should_run_program(self, pkt: AskPacket) -> bool:
+        """ACKs, swap notifications for another switch and §7 transit
+        traffic are routed untouched."""
+        if pkt.is_ack:
+            return False
+        if pkt.is_swap:
+            return pkt.dst == self.name
+        return pkt.src in self.local_hosts
+
+    def _quarantine(self, reason: str, packet: AskPacket) -> None:
+        quarantine_packet(self.robustness, self.quarantine, self.clock.now, reason, packet)
+        if self.trace is not None:
+            self.trace.record(self.clock.now, self.name, "quarantine", packet)
 
     def _emit(self, packet: AskPacket) -> None:
         if self.fabric is None:
@@ -209,16 +248,10 @@ class TrioSwitch:
 
     # ------------------------------------------------------------------
     def _process(self, pkt: AskPacket) -> Optional[AskPacket]:
-        if pkt.is_ack:
-            return pkt  # routed
         if pkt.is_swap:
-            if pkt.dst != self.name:
-                return pkt  # transit toward another rack's switch
             # No shadow copies on Trio: acknowledge the epoch as a no-op.
             self.stats.swaps += 1
             return ack_for(pkt, self.name)
-        if pkt.src not in self.local_hosts:
-            return pkt  # §7 bypass: transit traffic is routed untouched
 
         channel = self._channel(pkt.channel_key)
         window = channel.window
@@ -254,6 +287,13 @@ class TrioSwitch:
         """Hash-table aggregation over *full* keys — including long ones."""
         mask = self.config.value_mask
         bitmap = pkt.bitmap
+        keys, values = pkt.keys, pkt.values
+
+        def key_at(slot: int) -> bytes:
+            key = keys[slot]
+            if key is None:
+                raise ProtocolError(f"bitmap bit {slot} set on a blank slot")
+            return key
 
         def absorb(key: bytes, value: int, bits: int) -> int:
             if key in store.table:
@@ -269,24 +309,26 @@ class TrioSwitch:
 
         if pkt.is_long:
             self.stats.long_packets += 1
-            for index, slot in pkt.live_slots():
-                bitmap = absorb(slot.key, slot.value, 1 << index)
+            for index in range(len(keys)):
+                if bitmap >> index & 1:
+                    bitmap = absorb(key_at(index), values[index], 1 << index)
             return bitmap
 
         for slot_index in range(self.layout.num_short_slots):
-            if not bitmap >> slot_index & 1:
-                continue
-            slot = pkt.slots[slot_index]
-            bitmap = absorb(unpad_key(slot.key), slot.value, 1 << slot_index)
+            if bitmap >> slot_index & 1:
+                bitmap = absorb(unpad_key(key_at(slot_index)), values[slot_index], 1 << slot_index)
         for group in range(self.layout.num_groups):
             slots = self.layout.group_slots(group)
-            if not bitmap >> slots[0] & 1:
-                continue
-            segments = b"".join(pkt.slots[s].key for s in slots)
             bits = 0
             for s in slots:
                 bits |= 1 << s
-            bitmap = absorb(unpad_key(segments), pkt.slots[slots[-1]].value, bits)
+            hit = bitmap & bits
+            if not hit:
+                continue
+            if hit != bits:
+                raise ProtocolError(f"medium group {group} has a partially-set bitmap")
+            segments = b"".join(map(key_at, slots))
+            bitmap = absorb(unpad_key(segments), values[slots[-1]], bits)
         return bitmap
 
     # ------------------------------------------------------------------

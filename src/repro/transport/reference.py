@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.keyspace import unpad_key
-from repro.core.packet import AskPacket, PacketFlag, Slot
+from repro.core.packet import AskPacket, PacketFlag
 from repro.net.simulator import SimulationError
 from repro.runtime.codec import MAGIC, VERSION, VERSION_LEGACY, CodecError
 from repro.transport.window import WindowEntry
@@ -278,18 +278,18 @@ def reference_encode_packet(packet: AskPacket, version: int = VERSION) -> bytes:
         src,
         bytes((len(dst),)),
         dst,
-        _REF_SLOT_HEAD.pack(len(packet.slots)),
+        _REF_SLOT_HEAD.pack(len(packet.keys)),
     ]
-    for slot in packet.slots:
-        if slot is None:
+    for key, value in zip(packet.keys, packet.values):
+        if key is None:
             parts.append(b"\x00")
             continue
-        if len(slot.key) > 0xFFFF:
-            raise CodecError(f"slot key of {len(slot.key)} bytes cannot be framed")
+        if len(key) > 0xFFFF:
+            raise CodecError(f"slot key of {len(key)} bytes cannot be framed")
         parts.append(b"\x01")
-        parts.append(struct.pack("!H", len(slot.key)))
-        parts.append(slot.key)
-        parts.append(_REF_VALUE.pack(slot.value & _REF_VALUE_MASK))
+        parts.append(struct.pack("!H", len(key)))
+        parts.append(key)
+        parts.append(_REF_VALUE.pack(value & _REF_VALUE_MASK))
     body = b"".join(parts)
     if version == VERSION_LEGACY:
         return body
@@ -367,16 +367,18 @@ def reference_decode_packet(data: bytes) -> AskPacket:
     except UnicodeDecodeError as exc:
         raise CodecError(f"undecodable endpoint name: {exc}") from exc
     (slot_count,) = _REF_SLOT_HEAD.unpack(reader.take(_REF_SLOT_HEAD.size))
-    slots: list[Optional[Slot]] = []
+    keys: list[Optional[bytes]] = []
+    values: list[Optional[int]] = []
     for _ in range(slot_count):
         present = reader.byte()
         if present == 0:
-            slots.append(None)
+            keys.append(None)
+            values.append(None)
         elif present == 1:
             (key_len,) = struct.unpack("!H", reader.take(2))
-            key = reader.take(key_len)
+            keys.append(reader.take(key_len))
             (value,) = _REF_VALUE.unpack(reader.take(_REF_VALUE.size))
-            slots.append(Slot(key, value))
+            values.append(value)
         else:
             raise CodecError(f"bad slot presence byte {present}")
     if reader.pos != len(body):
@@ -389,7 +391,8 @@ def reference_decode_packet(data: bytes) -> AskPacket:
         channel_index=channel_index,
         seq=seq,
         bitmap=bitmap,
-        slots=tuple(slots),
+        keys=tuple(keys),
+        values=tuple(values),
         ecn=bool(ecn),
     )
 
@@ -458,7 +461,8 @@ def reference_mode():
         channel_index,
         seq,
         bitmap=0,
-        slots=(),
+        keys=(),
+        values=(),
         ecn=False,
     ) -> None:
         self.flags = int(flags)
@@ -468,14 +472,13 @@ def reference_mode():
         self.channel_index = channel_index
         self.seq = seq
         self.bitmap = bitmap
-        self.slots = slots
+        self.keys = keys
+        self.values = values
         self.ecn = ecn
 
     def _pkt_frame_bytes(self) -> int:
         if self.is_long:
-            payload = sum(
-                1 + len(slot.key) + 4 for slot in self.slots if slot is not None
-            )
+            payload = sum(1 + len(key) + 4 for key in self.keys if key is not None)
             return constants.HEADER_BYTES + payload
         if self.flags & (PacketFlag.DATA | PacketFlag.FIN):
             return constants.HEADER_BYTES + self.num_slots * constants.TUPLE_BYTES
@@ -494,7 +497,8 @@ def reference_mode():
             self.channel_index,
             self.seq,
             bitmap,
-            self.slots,
+            self.keys,
+            self.values,
             self.ecn,
         )
 
@@ -631,11 +635,11 @@ def reference_mode():
         for slot in range(self.layout.num_short_slots):
             if not bitmap >> slot & 1:
                 continue
-            tup = pkt.slots[slot]
-            if tup is None:
+            key = pkt.keys[slot]
+            if key is None:
                 raise ProtocolError(f"bitmap bit {slot} set on a blank slot")
-            index = base + address_hash(tup.key) % region.size
-            outcome = self.pool.arrays[slot].try_aggregate(ctx, index, tup.key, tup.value)
+            index = base + address_hash(key) % region.size
+            outcome = self.pool.arrays[slot].try_aggregate(ctx, index, key, pkt.values[slot])
             self.pool._count(outcome, 1)
             if outcome.success:
                 bitmap &= ~(1 << slot)
@@ -653,11 +657,10 @@ def reference_mode():
             segments = []
             value = 0
             for s in slots:
-                tup = pkt.slots[s]
-                if tup is None:
+                if pkt.keys[s] is None:
                     raise ProtocolError(f"bitmap bit {s} set on a blank slot")
-                segments.append(tup.key)
-                value = tup.value
+                segments.append(pkt.keys[s])
+                value = pkt.values[s]
             padded = b"".join(segments)
             index = base + address_hash(padded) % region.size
             if self.pool.aggregate_group(ctx, slots, index, tuple(segments), value):
@@ -671,19 +674,22 @@ def reference_mode():
         residual = state.residual
         merged = 0
         if pkt.is_long:
-            for _index, slot in pkt.live_slots():
-                residual[slot.key] = (residual.get(slot.key, 0) + slot.value) & mask
-                merged += 1
+            for index, key in enumerate(pkt.keys):
+                if pkt.bitmap >> index & 1:
+                    if key is None:
+                        raise ProtocolError(f"bitmap bit {index} set but slot is blank")
+                    residual[key] = (residual.get(key, 0) + pkt.values[index]) & mask
+                    merged += 1
         else:
             bitmap = pkt.bitmap
             for slot_index in range(self.layout.num_short_slots):
                 if not bitmap >> slot_index & 1:
                     continue
-                slot = pkt.slots[slot_index]
-                if slot is None:
+                key = pkt.keys[slot_index]
+                if key is None:
                     raise ProtocolError(f"live bit {slot_index} on blank slot")
-                key = unpad_key(slot.key)
-                residual[key] = (residual.get(key, 0) + slot.value) & mask
+                key = unpad_key(key)
+                residual[key] = (residual.get(key, 0) + pkt.values[slot_index]) & mask
                 merged += 1
             for group in range(self.layout.num_groups):
                 slots = self.layout.group_slots(group)
@@ -697,11 +703,10 @@ def reference_mode():
                 segments = []
                 value = 0
                 for s in slots:
-                    slot = pkt.slots[s]
-                    if slot is None:
+                    if pkt.keys[s] is None:
                         raise ProtocolError(f"live bit {s} on blank slot")
-                    segments.append(slot.key)
-                    value = slot.value
+                    segments.append(pkt.keys[s])
+                    value = pkt.values[s]
                 key = unpad_key(b"".join(segments))
                 residual[key] = (residual.get(key, 0) + value) & mask
                 merged += 1

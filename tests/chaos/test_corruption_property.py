@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.chaos import ChaosOrchestrator, ChaosSchedule
 from repro.chaos.schedule import ChaosEvent
 from repro.core.config import AskConfig
-from repro.core.packet import AskPacket, Slot
+from repro.core.packet import AskPacket
 from repro.core.results import reference_aggregate
 from repro.core.service import AskService
 from repro.net.fault import CorruptedFrame, FaultModel, GilbertElliott
@@ -106,7 +106,7 @@ def test_integrity_off_is_the_negative_control():
     switch = service.switch
     pkt = AskPacket(
         0x1, 99, "h0", "h2", 0, 0, bitmap=0b1,
-        slots=(Slot(b"k" * 10, 3),) + (None,) * 3,
+        keys=(b"k" * 10, None, None, None), values=(3, None, None, None),
     )
     daemon.receive(CorruptedFrame(pkt))
     switch.receive(CorruptedFrame(pkt))

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import os
+from typing import Iterable, Optional
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.config import AskConfig
+from repro.core.packet import AskPacket
 from repro.net.simulator import Simulator
 
 # The CI fuzz job runs the property suites with a bigger example budget
@@ -29,6 +31,22 @@ def fuzz_budget(tier1_examples: int) -> int:
     if os.environ.get("HYPOTHESIS_PROFILE") == "ci-fuzz":
         return settings.default.max_examples
     return tier1_examples
+
+
+def slot_columns(slots: Iterable[Optional[tuple[bytes, int]]]) -> dict:
+    """The ``keys`` and ``values`` packet fields of a payload written as
+    (key, value) pairs, ``None`` for a blank slot."""
+    slots = tuple(slots)
+    return dict(
+        keys=tuple(None if slot is None else slot[0] for slot in slots),
+        values=tuple(None if slot is None else slot[1] for slot in slots),
+    )
+
+
+def build_packet(slots: Iterable[Optional[tuple[bytes, int]]] = (), **fields) -> AskPacket:
+    """An :class:`AskPacket` whose payload is written as (key, value)
+    pairs, ``None`` for a blank slot."""
+    return AskPacket(**fields, **slot_columns(slots))
 
 
 @pytest.fixture

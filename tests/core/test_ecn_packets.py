@@ -1,7 +1,7 @@
 """Tests for ECN mark propagation through the packet layer and the switch."""
 
 from repro.core.config import AskConfig
-from repro.core.packet import AskPacket, PacketFlag, Slot, ack_for
+from repro.core.packet import AskPacket, PacketFlag, ack_for
 from repro.net.simulator import Simulator
 from repro.switch.switch import AskSwitch
 
@@ -9,7 +9,7 @@ from repro.switch.switch import AskSwitch
 def _data(ecn=False):
     return AskPacket(
         PacketFlag.DATA, 1, "h0", "h1", 0, 0,
-        bitmap=0b1, slots=(Slot(b"cat\x80", 1),), ecn=ecn,
+        bitmap=0b1, keys=(b"cat\x80",), values=(1,), ecn=ecn,
     )
 
 
@@ -17,7 +17,8 @@ def test_with_ecn_marks_a_copy():
     pkt = _data()
     marked = pkt.with_ecn()
     assert marked.ecn and not pkt.ecn
-    assert marked.slots == pkt.slots and marked.seq == pkt.seq
+    assert (marked.keys, marked.values) == (pkt.keys, pkt.values)
+    assert marked.seq == pkt.seq
 
 
 def test_with_ecn_is_idempotent():

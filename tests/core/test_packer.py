@@ -19,27 +19,25 @@ def decode_payloads(payloads, cfg):
     layout = KeySpaceLayout(cfg)
     tuples = []
     for payload in payloads:
+        keys, values = payload.keys, payload.values
         if payload.is_long:
-            for slot in payload.slots:
-                if slot is not None:
-                    tuples.append((slot.key, slot.value))
+            tuples.extend((key, value) for key, value in zip(keys, values) if key is not None)
             continue
         for index in range(layout.num_short_slots):
             if payload.bitmap >> index & 1:
-                slot = payload.slots[index]
-                tuples.append((unpad_key(slot.key), slot.value))
+                tuples.append((unpad_key(keys[index]), values[index]))
         for group in range(layout.num_groups):
             slots = layout.group_slots(group)
             if payload.bitmap >> slots[0] & 1:
-                segments = b"".join(payload.slots[s].key for s in slots)
-                tuples.append((unpad_key(segments), payload.slots[slots[-1]].value))
+                segments = b"".join(keys[s] for s in slots)
+                tuples.append((unpad_key(segments), values[slots[-1]]))
     return tuples
 
 
 def test_single_short_key(cfg):
     payloads, stats = pack_stream([(b"cat", 5)], cfg)
     assert len(payloads) == 1
-    assert payloads[0].tuple_slots == 1
+    assert payloads[0].bitmap.bit_count() == 1
     assert decode_payloads(payloads, cfg) == [(b"cat", 5)]
 
 
@@ -72,7 +70,7 @@ def test_different_subspaces_share_one_packet(cfg):
         i += 1
     payloads, _ = pack_stream([(k, 1) for k in keys], cfg)
     assert len(payloads) == 1
-    assert payloads[0].tuple_slots == 3
+    assert payloads[0].bitmap.bit_count() == 3
 
 
 def test_medium_key_occupies_its_group(cfg):
@@ -92,8 +90,8 @@ def test_medium_value_rides_in_last_segment(cfg):
         next(i for i in range(cfg.num_aas) if payload.bitmap >> i & 1)
     )
     first, last = layout.group_slots(group)
-    assert payload.slots[first].value == 0
-    assert payload.slots[last].value == 7
+    assert payload.values[first] == 0
+    assert payload.values[last] == 7
 
 
 def test_long_keys_batched_separately(cfg):
@@ -110,7 +108,7 @@ def test_long_keys_batched_separately(cfg):
 def test_long_batch_capped_at_num_slots(cfg):
     long_keys = [(b"longkey-%03d-xx" % i, 1) for i in range(cfg.num_aas + 3)]
     payloads, _ = pack_stream(long_keys, cfg)
-    assert all(len(p.slots) <= cfg.num_aas for p in payloads)
+    assert all(len(p.keys) == len(p.values) <= cfg.num_aas for p in payloads)
 
 
 def test_blank_slot_accounting(cfg):

@@ -1,22 +1,19 @@
 """Tests for the ASK packet format and wire accounting."""
 
-import pytest
-
 from repro.core import constants
-from repro.core.errors import ProtocolError
 from repro.core.packet import (
     SWAP_CHANNEL_INDEX,
-    AskPacket,
     PacketFlag,
-    Slot,
     ack_for,
     fin_packet,
     swap_packet,
 )
+from tests.conftest import build_packet
 
 
 def _data(slots, bitmap, flags=PacketFlag.DATA):
-    return AskPacket(
+    return build_packet(
+        slots,
         flags=flags,
         task_id=1,
         src="h0",
@@ -24,12 +21,11 @@ def _data(slots, bitmap, flags=PacketFlag.DATA):
         channel_index=2,
         seq=5,
         bitmap=bitmap,
-        slots=tuple(slots),
     )
 
 
 def test_flag_properties():
-    pkt = _data([Slot(b"abcd", 1)], 0b1)
+    pkt = _data([(b"abcd", 1)], 0b1)
     assert pkt.is_data and not pkt.is_ack and not pkt.is_fin and not pkt.is_swap
 
 
@@ -38,60 +34,55 @@ def test_channel_key_identifies_sequence_space():
     assert pkt.channel_key == ("h0", 2)
 
 
-def test_live_slots_follow_bitmap():
-    slots = [Slot(b"aaaa", 1), None, Slot(b"cccc", 3)]
-    pkt = _data(slots, 0b101)
-    assert pkt.live_slots() == [(0, slots[0]), (2, slots[2])]
-
-
-def test_live_slots_rejects_bit_on_blank():
-    pkt = _data([None, Slot(b"bbbb", 2)], 0b01)
-    with pytest.raises(ProtocolError):
-        pkt.live_slots()
+def test_payload_is_two_slot_aligned_columns():
+    pkt = _data([(b"aaaa", 1), None, (b"cccc", 3)], 0b101)
+    assert pkt.keys == (b"aaaa", None, b"cccc")
+    assert pkt.values == (1, None, 3)
+    assert pkt.num_slots == 3
 
 
 def test_with_bitmap_preserves_everything_else():
-    pkt = _data([Slot(b"aaaa", 1)], 0b1)
+    pkt = _data([(b"aaaa", 1)], 0b1)
     rewritten = pkt.with_bitmap(0)
     assert rewritten.bitmap == 0
-    assert rewritten.slots == pkt.slots
+    assert rewritten.keys == pkt.keys and rewritten.values == pkt.values
     assert rewritten.seq == pkt.seq
     assert pkt.bitmap == 0b1  # original untouched (immutability)
 
 
 def test_tuple_count_is_popcount():
-    pkt = _data([Slot(b"a" * 4, 1)] * 4, 0b1011)
+    pkt = _data([(b"a" * 4, 1)] * 4, 0b1011)
     assert pkt.tuple_count == 3
 
 
 def test_data_frame_bytes_carries_all_slots_blank_or_not():
-    pkt = _data([Slot(b"aaaa", 1), None, None], 0b001)
+    pkt = _data([(b"aaaa", 1), None, None], 0b001)
     assert pkt.frame_bytes() == constants.HEADER_BYTES + 3 * constants.TUPLE_BYTES
 
 
 def test_wire_overhead_is_78_bytes():
-    pkt = _data([Slot(b"aaaa", 1)], 0b1)
+    pkt = _data([(b"aaaa", 1)], 0b1)
     assert pkt.wire_bytes() - pkt.num_slots * constants.TUPLE_BYTES == 78
 
 
 def test_ack_frame_is_headers_only():
-    ack = ack_for(_data([Slot(b"aaaa", 1)], 0b1), replier="switch")
+    ack = ack_for(_data([(b"aaaa", 1)], 0b1), replier="switch")
     assert ack.frame_bytes() == constants.HEADER_BYTES
 
 
 def test_goodput_counts_only_live_slots():
-    pkt = _data([Slot(b"aaaa", 1), None, Slot(b"cccc", 1)], 0b101)
+    pkt = _data([(b"aaaa", 1), None, (b"cccc", 1)], 0b101)
     assert pkt.goodput_bytes() == 2 * constants.TUPLE_BYTES
 
 
 def test_long_packet_variable_length_encoding():
-    pkt = _data([Slot(b"a-very-long-key", 1)], 0b1, flags=PacketFlag.DATA | PacketFlag.LONG)
+    pkt = _data([(b"a-very-long-key", 1)], 0b1, flags=PacketFlag.DATA | PacketFlag.LONG)
     assert pkt.is_long
     assert pkt.frame_bytes() == constants.HEADER_BYTES + 1 + 15 + 4
 
 
 def test_ack_for_reverses_direction_and_echoes_seq():
-    pkt = _data([Slot(b"aaaa", 1)], 0b1)
+    pkt = _data([(b"aaaa", 1)], 0b1)
     ack = ack_for(pkt, replier="switch")
     assert ack.is_ack
     assert ack.dst == "h0" and ack.src == "switch"
@@ -111,7 +102,3 @@ def test_swap_packet_uses_sentinel_channel_and_epoch():
     assert swap.channel_index == SWAP_CHANNEL_INDEX
     assert swap.seq == 5
 
-
-def test_slot_requires_bytes_key():
-    with pytest.raises(TypeError):
-        Slot("not-bytes", 1)  # type: ignore[arg-type]

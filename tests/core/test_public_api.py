@@ -46,8 +46,6 @@ def test_version_is_set():
         "repro.transport.congestion",
         "repro.apps.mapreduce.rdd",
         "repro.apps.training.allreduce",
-        "repro.baselines.sync_ina",
-        "repro.workloads.io",
         "repro.perf.report",
         "repro.experiments.fastsim",
         "repro.experiments.ablations",

@@ -17,7 +17,6 @@ from repro.core.packet import (
     FLAG_SWAP,
     SWAP_CHANNEL_INDEX,
     AskPacket,
-    Slot,
 )
 from repro.core.robustness import (
     DEFINED_FLAG_MASK,
@@ -42,7 +41,8 @@ def data_packet(**overrides):
         channel_index=0,
         seq=0,
         bitmap=0b0011,
-        slots=(Slot(b"a" * 10, 1), Slot(b"b" * 10, 2), None, None),
+        keys=(b"a" * 10, b"b" * 10, None, None),
+        values=(1, 2, None, None),
     )
     fields.update(overrides)
     return AskPacket(**fields)
@@ -166,26 +166,29 @@ def test_range_violations_rejected(overrides, reason):
 
 
 def test_slot_count_bounded_by_channel_width_for_short_frames():
-    too_wide = tuple(Slot(b"k" * 10, 1) for _ in range(NUM_AAS + 1))
-    pkt = data_packet(slots=too_wide, bitmap=0b1)
+    width = NUM_AAS + 1
+    pkt = data_packet(keys=(b"k" * 10,) * width, values=(1,) * width, bitmap=0b1)
     assert validate_switch_ingress(pkt, NUM_AAS, CHANNELS) == "slot-count"
 
 
 def test_long_frames_may_exceed_channel_width():
     # LONG payloads bypass switch aggregation, so slot position is not an
     # AA index and the width bound does not apply.
-    wide = tuple(Slot(b"k" * 30, 1) for _ in range(NUM_AAS + 2))
+    width = NUM_AAS + 2
     pkt = data_packet(
-        flags=FLAG_DATA | FLAG_LONG, slots=wide, bitmap=(1 << len(wide)) - 1
+        flags=FLAG_DATA | FLAG_LONG,
+        keys=(b"k" * 30,) * width,
+        values=(1,) * width,
+        bitmap=(1 << width) - 1,
     )
     assert validate_switch_ingress(pkt, NUM_AAS, CHANNELS) is None
 
 
 def test_swap_must_use_swap_channel():
     good = data_packet(
-        flags=FLAG_SWAP, channel_index=SWAP_CHANNEL_INDEX, bitmap=0, slots=()
+        flags=FLAG_SWAP, channel_index=SWAP_CHANNEL_INDEX, bitmap=0, keys=(), values=()
     )
-    bad = data_packet(flags=FLAG_SWAP, channel_index=0, bitmap=0, slots=())
+    bad = data_packet(flags=FLAG_SWAP, channel_index=0, bitmap=0, keys=(), values=())
     assert validate_switch_ingress(good, NUM_AAS, CHANNELS) is None
     assert validate_switch_ingress(bad, NUM_AAS, CHANNELS) == "channel-index"
     # A SWAP delivered to a *host* is misrouted no matter the channel.

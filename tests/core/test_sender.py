@@ -209,7 +209,7 @@ def test_stats_count_first_transmissions_only():
 
 
 def _wire(packet):
-    return (packet.is_long, packet.bitmap, packet.slots)
+    return (packet.is_long, packet.bitmap, packet.keys, packet.values)
 
 
 def test_abort_mid_window_then_replay_emits_the_identical_payloads():
@@ -237,6 +237,6 @@ def test_abort_mid_window_then_replay_emits_the_identical_payloads():
     replay = [p for p in sent if p.is_data]
     assert [p.seq for p in replay] == list(range(7, 7 + len(expected)))
     assert [_wire(p) for p in replay] == [
-        (payload.is_long, payload.bitmap, payload.slots) for payload in expected
+        (payload.is_long, payload.bitmap, payload.keys, payload.values) for payload in expected
     ]
     assert [_wire(p) for p in first_pass] == [_wire(p) for p in replay[:7]]

@@ -63,7 +63,7 @@ def test_empty_bitmap_data_packet_is_acked_not_forwarded():
     switch = AskSwitch(cfg, Simulator(), max_tasks=2, max_channels=4)
     switch.controller.allocate_region(1)
     pkt = AskPacket(PacketFlag.DATA, 1, "h0", "h1", 0, 0, bitmap=0,
-                    slots=(None,) * cfg.num_aas)
+                    keys=(None,) * cfg.num_aas, values=(None,) * cfg.num_aas)
     decision = switch.program.process(switch.pipeline.begin_pass(), pkt)
     assert decision.action is SwitchAction.ACK
 

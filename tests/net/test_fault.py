@@ -397,12 +397,12 @@ def test_corrupt_bytes_on_empty_datagram_is_a_seeded_noop():
 def test_corrupt_packet_fields_changes_exactly_one_field():
     import random as _random
 
-    from repro.core.packet import AskPacket, Slot
+    from repro.core.packet import AskPacket
     from repro.net.fault import corrupt_packet_fields
 
     packet = AskPacket(
         0x1, 7, "h0", "h2", 1, 42, bitmap=0b101,
-        slots=(Slot(b"a" * 8, 5), None, Slot(b"b" * 8, 9)),
+        keys=(b"a" * 8, None, b"b" * 8), values=(5, None, 9),
     )
     for seed in range(50):
         mutated = corrupt_packet_fields(packet, _random.Random(seed))
@@ -413,7 +413,7 @@ def test_corrupt_packet_fields_changes_exactly_one_field():
         assert (mutated.src, mutated.dst) == ("h0", "h2")
         diffs = [
             name
-            for name in ("flags", "task_id", "channel_index", "seq", "bitmap", "slots")
+            for name in ("flags", "task_id", "channel_index", "seq", "bitmap", "keys", "values")
             if getattr(mutated, name) != getattr(packet, name)
         ]
         assert len(diffs) == 1, diffs

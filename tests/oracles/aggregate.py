@@ -27,11 +27,11 @@ def per_tuple_aggregate(program, ctx, pkt, region) -> int:
     while short_bits:
         slot = (short_bits & -short_bits).bit_length() - 1
         short_bits &= short_bits - 1
-        tup = pkt.slots[slot]
-        if tup is None:
+        key = pkt.keys[slot]
+        if key is None:
             raise ProtocolError(f"bitmap bit {slot} set on a blank slot")
-        index = base + address_hash(tup.key) % region.size
-        code = pool[slot].aggregate_fast(ctx, index, tup.key, tup.value)
+        index = base + address_hash(key) % region.size
+        code = pool[slot].aggregate_fast(ctx, index, key, pkt.values[slot])
         if code:
             pool.tuples_aggregated += 1
             if code == 2:
@@ -53,11 +53,10 @@ def per_tuple_aggregate(program, ctx, pkt, region) -> int:
             segments = []
             value = 0
             for s in slots:
-                tup = pkt.slots[s]
-                if tup is None:
+                if pkt.keys[s] is None:
                     raise ProtocolError(f"bitmap bit {s} set on a blank slot")
-                segments.append(tup.key)
-                value = tup.value
+                segments.append(pkt.keys[s])
+                value = pkt.values[s]
             padded = b"".join(segments)
             index = base + address_hash(padded) % region.size
             if pool.aggregate_group(ctx, slots, index, tuple(segments), value):

@@ -1,12 +1,13 @@
 """The per-tuple packer, frozen as the oracle of :class:`repro.core.packer.Packer`.
 
 ``add`` routes one tuple per call and ``payloads`` builds each packet by
-scanning every subspace queue and popping at most one tuple from each.
-The product packer queues a whole stream in one loop into per-lane lists
-and drains them into a payload plan, which builds the payloads by
-transposing its lanes; ``tests/core/test_packer_oracle.py`` requires both
-to produce the same payload list and the same
-:class:`~repro.core.packer.PackStats`, field by field.
+scanning every subspace queue and popping at most one tuple from each
+into a row of (key, value) slots.  The product packer queues a whole
+stream in one loop into per-lane lists and drains them into a payload
+plan, which builds each payload's key and value columns by transposing
+its lanes; ``tests/core/test_packer_oracle.py`` requires both to produce
+the same payload list, compared on each payload's (keys, values) rows,
+and the same :class:`~repro.core.packer.PackStats`, field by field.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ from repro.core.config import AskConfig
 from repro.core.errors import KeyTooLongError
 from repro.core.keyspace import KeyClass, KeySpaceLayout
 from repro.core.packer import PackedPayload, PackStats
-from repro.core.packet import Slot
+
+#: One packet slot: (padded key or segment, value), or ``None`` if blank.
+SlotRow = Optional[tuple[bytes, int]]
+
+
+def _payload(rows: list[SlotRow], bitmap: int, is_long: bool = False) -> PackedPayload:
+    """Split a row of slots into the payload's key and value columns."""
+    keys = tuple(None if row is None else row[0] for row in rows)
+    values = tuple(None if row is None else row[1] for row in rows)
+    return PackedPayload(keys, values, bitmap, is_long)
 
 
 class ReferencePacker:
@@ -78,14 +88,14 @@ class ReferencePacker:
     def payloads(self) -> Iterator[PackedPayload]:
         num_slots = self.config.num_aas
         while any(self._short) or any(self._groups):
-            slots: list[Optional[Slot]] = [None] * num_slots
+            slots: list[SlotRow] = [None] * num_slots
             bitmap = 0
             tuples_in_packet = 0
             for index, queue in enumerate(self._short):
                 if not queue:
                     continue
                 padded, value = queue.popleft()
-                slots[index] = Slot(padded, value)
+                slots[index] = (padded, value)
                 bitmap |= 1 << index
                 tuples_in_packet += 1
             for group, queue in enumerate(self._groups):
@@ -95,7 +105,7 @@ class ReferencePacker:
                 group_slots = self.layout.group_slots(group)
                 last = len(group_slots) - 1
                 for pos, slot_index in enumerate(group_slots):
-                    slots[slot_index] = Slot(segments[pos], value if pos == last else 0)
+                    slots[slot_index] = (segments[pos], value if pos == last else 0)
                     bitmap |= 1 << slot_index
                 tuples_in_packet += 1
             self.stats.packets += 1
@@ -103,13 +113,12 @@ class ReferencePacker:
             self.stats.occupancy_histogram[tuples_in_packet] = (
                 self.stats.occupancy_histogram.get(tuples_in_packet, 0) + 1
             )
-            yield PackedPayload(tuple(slots), bitmap)
+            yield _payload(slots, bitmap)
 
         while self._long:
-            batch: list[Optional[Slot]] = []
+            batch: list[SlotRow] = []
             while self._long and len(batch) < num_slots:
-                key, value = self._long.popleft()
-                batch.append(Slot(key, value))
+                batch.append(self._long.popleft())
             bitmap = (1 << len(batch)) - 1
             self.stats.long_packets += 1
-            yield PackedPayload(tuple(batch), bitmap, is_long=True)
+            yield _payload(batch, bitmap, is_long=True)

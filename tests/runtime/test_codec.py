@@ -7,7 +7,6 @@ import pytest
 from repro.core.packet import (
     AskPacket,
     PacketFlag,
-    Slot,
     ack_for,
     fin_packet,
     swap_packet,
@@ -19,6 +18,7 @@ from repro.runtime.codec import (
     decode_packet,
     encode_packet,
 )
+from tests.conftest import slot_columns
 
 
 def reseal(body: bytes) -> bytes:
@@ -32,7 +32,10 @@ def body_of(data: bytes) -> bytearray:
     return bytearray(data[:-4])
 
 
-def data_packet(**overrides):
+def data_packet(
+    slots=((b"cat\x00\x00\x00\x00\x00", 5), None, (b"dog\x00\x00\x00\x00\x00", 9)),
+    **overrides,
+):
     fields = dict(
         flags=PacketFlag.DATA,
         task_id=7,
@@ -41,7 +44,7 @@ def data_packet(**overrides):
         channel_index=3,
         seq=42,
         bitmap=0b101,
-        slots=(Slot(b"cat\x00\x00\x00\x00\x00", 5), None, Slot(b"dog\x00\x00\x00\x00\x00", 9)),
+        **slot_columns(slots),
     )
     fields.update(overrides)
     return AskPacket(**fields)
@@ -52,7 +55,7 @@ def data_packet(**overrides):
     [
         data_packet(),
         data_packet(bitmap=0, slots=(), ecn=True),
-        data_packet(flags=PacketFlag.DATA | PacketFlag.LONG, bitmap=1, slots=(Slot(b"k" * 300, 1),)),
+        data_packet(flags=PacketFlag.DATA | PacketFlag.LONG, bitmap=1, slots=((b"k" * 300, 1),)),
         ack_for(data_packet(), "switch"),
         fin_packet(7, "h0", "h2", 3, 99),
         swap_packet(7, "h2", "switch", 4),
@@ -75,7 +78,7 @@ def test_roundtrip_large_values_and_ids():
         task_id=(3 << 32) | 17,  # tenant-encoded id
         seq=(1 << 40),
         bitmap=(1 << 63),
-        slots=tuple([None] * 63 + [Slot(b"x" * 8, (1 << 64) - 1)]),
+        slots=[None] * 63 + [(b"x" * 8, (1 << 64) - 1)],
     )
     assert decode_packet(encode_packet(packet)) == packet
 
@@ -117,7 +120,7 @@ def test_appended_noise_fails_checksum():
 
 
 def test_bad_presence_byte_rejected():
-    packet = data_packet(slots=(Slot(b"k" * 8, 1),), bitmap=1)
+    packet = data_packet(slots=((b"k" * 8, 1),), bitmap=1)
     body = body_of(encode_packet(packet))
     # The presence byte of slot 0 sits right after the 2-byte slot count.
     offset = len(body) - (1 + 2 + 8 + 8)
@@ -204,6 +207,6 @@ def test_oversized_names_rejected_on_encode():
 
 
 def test_oversized_key_rejected_on_encode():
-    packet = data_packet(slots=(Slot(b"k" * 70000, 1),), bitmap=1)
+    packet = data_packet(slots=((b"k" * 70000, 1),), bitmap=1)
     with pytest.raises(CodecError, match="key"):
         encode_packet(packet)

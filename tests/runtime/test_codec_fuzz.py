@@ -18,13 +18,14 @@ import zlib
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.packet import AskPacket, PacketFlag, Slot
+from repro.core.packet import PacketFlag
 from repro.runtime.codec import (
     VERSION_LEGACY,
     CodecError,
     decode_packet,
     encode_packet,
 )
+from tests.conftest import build_packet
 
 #: Every reason the codec is allowed to fail with.
 CODEC_REASONS = {
@@ -40,7 +41,7 @@ CODEC_REASONS = {
 _SLOT_KEY = st.binary(min_size=0, max_size=24)
 
 _packets = st.builds(
-    AskPacket,
+    build_packet,
     flags=st.sampled_from(
         [
             PacketFlag.DATA,
@@ -58,9 +59,9 @@ _packets = st.builds(
     seq=st.integers(0, (1 << 40) - 1),
     bitmap=st.integers(0, (1 << 16) - 1),
     slots=st.lists(
-        st.one_of(st.none(), st.builds(Slot, key=_SLOT_KEY, value=st.integers(0, 2**32))),
+        st.one_of(st.none(), st.tuples(_SLOT_KEY, st.integers(0, 2**32))),
         max_size=6,
-    ).map(tuple),
+    ),
     ecn=st.booleans(),
 )
 

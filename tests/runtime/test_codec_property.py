@@ -10,9 +10,10 @@ the bytes equal what the seed dataclass implementation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.packet import AskPacket, PacketFlag, Slot
+from repro.core.packet import AskPacket, PacketFlag
 from repro.runtime.codec import decode_packet, encode_packet
 from repro.transport.reference import reference_mode
+from tests.conftest import slot_columns
 
 #: Flag combinations the stack actually emits (senders, switch, receiver).
 FLAG_COMBOS = [
@@ -33,10 +34,10 @@ values = st.integers(min_value=0, max_value=(1 << 64) - 1)
 slots = st.lists(
     st.one_of(
         st.none(),
-        st.builds(Slot, st.binary(min_size=1, max_size=16), values),
+        st.tuples(st.binary(min_size=1, max_size=16), values),
     ),
     max_size=8,
-).map(tuple)
+)
 
 
 @st.composite
@@ -49,8 +50,8 @@ def packets(draw):
         channel_index=draw(st.integers(min_value=-1, max_value=255)),
         seq=draw(st.integers(min_value=0, max_value=(1 << 40))),
         bitmap=draw(values),
-        slots=draw(slots),
         ecn=draw(st.booleans()),
+        **slot_columns(draw(slots)),
     )
 
 

@@ -28,7 +28,7 @@ import zlib
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.packet import AskPacket, PacketFlag, Slot
+from repro.core.packet import AskPacket, PacketFlag
 from repro.runtime.codec import (
     VERSION,
     VERSION_LEGACY,
@@ -38,6 +38,7 @@ from repro.runtime.codec import (
     name_prefix,
 )
 from repro.transport.reference import reference_decode_packet, reference_encode_packet
+from tests.conftest import build_packet
 
 VERSIONS = st.sampled_from([VERSION, VERSION_LEGACY])
 REGISTERED = ["h0", "h1", "switch", "tor-r1", "späne"]
@@ -49,11 +50,11 @@ _names = st.one_of(
 )
 _values = st.integers(0, (1 << 64) - 1)
 _slots = st.lists(
-    st.one_of(st.none(), st.builds(Slot, st.binary(max_size=24), _values)),
+    st.one_of(st.none(), st.tuples(st.binary(max_size=24), _values)),
     max_size=8,
-).map(tuple)
+)
 _packets = st.builds(
-    AskPacket,
+    build_packet,
     flags=st.sampled_from(
         [
             PacketFlag.DATA,
@@ -112,20 +113,20 @@ def test_encoders_emit_identical_bytes_and_decoders_equal_packets(packet, versio
     assert decoded == packet
     # Nothing in the packet may alias the buffer the next datagram lands in.
     assert type(decoded.src) is str and type(decoded.dst) is str
-    assert all(type(slot.key) is bytes for slot in decoded.slots if slot is not None)
+    assert all(type(key) is bytes for key in decoded.keys if key is not None)
 
 
 def test_unframable_packets_are_refused_alike():
     ack = AskPacket(PacketFlag.ACK, 1, "h0", "h1", 0, 0)
     long_name = AskPacket(PacketFlag.ACK, 1, "n" * 256, "h1", 0, 0)
-    long_key = AskPacket(PacketFlag.DATA, 1, "h0", "h1", 0, 0, 1, (Slot(b"k" * 0x10000, 1),))
+    long_key = AskPacket(PacketFlag.DATA, 1, "h0", "h1", 0, 0, 1, (b"k" * 0x10000,), (1,))
     for encode in (reference_encode_packet, encode_packet):
         assert _outcome(lambda packet: encode(packet, 3), ack) == ("error", "version")
         for version in (VERSION, VERSION_LEGACY):
             for packet in (long_name, long_key):
                 assert _outcome(lambda p: encode(p, version), packet) == ("error", "malformed")
     # The largest framable key is framed, and framed alike.
-    largest = AskPacket(PacketFlag.DATA, 1, "h0", "h1", 0, 0, 1, (Slot(b"k" * 0xFFFF, 1),))
+    largest = AskPacket(PacketFlag.DATA, 1, "h0", "h1", 0, 0, 1, (b"k" * 0xFFFF,), (1,))
     assert encode_packet(largest) == reference_encode_packet(largest)
     assert decode_packet(encode_packet(largest)) == largest
 

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from repro.core.packet import (
     AskPacket,
     PacketFlag,
-    Slot,
     ack_for,
     fin_packet,
     swap_packet,
@@ -43,7 +42,7 @@ def _assert_same_packet(loaded, packet):
 
 #: What a packet ships across the shard cut: its constructor arguments.
 _WIRE_FIELDS = (
-    "flags", "task_id", "src", "dst", "channel_index", "seq", "bitmap", "slots", "ecn",
+    "flags", "task_id", "src", "dst", "channel_index", "seq", "bitmap", "keys", "values", "ecn",
 )
 
 
@@ -52,7 +51,7 @@ _WIRE_FIELDS = (
 def test_packet_pickle_roundtrip_keeps_every_field(fields):
     packet = AskPacket(**fields)
     # Derived fields are rebuilt on load, not shipped: the reduce tuple is
-    # the constructor and exactly the nine wire fields.
+    # the constructor and exactly the ten wire fields.
     rebuild, args = packet.__reduce__()
     assert rebuild is AskPacket
     assert args == tuple(getattr(packet, name) for name in _WIRE_FIELDS)
@@ -75,7 +74,7 @@ def test_corrupted_frame_pickle_roundtrip(fields):
 
 _DATA = AskPacket(
     PacketFlag.DATA, 7, "h0", "h3", 2, 41, 0b0101,
-    (Slot(b"k0\x00\x00", 5), None, Slot(b"k1\x00\x00", 9), None),
+    (b"k0\x00\x00", None, b"k1\x00\x00", None), (5, None, 9, None),
 )
 
 #: One of every kind the stack builds, by its own constructors.
@@ -85,11 +84,11 @@ STACK_PACKETS = {
     "data-bitmap-rewritten": _DATA.with_bitmap(0b0001),
     "long": AskPacket(
         PacketFlag.DATA | PacketFlag.LONG, 7, "h0", "h3", 2, 42, 0b1,
-        (Slot(b"a-long-key-past-the-slot-width", 3),),
+        (b"a-long-key-past-the-slot-width",), (3,),
     ),
     "bypass": AskPacket(
         PacketFlag.DATA | PacketFlag.BYPASS, 7, "h0", "h3", 2, 43, 0b1,
-        (Slot(b"k0\x00\x00", 5),),
+        (b"k0\x00\x00",), (5,),
     ),
     "ack": ack_for(_DATA, "tor-r0"),
     "ack-with-ecn-echo": ack_for(_DATA.with_ecn(), "h3"),

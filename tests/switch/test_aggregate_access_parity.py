@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 
 from repro.core.config import AskConfig
 from repro.core.errors import ProtocolError
-from repro.core.packet import AskPacket, PacketFlag, Slot
+from repro.core.packet import PacketFlag
 from repro.net.simulator import Simulator
 from repro.switch.aggregator import AggregatorArray
 from repro.switch.controller import Region
 from repro.switch.pisa import Pipeline
 from repro.switch.registers import PassContext, RegisterAccessError
 from repro.switch.switch import AskSwitch
-from tests.conftest import fuzz_budget
+from tests.conftest import build_packet, fuzz_budget
 from tests.oracles.aggregate import per_tuple_aggregate
 
 _SIZE = 8
@@ -124,7 +124,9 @@ def _switch(shadow_copy):
 
 
 def _packet(bitmap, slots):
-    return AskPacket(PacketFlag.DATA, 1, "h0", "h1", 0, 0, bitmap, tuple(slots))
+    """A DATA packet from (key, value) slots, ``None`` for a blank one."""
+    return build_packet(slots, flags=PacketFlag.DATA, task_id=1, src="h0", dst="h1",
+                        channel_index=0, seq=0, bitmap=bitmap)
 
 
 def _state(switch, ctx):
@@ -150,7 +152,7 @@ def _outcome(call):
 
 _slot = st.one_of(
     st.none(),
-    st.builds(Slot, st.sampled_from(_SLOT_KEYS), st.integers(-(2**33), 2**33)),
+    st.tuples(st.sampled_from(_SLOT_KEYS), st.integers(-(2**33), 2**33)),
 )
 _loop_op = st.one_of(
     st.tuples(
@@ -212,7 +214,7 @@ def test_blank_slot_raises_after_the_earlier_tuples_are_counted():
     region = switch.controller.allocate_region(1)
     (first, key), (hole, _) = _short_slot_keys(cfg, 2)
     slots = [None] * cfg.num_aas
-    slots[first] = Slot(key, 5)
+    slots[first] = (key, 5)
     pkt = _packet((1 << first) | (1 << hole), slots)
     with pytest.raises(ProtocolError, match=f"bitmap bit {hole} set on a blank slot"):
         switch.program._aggregate(PassContext(), pkt, region)
@@ -229,7 +231,7 @@ def test_same_pass_twice_and_backwards_stage_raise_like_aggregate_fast():
     oracle.controller.allocate_region(1)
     (slot, key), = _short_slot_keys(cfg, 1)
     slots = [None] * cfg.num_aas
-    slots[slot] = Slot(key, 1)
+    slots[slot] = (key, 1)
     pkt = _packet(1 << slot, slots)
 
     ctx, oracle_ctx = PassContext("twice"), PassContext("twice")

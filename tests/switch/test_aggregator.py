@@ -94,7 +94,9 @@ class TestPool:
         switch = AskSwitch(cfg, Simulator(), max_tasks=4, max_channels=8)
         switch.controller.allocate_region(1)
         (payload,) = pack_stream([(b"k", 1)], cfg)[0]
-        pkt = AskPacket(PacketFlag.DATA, 1, "h0", "h1", 0, 0, payload.bitmap, payload.slots)
+        pkt = AskPacket(
+            PacketFlag.DATA, 1, "h0", "h1", 0, 0, payload.bitmap, payload.keys, payload.values
+        )
         switch.program.process(switch.pipeline.begin_pass(), pkt)
         assert switch.pool.tuples_aggregated == 1
         assert switch.pool.aggregators_reserved == 1

@@ -3,7 +3,8 @@
 Hostile packet objects — random flag bytes, out-of-range indices,
 negative sequence numbers, nonsense bitmaps, plus checksum-failed
 wrappers around field-mutated valid frames (the sim fabric's corruption
-model) — are driven through ``AskSwitch.receive`` and
+model) — are driven through the switch's ``receive`` (the PISA
+``AskSwitch`` and the run-to-completion ``TrioSwitch`` alike) and
 ``HostDaemon.receive`` on a fully wired deployment.  The invariants:
 
 - no exception ever escapes an ingress,
@@ -22,11 +23,13 @@ corruption property tests instead.
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AskConfig
-from repro.core.packet import AskPacket, Slot
+from repro.core.keyspace import KeySpaceLayout
+from repro.core.packet import FLAG_DATA, AskPacket
 from repro.core.results import reference_aggregate
 from repro.core.robustness import (
     validate_host_ingress,
@@ -34,25 +37,31 @@ from repro.core.robustness import (
 )
 from repro.core.service import AskService
 from repro.net.fault import CorruptedFrame, corrupt_packet_fields
+from repro.switch.switch import AskSwitch
+from repro.switch.trio import TrioSwitch
+from tests.conftest import build_packet, fuzz_budget
 
 NODE_NAMES = ["h0", "h1", "h2", "switch"]
+
+#: Each switch backend with the config its own tests run it under (Trio
+#: keeps no shadow copies).
+BACKENDS = {
+    "pisa": (AskSwitch, AskConfig.small()),
+    "trio": (TrioSwitch, AskConfig.small(shadow_copy=False)),
+}
 
 _slots = st.lists(
     st.one_of(
         st.none(),
-        st.builds(
-            Slot,
-            key=st.binary(min_size=0, max_size=16),
-            value=st.integers(-(2**31), 2**63),
-        ),
+        st.tuples(st.binary(min_size=0, max_size=16), st.integers(-(2**31), 2**63)),
     ),
     max_size=8,
-).map(tuple)
+)
 
 #: Deliberately hostile field ranges: undefined flag bits, impossible
 #: combinations, negative ids/seqs, bitmaps wider than any slot tuple.
 _garbage_packets = st.builds(
-    AskPacket,
+    build_packet,
     flags=st.integers(0, 255),
     task_id=st.integers(-10, 2**50),
     src=st.sampled_from(NODE_NAMES),
@@ -77,22 +86,37 @@ def _valid_stream_packet(rng: random.Random, config: AskConfig) -> AskPacket:
     flags = 0x1 | (0x10 if payload.is_long else 0)
     return AskPacket(
         flags, 1, "h0", "h2", 0, rng.randint(0, 7),
-        bitmap=payload.bitmap, slots=payload.slots,
+        bitmap=payload.bitmap, keys=payload.keys, values=payload.values,
     )
 
 
-@settings(
-    max_examples=20,
+_fuzz_budget = settings(
+    max_examples=fuzz_budget(20),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(
+_fuzz_inputs = given(
     packets=st.lists(_garbage_packets, min_size=1, max_size=25),
     seed=st.integers(0, 10_000),
 )
+
+
+@_fuzz_budget
+@_fuzz_inputs
 def test_ingress_survives_garbage_and_stays_exact(packets, seed):
+    _survives_garbage_and_stays_exact("pisa", packets, seed)
+
+
+@_fuzz_budget
+@_fuzz_inputs
+def test_trio_ingress_survives_garbage_and_stays_exact(packets, seed):
+    _survives_garbage_and_stays_exact("trio", packets, seed)
+
+
+def _survives_garbage_and_stays_exact(backend, packets, seed):
     rng = random.Random(seed)
-    service = AskService(AskConfig.small(), hosts=3)
+    switch_factory, config = BACKENDS[backend]
+    service = AskService(config, hosts=3, switch_factory=switch_factory)
     switch = service.switch
     config = service.config
     daemon = service.deployment.daemons["h2"]
@@ -150,3 +174,34 @@ def test_ingress_survives_garbage_and_stays_exact(packets, seed):
     # The quarantine never grows past its bound no matter the stream.
     assert switch.quarantine.held() <= switch.quarantine.limit
     assert daemon.quarantine.held() <= daemon.quarantine.limit
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_per_slot_violations_are_dead_lettered_not_raised_or_aggregated(backend):
+    """A local DATA frame with a live bit over a blank slot, and one whose
+    medium group has only its first bit live, pass the header checks but
+    break a per-slot invariant: each switch backend quarantines both as
+    ``protocol-invariant`` and aggregates nothing."""
+    switch_factory, config = BACKENDS[backend]
+    service = AskService(config, hosts=2, switch_factory=switch_factory)
+    switch = service.switch
+    switch.controller.allocate_region(1)
+    blank = (None,) * config.num_aas
+    live_bit_on_blank = AskPacket(
+        FLAG_DATA, 1, "h0", "h1", 0, 0, bitmap=0b1, keys=blank, values=blank
+    )
+    group = KeySpaceLayout(config).group_slots(0)
+    keys, values = list(blank), list(blank)
+    for slot in group:
+        keys[slot], values[slot] = b"seg%d" % slot, 0
+    values[group[-1]] = 7
+    partial_group = AskPacket(
+        FLAG_DATA, 1, "h0", "h1", 0, 1,
+        bitmap=1 << group[0], keys=tuple(keys), values=tuple(values),
+    )
+    for pkt in (live_bit_on_blank, partial_group):
+        switch.receive(pkt)  # must not raise
+    service.run()
+    assert switch.robustness.get("protocol-invariant") == 2
+    assert [entry.seq for entry in switch.quarantine.entries] == [0, 1]
+    assert switch.stats.tuples_aggregated == 0

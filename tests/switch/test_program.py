@@ -30,7 +30,8 @@ def _data_packet(cfg, tuples, seq=0, task=1, src="h0", dst="h1", channel=0):
         channel_index=channel,
         seq=seq,
         bitmap=payload.bitmap,
-        slots=payload.slots,
+        keys=payload.keys,
+        values=payload.values,
     )
 
 

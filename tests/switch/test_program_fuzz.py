@@ -18,10 +18,11 @@ from repro.core.packet import AskPacket, PacketFlag, fin_packet
 from repro.net.simulator import Simulator
 from repro.switch.program import SwitchAction
 from repro.switch.switch import AskSwitch
+from tests.conftest import fuzz_budget
 
 
 @settings(
-    max_examples=150,
+    max_examples=fuzz_budget(150),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -64,8 +65,8 @@ def test_program_invariants_under_arbitrary_traffic(
                 PacketFlag.LONG if payload.is_long else PacketFlag(0)
             )
             packets.append(
-                AskPacket(flags, 1, "h0", "h1", 0, seq,
-                          bitmap=payload.bitmap, slots=payload.slots)
+                AskPacket(flags, 1, "h0", "h1", 0, seq, bitmap=payload.bitmap,
+                          keys=payload.keys, values=payload.values)
             )
         seq += 1
 
@@ -83,7 +84,7 @@ def test_program_invariants_under_arbitrary_traffic(
         first_time = pkt.seq not in seen_seqs
         seen_seqs.add(pkt.seq)
         if first_time and pkt.is_data:
-            sent_value += sum(s.value for s in pkt.slots if s is not None)
+            sent_value += sum(v for v in pkt.values if v is not None)
         decision = switch.program.process(switch.pipeline.begin_pass(), pkt)
         for emitted in decision.emit:
             if emitted.is_ack:
@@ -92,7 +93,12 @@ def test_program_invariants_under_arbitrary_traffic(
             else:
                 assert emitted.dst == "h1"
                 # A forwarded packet's live bits always index real slots.
-                emitted.live_slots()
+                assert emitted.bitmap >> emitted.num_slots == 0
+                assert all(
+                    key is not None
+                    for i, key in enumerate(emitted.keys)
+                    if emitted.bitmap >> i & 1
+                )
                 if first_time and emitted.is_data and not emitted.is_fin:
                     forwarded_value += _live_value(emitted)
         if decision.action is SwitchAction.DROP:
@@ -113,12 +119,12 @@ def _live_value(pkt):
     layout = KeySpaceLayout(AskConfig.small(window_size=8))
     total = 0
     if pkt.is_long:
-        return sum(slot.value for _i, slot in pkt.live_slots())
+        return sum(v for i, v in enumerate(pkt.values) if pkt.bitmap >> i & 1)
     for index in range(layout.num_short_slots):
         if pkt.bitmap >> index & 1:
-            total += pkt.slots[index].value
+            total += pkt.values[index]
     for group in range(layout.num_groups):
         slots = layout.group_slots(group)
         if pkt.bitmap >> slots[0] & 1:
-            total += pkt.slots[slots[-1]].value
+            total += pkt.values[slots[-1]]
     return total
