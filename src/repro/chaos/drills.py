@@ -296,8 +296,8 @@ def run_drill(
         schedule = drill.schedule(seed, backend).check_windows()
         state = drill.setup(service) if drill.setup is not None else None
         orchestrator = ChaosOrchestrator(service.deployment, schedule, hooks=state)
-        # Open the asyncio sockets before arming, so fault offsets count
-        # from a live rack rather than from interpreter startup.
+        # Start the UDP fabric (sockets open, clock on the wall time)
+        # before arming, so fault offsets count from a live rack.
         start = getattr(service.fabric, "start", None)
         if start is not None:
             start()

@@ -15,7 +15,7 @@ orchestrator applies an event by looking its kind up here.
 
 ``at_ns`` is an offset from the moment the orchestrator arms the
 schedule, which makes the same schedule meaningful on the simulated
-clock and on the asyncio wall clock alike.
+clock and on the UDP backend's wall clock alike.
 
 Fault windows on the same target never overlap: ``generate``
 deterministically coalesces colliding draws (same-kind windows merge,

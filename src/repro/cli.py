@@ -104,7 +104,7 @@ def _demo_config(backend: str):
     """The demo's AskConfig, adapted to the backend's clock.
 
     The 100 µs retransmission timeout of the paper is measured against
-    simulated link latency; under wall-clock asyncio even localhost UDP
+    simulated link latency; on the wall clock even localhost UDP
     plus Python scheduling jitter exceeds it, so the real-time backends
     use a 2 ms timeout to keep spurious retransmissions rare.
     """
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("sim", "asyncio", "sim-sharded"),
         default="sim",
         help="fabric backend: deterministic simulation (default), real "
-        "localhost UDP sockets under asyncio, or the rack-sharded "
+        "localhost UDP sockets (one selector loop), or the rack-sharded "
         "parallel simulator (runs serial + sharded and checks identity)",
     )
     demo.add_argument(

@@ -393,7 +393,7 @@ class AskService:
         return self.fabric.topology
 
     def close(self) -> None:
-        """Release backend resources (asyncio sockets/tasks; no-op sim)."""
+        """Release backend resources (UDP sockets and selector; no-op sim)."""
         self.deployment.close()
 
     def __enter__(self) -> "AskService":

@@ -27,8 +27,8 @@ There is one scheduling path and one drain loop.  Every push takes its
 order ticket from simulator state — a plain counter, a shard-composite
 ticket once :meth:`Simulator.enable_shard_order` set a rank, plus a
 :class:`ShardContextCall` wrap in canonical-serial mode — and every drive
-mode (``run``, ``run(until=)``, ``run(max_events=)``, ``drain_until``)
-is the same loop.  Two fast paths sit on it:
+mode (``run``, ``run(until=)``, ``run(max_events=)``, ``drain_until``,
+``advance_to``) is the same loop.  Two fast paths sit on it:
 
 - :meth:`Simulator.call_later` / :meth:`Simulator.call_at` push a bare
   ``(time, order, callback, args)`` 4-tuple — no :class:`Event` allocation,
@@ -319,9 +319,9 @@ class Simulator:
     def step(self) -> bool:
         """Run the next pending event.  Returns False when nothing is queued."""
         heap = self._heap
-        # Heap entries at the current instant predate every FIFO entry
-        # (smaller order tickets), so they run first.
-        while heap and heap[0][0] == self.now:
+        # Heap entries at or before the current instant predate every FIFO
+        # entry (smaller order tickets), so they run first.
+        while heap and heap[0][0] <= self.now:
             if self._run_entry(heapq.heappop(heap)):
                 return True
         queue = self._now_queue
@@ -351,18 +351,21 @@ class Simulator:
         heappop = heapq.heappop
         budget = None if max_events is None else self._events_processed + max_events
         while True:
-            # Peek the next entry in (time, order).  Heap entries at the
-            # current instant predate every FIFO entry (they were pushed
-            # while ``now`` was still behind this instant), so they run
-            # first; the FIFO then drains every same-instant burst without
-            # re-heapifying (its callbacks can only append to the FIFO,
-            # never to the heap at ``now``).
-            if heap and heap[0][0] == self.now:
+            # Peek the next entry in (time, order).  Heap entries at (or,
+            # late, before) the current instant predate every FIFO entry
+            # (they were pushed while ``now`` was still behind them), so
+            # they run first; the FIFO then drains every same-instant
+            # burst without re-heapifying (its callbacks can only append
+            # to the FIFO, never to the heap at ``now``).  Only a future
+            # heap entry moves the clock, so ``now`` never runs back.
+            now = self.now
+            if heap and heap[0][0] <= now:
                 entry, from_heap = heap[0], True
             elif queue:
                 entry, from_heap = queue[0], False
             elif heap:
                 entry, from_heap = heap[0], True
+                now = entry[0]
             else:
                 break
             if len(entry) == 4 or not entry[2].cancelled:
@@ -374,7 +377,7 @@ class Simulator:
                     raise SimulationError(
                         f"simulation exceeded max_events={max_events} at t={self.now}"
                     )
-                self.now = entry[0]
+                self.now = now
             if from_heap:
                 heappop(heap)
             else:
@@ -382,6 +385,21 @@ class Simulator:
             self._run_entry(entry)
         if until is not None and self.now < until:
             self.now = until
+
+    def advance_to(self, time_ns: int) -> None:
+        """Move ``now`` forward to ``time_ns`` and run every entry due by it.
+
+        The UDP backend's step: each loop round advances its clock to the
+        wall time ``select`` returned at.  Late heap entries run at the
+        current instant in (time, order) order, then the same-instant FIFO
+        (which holds what they pushed, and any delay-0 push made while a
+        socket drain moved ``now`` on).  ``now`` never moves back: with
+        ``time_ns <= now`` only the entries due by ``time_ns`` run.
+        """
+        time_ns = int(time_ns)
+        if time_ns > self.now:
+            self.now = time_ns
+        self.run(until=time_ns)
 
     # ------------------------------------------------------------------
     # Sharded execution hooks (conservative PDES — see repro.net.sharded)

@@ -25,9 +25,9 @@ they differ only in the wire filed under each link name:
   schedule, stats and retransmission counts.
 - :class:`~repro.runtime.asyncio_fabric.AsyncioFabric` — a real-time
   backend whose links each send a :class:`~repro.core.packet.AskPacket`
-  as one UDP datagram between asyncio endpoints (one socket per node),
-  with wall-clock timers and real packet loss tolerated by the
-  unchanged reliability layer.
+  as one UDP datagram between sockets (one per node, polled by one
+  selector loop), with timers on a `Simulator` kept on the wall clock and
+  real packet loss tolerated by the unchanged reliability layer.
 
 :class:`~repro.runtime.builder.DeploymentBuilder` assembles either
 backend into a ready deployment (switches + control plane + daemons) and
@@ -52,7 +52,6 @@ from repro.runtime.interfaces import (
 # lazily (PEP 562) to keep `repro.runtime.interfaces` importable from
 # anywhere in the stack without a cycle.
 _LAZY = {
-    "AsyncioClock": "repro.runtime.asyncio_fabric",
     "AsyncioFabric": "repro.runtime.asyncio_fabric",
     "AsyncioRunner": "repro.runtime.asyncio_fabric",
     "CodecError": "repro.runtime.codec",
@@ -83,7 +82,6 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
-    "AsyncioClock",
     "AsyncioFabric",
     "AsyncioRunner",
     "Clock",

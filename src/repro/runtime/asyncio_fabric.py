@@ -1,17 +1,18 @@
-"""Real-time backend: ASK frames on localhost UDP under asyncio.
+"""Real-time backend: ASK frames on localhost UDP, one selector loop.
 
 The paper's host stack is a DPDK daemon that polls an rx burst and runs
 each packet to completion; this backend is the Python equivalent at
 reduced ambition.  Every node of a rack — each host daemon and the
 switch program — gets its own non-blocking UDP socket on 127.0.0.1,
-registered with the loop's selector, so frames really cross the kernel
-between sockets and arrive asynchronously.  A readable socket is drained
+registered with one selector, so frames really cross the kernel between
+sockets and arrive asynchronously.  A readable socket is drained
 :data:`RX_BURST` datagrams at a time into one preallocated buffer; each
-goes decode → ``node.receive`` → whatever that sends in that one
-callback, so nothing is queued between the kernel and the node.  The
-protocol stack is unchanged: the same sender/receiver state machines run
-against :class:`AsyncioClock` (wall-clock nanoseconds, ``loop.call_later``
-timers) and recover real or injected loss exactly as they do simulated.
+goes decode → ``node.receive`` → whatever that sends, so nothing is
+queued between the kernel and the node.  The clock is a private
+:class:`~repro.net.simulator.Simulator`, the event queue every simulated
+layer uses, kept on the wall clock by :meth:`AsyncioRunner._round`; the
+same sender/receiver state machines run against it and recover real or
+injected loss exactly as they do simulated.
 
 The wiring is the simulator's: one
 :class:`~repro.net.multirack.MultiRackTopology` names the nodes and
@@ -20,36 +21,35 @@ wire filed under each link name differs — here a :class:`_Datagram`,
 which encodes the frame, draws its fault from the link's own
 :class:`~repro.net.fault.FaultModel` stream before the kernel sees it
 (the streams the simulated links draw, under the same names), and calls
-``sendto``.  A lossy asyncio rack therefore exercises the reliability
+``sendto``.  A lossy UDP rack therefore exercises the reliability
 layer with a reproducible *decision* sequence even though wall-clock
 arrival times vary run to run.
 
-One fabric owns one private event loop.  The public entry points
-(:meth:`AsyncioRunner.run_until`, :meth:`AsyncioRunner.run_forever`) are
-synchronous and drive that loop, so `AskService` keeps its blocking API
-on both backends; they re-raise what any loop callback raises (a node's
-``receive``, a timer).
+The runner's entry points are synchronous, so `AskService` keeps its
+blocking API on both backends; what a node's ``receive`` or a timer
+raises propagates straight out of them.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
+import selectors
 import socket
+import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.errors import FabricTimeoutError
 from repro.core.packet import AskPacket
 from repro.net.fault import FaultModel, LinkSlowdown, corrupt_bytes
 from repro.net.multirack import Endpoint, MultiRackTopology
+from repro.net.simulator import NS_PER_S, Simulator
 from repro.net.trace import PacketTrace
 from repro.runtime.codec import VERSION, CodecError, decode_packet, encode_packet, name_prefix
 from repro.runtime.fabric import TopologyFabric
-from repro.runtime.interfaces import Node, TimerHandle
+from repro.runtime.interfaces import Node
 
-NS_PER_S = 1_000_000_000
-#: Datagrams one readable callback takes from its socket before it hands
-#: the loop back to the other sockets and the due timers (DPDK's rx burst).
+#: Datagrams one drain takes from its socket before it hands the round
+#: back to the other sockets and the due timers (DPDK's rx burst).
 RX_BURST = 32
 #: How long a slowdown window holds each datagram before the kernel gets
 #: it, plus the window's jitter draw (the simulator multiplies its link
@@ -58,43 +58,6 @@ SLOW_HOLD_NS = 2_000_000
 #: No UDP payload is larger.  One receive buffer serves every socket: a
 #: datagram is decoded out of it before the next one is read.
 _MAX_DATAGRAM = 65536
-
-
-class AsyncioClock:
-    """Wall-clock :class:`~repro.runtime.interfaces.Clock` over one loop.
-
-    ``now`` is nanoseconds since the clock's creation (monotonic, from
-    ``loop.time()``), so timestamps look like simulator time to the stats
-    code: small integers starting near zero.
-    """
-
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-        self._origin = loop.time()
-
-    @property
-    def now(self) -> int:
-        return int((self._loop.time() - self._origin) * NS_PER_S)
-
-    def schedule(
-        self, delay_ns: int, callback: Callable[..., Any], *args: Any
-    ) -> TimerHandle:
-        if delay_ns < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        return self._loop.call_later(delay_ns / NS_PER_S, callback, *args)
-
-    def at(self, time_ns: int, callback: Callable[..., Any], *args: Any) -> TimerHandle:
-        return self._loop.call_at(self._origin + time_ns / NS_PER_S, callback, *args)
-
-    def call_later(self, delay_ns: int, callback: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget scheduling (the asyncio loop keeps the handle)."""
-        if delay_ns < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay_ns})")
-        self._loop.call_later(delay_ns / NS_PER_S, callback, *args)
-
-    def call_at(self, time_ns: int, callback: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget absolute-time scheduling."""
-        self._loop.call_at(self._origin + time_ns / NS_PER_S, callback, *args)
 
 
 class _NodeEndpoint:
@@ -114,17 +77,19 @@ class _NodeEndpoint:
             raise
         self.sock = sock
         self.address: Tuple[Any, ...] = sock.getsockname()
-        fabric.loop.add_reader(sock, self.drain, sock)
+        fabric._selector.register(sock, selectors.EVENT_READ, self.drain)
 
     def close(self) -> None:
-        self.fabric.loop.remove_reader(self.sock)
+        self.fabric._selector.unregister(self.sock)
         self.sock.close()
 
     def drain(self, sock: socket.socket) -> None:
         """Run up to :data:`RX_BURST` waiting datagrams to completion; the
         selector is level-triggered, so what a flooded socket has left is
-        picked up on the loop's next iteration, after everyone else."""
+        picked up on the loop's next round, after everyone else.  Each
+        ``receive`` sees the wall time on the clock."""
         fabric, node, view = self.fabric, self.node, self.fabric._rx_view
+        clock, wall_ns = fabric._clock, fabric._wall_ns
         for _ in range(RX_BURST):
             try:
                 size = sock.recv_into(view)
@@ -143,10 +108,13 @@ class _NodeEndpoint:
                 if robustness is not None:
                     robustness.bump(exc.reason)
                 continue
+            now = wall_ns()
+            if now > clock.now:
+                clock.now = now
             if fabric.trace is not None:
-                fabric.trace.record(fabric.clock.now, node.name, "rx", packet)
-            # What ``receive`` raises ends the burst and reaches the
-            # fabric's loop exception handler, which fails the run.
+                fabric.trace.record(clock.now, node.name, "rx", packet)
+            # What ``receive`` raises ends the burst and the round, and
+            # propagates out of the runner.
             node.receive(packet)
 
 
@@ -260,7 +228,10 @@ class AsyncioFabric(TopologyFabric):
     fabric's :class:`~repro.net.multirack.MultiRackTopology`, exactly as
     on the simulator; every link name holds a :class:`_Datagram`, so
     each hop is a real kernel datagram with its own fault stream.  Every
-    node gets its own socket when the fabric starts.
+    node gets its own socket when the fabric starts, registered with the
+    fabric's one selector; its clock is a private
+    :class:`~repro.net.simulator.Simulator` that the runner keeps on the
+    wall clock.
     """
 
     backend = "asyncio"
@@ -272,13 +243,12 @@ class AsyncioFabric(TopologyFabric):
         trace: Optional[PacketTrace] = None,
         frame_version: int = VERSION,
     ) -> None:
-        # A selector loop by name: the datagram path needs ``add_reader``.
-        self.loop = asyncio.SelectorEventLoop()
-        self._clock = AsyncioClock(self.loop)
+        self._clock = Simulator()
+        #: ``time.monotonic_ns()`` at clock zero.
+        self._origin_ns = time.monotonic_ns()
+        #: Every node's socket, each with its drain as the key's data.
+        self._selector = selectors.DefaultSelector()
         self._rx_view = memoryview(bytearray(_MAX_DATAGRAM))
-        #: Resolved with the first exception a loop callback raises.
-        self._failed: asyncio.Future[None] = self.loop.create_future()
-        self.loop.set_exception_handler(self._on_loop_exception)
         self.bind_host = bind_host
         self.trace = trace
         #: Wire frame version for every encode.  The default carries the
@@ -303,24 +273,16 @@ class AsyncioFabric(TopologyFabric):
 
     # ------------------------------------------------------------------
     @property
-    def clock(self) -> AsyncioClock:
+    def clock(self) -> Simulator:
         return self._clock
+
+    def _wall_ns(self) -> int:
+        """Wall-clock nanoseconds since the fabric was built: where the
+        runner moves the clock to."""
+        return time.monotonic_ns() - self._origin_ns
 
     def runner(self) -> "AsyncioRunner":
         return AsyncioRunner(self)
-
-    def _on_loop_exception(
-        self, loop: asyncio.AbstractEventLoop, context: Dict[str, Any]
-    ) -> None:
-        """The loop's one failure path.  A callback that raises — a node's
-        ``receive`` inside a socket drain, a timer — would only be logged,
-        leaving the run to spin on work that can no longer finish; instead
-        its exception resolves ``_failed``, which the runner re-raises."""
-        exc = context.get("exception")
-        if exc is not None and not self._failed.done():
-            self._failed.set_exception(exc)
-        else:
-            loop.default_exception_handler(context)
 
     def _place(self, node: Node) -> None:
         if self._started:
@@ -343,14 +305,15 @@ class AsyncioFabric(TopologyFabric):
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Open every node's socket, then send what the links held."""
-        if self._started:
-            return
+        """Advance the clock to the wall time (so what is scheduled next
+        counts from a live rack); the first call then opens every node's
+        socket and sends what the links held."""
         if self._closed:
             raise RuntimeError("fabric already closed")
+        self._clock.advance_to(self._wall_ns())
+        if self._started:
+            return
         topology = self.topology
-        if not topology.racks:
-            raise RuntimeError("install_switch() must run before start()")
         for node in topology.nodes():
             self._name_prefixes[node.name] = name_prefix(node.name)
             self._endpoints[node.name] = _NodeEndpoint(self, node)
@@ -362,13 +325,13 @@ class AsyncioFabric(TopologyFabric):
             )
 
     def close(self) -> None:
-        """Close the sockets and the private loop."""
+        """Close the sockets and the selector; timers still queued never run."""
         if self._closed:
             return
         self._closed = True
         for endpoint in self._endpoints.values():
             endpoint.close()
-        self.loop.close()
+        self._selector.close()
 
     def send_to_switch(self, host: str, packet: AskPacket, size_bytes: int) -> None:
         """Host uplink: ``host``'s frame toward its own TOR."""
@@ -390,7 +353,8 @@ class AsyncioFabric(TopologyFabric):
 
 
 class AsyncioRunner:
-    """Synchronous driver over an :class:`AsyncioFabric`'s private loop."""
+    """Synchronous driver over an :class:`AsyncioFabric`: each entry
+    starts the fabric, which advances its clock, then loops over rounds."""
 
     #: Default wall-clock slice for a bare ``run()`` call, generous enough
     #: for several retransmission timeouts on localhost.
@@ -410,12 +374,12 @@ class AsyncioRunner:
         same meaning it has under simulation); ``None`` runs one default
         slice.  ``max_events`` has no real-time equivalent and is ignored.
         """
-        self.fabric.start()
+        fabric = self.fabric
+        fabric.start()
         if until is None:
-            delay_s = self.DEFAULT_SLICE_S
-        else:
-            delay_s = max(0.0, (until - self.fabric.clock.now) / NS_PER_S)
-        self._drive(lambda: False, delay_s)
+            until = fabric.clock.now + int(self.DEFAULT_SLICE_S * NS_PER_S)
+        while fabric.clock.now < until:
+            self._round(until)
 
     def run_until(
         self,
@@ -430,36 +394,44 @@ class AsyncioRunner:
         the error carries each node's unacked window entries so a hung
         run says *where* the work stalled.
         """
-        self.fabric.start()
+        fabric = self.fabric
+        fabric.start()
         budget = self.DEFAULT_TIMEOUT_S if timeout_s is None else timeout_s
-        self._drive(done, budget)
-        if not done():
-            pending = self.fabric.pending_snapshot()
-            raise FabricTimeoutError(
-                f"asyncio fabric still busy after {budget:.1f}s (unacked window entries "
-                f"per node: {pending or 'none'}; kernel socket buffers are not visible)",
-                pending=pending,
-            )
-
-    def _drive(self, done: Callable[[], bool], budget_s: float) -> None:
-        """Poll ``done()`` for ``budget_s``; re-raise what a callback raised."""
-        fabric = self.fabric
-        fabric.loop.run_until_complete(self._poll(done, budget_s))
-        if fabric._failed.done():
-            failed, fabric._failed = fabric._failed, fabric.loop.create_future()
-            failed.result()  # raises it, original traceback and all
-
-    async def _poll(self, done: Callable[[], bool], budget_s: float) -> None:
-        fabric = self.fabric
-        deadline = fabric.loop.time() + budget_s
-        while not (fabric._failed.done() or done()) and fabric.loop.time() < deadline:
-            await asyncio.sleep(0.001)
+        deadline = fabric.clock.now + int(budget * NS_PER_S)
+        while not done():
+            if fabric.clock.now >= deadline:
+                pending = fabric.pending_snapshot()
+                raise FabricTimeoutError(
+                    f"asyncio fabric still busy after {budget:.1f}s (unacked window entries "
+                    f"per node: {pending or 'none'}; kernel socket buffers are not visible)",
+                    pending=pending,
+                )
+            self._round(deadline)
 
     def run_forever(self) -> None:
         """Serve until KeyboardInterrupt (the `repro serve` loop) or
-        until a loop callback raises."""
+        until a socket drain or a timer raises."""
         self.fabric.start()
         try:
-            self.fabric.loop.run_until_complete(self.fabric._failed)
+            while True:
+                self._round(None)
         except KeyboardInterrupt:  # pragma: no cover - interactive only
             pass
+
+    def _round(self, deadline: Optional[int]) -> None:
+        """One turn of the loop: wait until a socket is readable, the next
+        event falls due or ``deadline`` (clock ns) passes; drain every
+        ready socket; then run what was due when ``select`` returned.  A
+        timer that falls due during the drains waits for the next round,
+        so an RTO never fires over an ACK already in hand."""
+        fabric = self.fabric
+        clock = fabric.clock
+        wake = clock.next_event_time()
+        if deadline is not None and (wake is None or deadline < wake):
+            wake = deadline
+        timeout = None if wake is None else max(0, wake - fabric._wall_ns()) / NS_PER_S
+        ready = fabric._selector.select(timeout)
+        now = fabric._wall_ns()
+        for key, _events in ready:
+            key.data(key.fileobj)
+        clock.advance_to(now)

@@ -104,7 +104,7 @@ class Deployment:
         return next(iter(self.switches.values()))
 
     def close(self) -> None:
-        """Release backend resources (sockets/tasks on asyncio; no-op sim)."""
+        """Release backend resources (sockets and selector on UDP; no-op sim)."""
         close = getattr(self.fabric, "close", None)
         if close is not None:
             close()

@@ -9,9 +9,9 @@ three protocols below instead of any concrete event loop or network:
     Scheduling: a monotonically advancing integer-nanosecond ``now`` plus
     relative (``schedule``) and absolute (``at``) one-shot timers whose
     handles can be cancelled.  The discrete-event
-    :class:`~repro.net.simulator.Simulator` satisfies this structurally;
-    :class:`~repro.runtime.asyncio_fabric.AsyncioClock` maps it onto a
-    running asyncio loop's wall clock.
+    :class:`~repro.net.simulator.Simulator` satisfies this structurally
+    and clocks both backends: the UDP fabric's runner keeps its private
+    simulator's ``now`` on the wall clock.
 
 ``Fabric``
     Wiring and host egress over a rack layout: install each rack's TOR
@@ -39,9 +39,9 @@ from typing import Any, Callable, Optional, Protocol, runtime_checkable
 class TimerHandle(Protocol):
     """A cancellable scheduled callback.
 
-    Both :class:`~repro.net.simulator.Event` and
-    :class:`asyncio.TimerHandle` satisfy this.  ``cancel`` must be safe to
-    call more than once and after the callback has fired.
+    :class:`~repro.net.simulator.Event` satisfies this on both backends.
+    ``cancel`` must be safe to call more than once and after the callback
+    has fired.
     """
 
     def cancel(self) -> None:
@@ -192,7 +192,7 @@ class TaskRunner(Protocol):
 
         For a discrete-event backend this drains the event heap (bounded
         by ``until`` / ``max_events``); for a real-time backend it runs
-        the event loop for a bounded wall-clock slice (``until`` is an
+        its loop for a bounded wall-clock slice (``until`` is an
         absolute fabric-clock nanosecond deadline).
         """
         ...

@@ -4,10 +4,11 @@ ASK deliberately does **not** use out-of-order ACKs as a loss signal —
 both the switch and the host receiver reply ACKs, so reordering is normal —
 and relies on a fine-grained timeout instead (100 us vs the Linux default
 200 ms).  :class:`RetransmitTimers` implements that policy on top of any
-:class:`~repro.runtime.interfaces.Clock` (the discrete-event simulator or
-a wall-clock asyncio loop); re-arming cancels the previous timer lazily,
-and the simulator compacts its heap when cancelled timers pile up in long
-lossy runs, so per-packet timer churn stays O(log n) with a bounded heap.
+:class:`~repro.runtime.interfaces.Clock` (on both backends a
+:class:`~repro.net.simulator.Simulator`, on simulated or wall-clock time);
+re-arming cancels the previous timer lazily, and the simulator compacts
+its heap when cancelled timers pile up in long lossy runs, so per-packet
+timer churn stays O(log n) with a bounded heap.
 
 :class:`ReceiveWindow` is the host receiver's dedup record: first
 appearances within the current window are processed, duplicates are dropped

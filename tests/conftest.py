@@ -6,12 +6,17 @@ import os
 from typing import Iterable, Optional
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from repro.core.config import AskConfig
 from repro.core.packet import AskPacket
 from repro.net.simulator import Simulator
 
+# Every profile skips hypothesis's `explain` phase: it re-runs a failing
+# example under a line tracer, which for a property that runs the whole
+# service takes minutes before the example is printed.
+_PHASES = tuple(phase for phase in Phase if phase is not Phase.explain)
+settings.register_profile("tier1", phases=_PHASES)
 # The CI fuzz job runs the property suites with a bigger example budget
 # than the default profile; the job itself is time-boxed with `timeout`,
 # and `derandomize=False` keeps each run exploring fresh inputs.
@@ -20,9 +25,9 @@ settings.register_profile(
     max_examples=400,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    phases=_PHASES,
 )
-if os.environ.get("HYPOTHESIS_PROFILE"):
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE") or "tier1")
 
 
 def fuzz_budget(tier1_examples: int) -> int:

@@ -25,6 +25,28 @@ def test_service_import_path_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_udp_backend_loads_neither_asyncio_nor_ssl():
+    """The UDP backend's loop is one selector over the simulator's queue:
+    importing ``repro`` and building a UDP rack leaves asyncio (and the
+    ssl module it pulls in) unloaded."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    script = (
+        "import sys\n"
+        "from repro import AskConfig, AskService\n"
+        "AskService(AskConfig.small(), hosts=2, backend='asyncio').close()\n"
+        "print(sorted({'asyncio', 'ssl'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_top_level_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name) is not None
@@ -89,7 +111,6 @@ def test_runtime_public_surface_is_locked():
     import repro.runtime
 
     assert set(repro.runtime.__all__) == {
-        "AsyncioClock",
         "AsyncioFabric",
         "AsyncioRunner",
         "Clock",

@@ -243,6 +243,76 @@ def test_compaction_keeps_count_of_cancelled_now_queue_events():
     assert sim._cancelled_in_heap == 0
 
 
+# -- advance_to: the wall-clock backend moves ``now`` past queued entries
+# (to the wall time of each receive), then runs what fell due.
+
+
+def test_advance_to_runs_late_entries_at_the_target_instant_in_ticket_order():
+    sim = Simulator()
+    fired = []
+
+    def late(tag):
+        fired.append((tag, sim.now))
+        sim.call_later(0, lambda: fired.append((tag + "'", sim.now)))
+
+    sim.schedule(10, late, "a")
+    sim.call_later(10, late, "b")
+    sim.schedule(20, late, "c")
+    sim.advance_to(100)
+    # Every late entry runs at the target instant, in ticket order, and
+    # before any of the delay-0 entries they pushed.
+    assert fired == [
+        ("a", 100), ("b", 100), ("c", 100), ("a'", 100), ("b'", 100), ("c'", 100),
+    ]
+    assert sim.now == 100 and sim.pending == 0
+
+
+def test_now_never_rewinds_onto_a_late_entry():
+    sim = Simulator()
+    seen = []
+    sim.schedule(10, lambda: seen.append(sim.now))
+    sim.call_later(30, lambda: seen.append(sim.now))
+    sim.now = 50  # what the wall-clock backend does before each receive
+    sim.run()
+    assert seen == [50, 50]
+    assert sim.now == 50
+    sim.advance_to(20)
+    assert sim.now == 50
+
+
+def test_advance_to_at_or_before_now_runs_only_what_is_due():
+    sim = Simulator()
+    fired = []
+    sim.schedule(10, fired.append, "due by 20")
+    sim.schedule(40, fired.append, "due by 50")
+    sim.schedule(80, fired.append, "future")
+    sim.now = 50
+    sim.schedule(0, fired.append, "at 50")
+    sim.advance_to(20)
+    assert fired == ["due by 20"] and sim.now == 50
+    sim.advance_to(50)
+    assert fired == ["due by 20", "due by 50", "at 50"] and sim.now == 50
+    assert sim.pending == 1 and sim.next_event_time() == 80
+
+
+def test_step_follows_the_peek_rule_of_run():
+    def program():
+        sim = Simulator()
+        fired = []
+        sim.schedule(10, lambda: fired.append(("late", sim.now)))
+        sim.schedule(60, lambda: fired.append(("future", sim.now)))
+        sim.now = 50
+        sim.schedule(0, lambda: fired.append(("same-instant", sim.now)))
+        return sim, fired
+
+    sim, by_run = program()
+    sim.run()
+    sim, by_step = program()
+    while sim.step():
+        pass
+    assert by_step == by_run == [("late", 50), ("same-instant", 50), ("future", 60)]
+
+
 def test_time_unit_helpers():
     assert microseconds(1.5) == 1_500
     assert milliseconds(2) == 2_000_000

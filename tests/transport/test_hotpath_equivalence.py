@@ -22,6 +22,7 @@ from repro.transport.reference import (
 )
 from repro.transport.reliability import ReceiveWindow
 from repro.transport.window import SlidingWindow
+from tests.conftest import fuzz_budget
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,7 @@ def _drain(sim, drive, rng):
     mixed_api=st.booleans(),
     span=st.sampled_from([3, 100]),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=fuzz_budget(200), deadline=None)
 def test_simulator_schedule_matches_reference(
     seed, n_events, drive, shard_rank, mixed_api, span
 ):
