@@ -228,6 +228,9 @@ DRILLS: Dict[str, Drill] = {
         },
         receiver="h7",
         headline=f"exact aggregation under a spine-s0 crash mid-task {_VERIFIED}",
+        # Over UDP a cross-pod round trip takes 1-2 ms, at the demo's 2 ms
+        # timeout, which then resends about every packet twice.
+        config={"asyncio": {"retransmit_timeout_us": 20_000}},
     ),
     # Abusive-tenant isolation: the flood waits, degrades to bypass or is
     # rejected at the queue bound, while both well-behaved tenants are
@@ -289,7 +292,7 @@ def run_drill(
     counted drop, healed by retransmission.
     """
     drill = DRILLS[name]
-    config = AskConfig.small(**CHAOS_CONFIG[backend], **drill.config.get(backend, {}))
+    config = AskConfig.small(**{**CHAOS_CONFIG[backend], **drill.config.get(backend, {})})
     fault = FaultModel(corrupt_rate=corrupt_rate, seed=seed) if corrupt_rate > 0 else None
     service = AskService(config, fault=fault, backend=backend, **drill.layout)
     try:

@@ -21,7 +21,7 @@ aggregator arrays (:mod:`repro.switch.aggregator`), the reliability state
 
 from repro.switch.aggregator import AggregatorArray, AggregatorPool
 from repro.switch.controller import Region, SwitchController
-from repro.switch.dedup import ChannelProgram, DedupUnit, DedupVerdict
+from repro.switch.dedup import ChannelProgram, DedupUnit
 from repro.switch.pisa import Pipeline, PipelineBudgetError, Stage
 from repro.switch.program import AskSwitchProgram, SwitchAction, SwitchDecision
 from repro.switch.registers import PassContext, RegisterAccessError, RegisterArray
@@ -35,7 +35,6 @@ __all__ = [
     "AskSwitchProgram",
     "ChannelProgram",
     "DedupUnit",
-    "DedupVerdict",
     "PassContext",
     "Pipeline",
     "PipelineBudgetError",

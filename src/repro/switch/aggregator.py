@@ -14,7 +14,6 @@ would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import AskConfig
@@ -31,14 +30,6 @@ from repro.switch.registers import (
 Cell = tuple[Optional[bytes], int]
 
 BLANK: Cell = (None, 0)
-
-
-@dataclass
-class AggregateOutcome:
-    """Result of one slot/group aggregation attempt."""
-
-    success: bool
-    reserved: bool = False  #: True when a blank aggregator was claimed
 
 
 class AggregatorArray:
@@ -61,45 +52,6 @@ class AggregatorArray:
         return self.registers.size
 
     # ------------------------------------------------------------------
-    def try_aggregate(
-        self,
-        ctx: PassContext,
-        index: int,
-        segment: bytes,
-        add_value: Optional[int],
-        enabled: bool = True,
-    ) -> AggregateOutcome:
-        """The AA's single RMW for this pass.
-
-        Compares the stored kPart with ``segment``; on blank-or-match the
-        cell is claimed/updated and ``add_value`` (if not ``None``) is added
-        to the vPart.  ``enabled=False`` models the predicated no-op a P4
-        action takes when an earlier condition already failed — the access
-        still happens (the array is still touched once this pass) but the
-        cell is left unchanged.
-        """
-
-        outcome = AggregateOutcome(success=False)
-
-        def alu(old: Cell) -> tuple[Cell, None]:
-            if not enabled:
-                return old, None
-            stored_key, stored_val = old
-            if stored_key is None:
-                outcome.success = True
-                outcome.reserved = True
-                value = 0 if add_value is None else add_value & self.value_mask
-                return (segment, value), None
-            if stored_key == segment:
-                outcome.success = True
-                if add_value is None:
-                    return old, None
-                return (stored_key, (stored_val + add_value) & self.value_mask), None
-            return old, None
-
-        self.registers.execute(ctx, index, alu)
-        return outcome
-
     # Fast-path return codes for :meth:`aggregate_fast`.
     FAIL = 0
     MATCHED = 1
@@ -113,15 +65,23 @@ class AggregatorArray:
         add_value: Optional[int],
         enabled: bool = True,
     ) -> int:
-        """Closure-free :meth:`try_aggregate`.
+        """The AA's single read-modify-write for this pass.
 
-        Decision-identical, but returns an int code (``FAIL`` /
-        ``MATCHED`` / ``RESERVED``, the latter implying success) instead of
-        allocating an :class:`AggregateOutcome`, and inlines the register
-        access discipline instead of dispatching an ALU through
-        ``execute``.  Medium groups call it once per segment; the
-        switch program's short-slot loop carries an inlined copy, which
-        ``tests/switch/test_aggregate_access_parity.py`` holds to this one.
+        Compares the stored kPart with ``segment``; on blank-or-match the
+        cell is claimed/updated and ``add_value`` (if not ``None``) is added
+        to the vPart.  Returns ``FAIL``, ``MATCHED`` or ``RESERVED`` (a
+        blank aggregator was claimed, which implies success).
+        ``enabled=False`` models the predicated no-op a P4 action takes
+        when an earlier condition already failed: the access still happens
+        (the array is still touched once this pass) but the cell is left
+        unchanged.
+
+        The register access discipline is inlined rather than dispatched
+        through ``RegisterArray.execute``.  Medium groups call this once
+        per segment; the switch program's short-slot loop carries an
+        inlined copy.  ``tests/switch/test_aggregate_access_parity.py``
+        holds both to the seed's closure-ALU shape
+        (``tests/oracles/aggregate.py``).
         """
         reg = self.registers
         # Inlined RegisterArray access prologue (see registers.py).
@@ -265,14 +225,6 @@ class AggregatorPool:
         else:
             self.tuples_failed += 1
         return ok
-
-    def _count(self, outcome: AggregateOutcome, tuples: int) -> None:
-        if outcome.success:
-            self.tuples_aggregated += tuples
-        else:
-            self.tuples_failed += tuples
-        if outcome.reserved:
-            self.aggregators_reserved += 1
 
     # ------------------------------------------------------------------
     def occupancy(self, start: int, stop: int) -> float:

@@ -83,9 +83,5 @@ class CongestionWindow:
             self.decreases += 1
 
     # ------------------------------------------------------------------
-    @property
-    def window_packets(self) -> int:
-        return self._cwnd_int
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CongestionWindow(cwnd={self.cwnd:.2f}, cap={self.max_window})"

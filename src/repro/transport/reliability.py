@@ -200,7 +200,7 @@ class ReceiveWindow:
     stale *and* evicted, so the guard and the ring can never disagree about
     it.  (The seed implementation pruned its ``_seen`` set only when
     ``floor > 0``, leaving seq 0 resident forever; see
-    :class:`repro.transport.reference.ReferenceReceiveWindow`.)
+    ``ReferenceReceiveWindow`` in ``tests/oracles/windows.py``.)
     """
 
     def __init__(self, window: int) -> None:

@@ -12,7 +12,7 @@ walking forward over already-ACKed (hole) positions.  Each position is
 crossed at most once over the channel's lifetime, making admission control
 — ``can_send()`` runs on **every** packet the channel pumps — amortized
 O(1) instead of the seed's ``min()`` scan over all W in-flight entries
-(see :mod:`repro.transport.reference` for the original).
+(frozen as ``ReferenceSlidingWindow`` in ``tests/oracles/windows.py``).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import AskConfig
-from repro.core.errors import TaskStateError, TopologyError
+from repro.core.errors import TaskFailedError, TaskStateError, TopologyError
 from repro.core.service import AskService, TreeAskService
 from repro.core.task import TaskPhase
 from repro.workloads.stream import exact_aggregate
@@ -241,3 +241,21 @@ def test_layouts_name_their_switches():
     assert tree.placement == "spine"
     assert {p: s.name for p, s in tree.spines.items()} == {"s0": "spine-s0", "s1": "spine-s1"}
     assert len(tree.switches) == 4 and len(tree.hosts) == 8
+
+
+def test_sender_gives_up_loudly_when_the_switch_is_unreachable():
+    """With failure detection off, nothing reroutes around a partitioned
+    switch: the sender retransmits until the give-up deadline, then fails
+    the task with a reason instead of hanging."""
+    cfg = AskConfig.small(retransmit_timeout_us=50.0, give_up_timeout_us=300.0)
+    assert not cfg.failure_detection
+    service = AskService(cfg, hosts=2)
+    service.fabric.partition("switch")
+    with pytest.raises(TaskFailedError, match="sender h0 gave up on task 1"):
+        service.aggregate({"h0": [(b"k", 1)]}, receiver="h1")
+    task = service.tasks[1]
+    assert task.phase is TaskPhase.FAILED
+    assert task.failure_reason == (
+        "sender h0 gave up on task 1: seq 0 unacknowledged after 6 transmissions"
+    )
+    assert service.daemons["h0"].channel_for_task(1).timers.give_ups == 1

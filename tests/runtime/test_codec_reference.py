@@ -3,7 +3,7 @@
 :mod:`repro.runtime.codec` replaced a part-per-field encoder and a
 cursor-object decoder; the originals live on as
 ``reference_encode_packet`` / ``reference_decode_packet`` in
-:mod:`repro.transport.reference`.  The contract, for both frame versions:
+``tests/oracles/codec.py``.  The contract, for both frame versions:
 
 - every packet the stack can build encodes to **identical bytes**, with
   and without the fabric's endpoint-name table, and decodes to an equal
@@ -37,8 +37,8 @@ from repro.runtime.codec import (
     encode_packet,
     name_prefix,
 )
-from repro.transport.reference import reference_decode_packet, reference_encode_packet
 from tests.conftest import build_packet
+from tests.oracles.codec import reference_decode_packet, reference_encode_packet
 
 VERSIONS = st.sampled_from([VERSION, VERSION_LEGACY])
 REGISTERED = ["h0", "h1", "switch", "tor-r1", "späne"]

@@ -2,7 +2,8 @@
 access prologue.
 
 ``AggregatorArray.aggregate_fast`` inlines the prologue (duplicate-access
-stamp, stage ordering, bounds check) that ``try_aggregate`` gets from
+stamp, stage ordering, bounds check) that the seed's ``try_aggregate``
+(frozen in ``tests/oracles/aggregate.py``) gets from
 ``RegisterArray.execute``, and the switch program's short-slot loop
 (``AskSwitchProgram._aggregate``) inlines it once more for a whole packet.
 Inlined copies drift; these properties pin them together: for any
@@ -27,7 +28,7 @@ from repro.switch.pisa import Pipeline
 from repro.switch.registers import PassContext, RegisterAccessError
 from repro.switch.switch import AskSwitch
 from tests.conftest import build_packet, fuzz_budget
-from tests.oracles.aggregate import per_tuple_aggregate
+from tests.oracles.aggregate import per_tuple_aggregate, try_aggregate
 
 _SIZE = 8
 _KEYS = [b"aaaa", b"bbbb", b"cccc", b"odd"]  # incl. one off-width segment
@@ -90,8 +91,8 @@ def test_fast_and_execute_paths_agree_on_every_access_sequence(ops):
             fast_exc = exc
         try:
             oracle_code = _code(
-                oracle_arrays[which].try_aggregate(
-                    oracle_ctx, index, segment, add_value, enabled=enabled
+                try_aggregate(
+                    oracle_arrays[which], oracle_ctx, index, segment, add_value, enabled=enabled
                 )
             )
         except Exception as exc:  # noqa: BLE001

@@ -8,7 +8,7 @@ from repro.core.packet import AskPacket, PacketFlag
 from repro.net.simulator import Simulator
 from repro.switch.aggregator import AggregatorArray, AggregatorPool
 from repro.switch.pisa import Pipeline
-from repro.switch.registers import PassContext
+from repro.switch.registers import PassContext, RegisterAccessError
 from repro.switch.switch import AskSwitch
 
 
@@ -18,55 +18,51 @@ def _aa(size=16):
 
 def test_blank_cell_is_claimed():
     aa = _aa()
-    outcome = aa.try_aggregate(PassContext(), 3, b"key1", 5)
-    assert outcome.success and outcome.reserved
+    assert aa.aggregate_fast(PassContext(), 3, b"key1", 5) == AggregatorArray.RESERVED
     assert aa.control_cell(3) == (b"key1", 5)
 
 
 def test_matching_key_accumulates():
     aa = _aa()
-    aa.try_aggregate(PassContext(), 3, b"key1", 5)
-    outcome = aa.try_aggregate(PassContext(), 3, b"key1", 7)
-    assert outcome.success and not outcome.reserved
+    aa.aggregate_fast(PassContext(), 3, b"key1", 5)
+    assert aa.aggregate_fast(PassContext(), 3, b"key1", 7) == AggregatorArray.MATCHED
     assert aa.control_cell(3) == (b"key1", 12)
 
 
 def test_mismatched_key_fails_without_mutation():
     aa = _aa()
-    aa.try_aggregate(PassContext(), 3, b"key1", 5)
-    outcome = aa.try_aggregate(PassContext(), 3, b"key2", 7)
-    assert not outcome.success
+    aa.aggregate_fast(PassContext(), 3, b"key1", 5)
+    assert aa.aggregate_fast(PassContext(), 3, b"key2", 7) == AggregatorArray.FAIL
     assert aa.control_cell(3) == (b"key1", 5)
 
 
 def test_value_wraps_at_register_width():
     aa = _aa()
-    aa.try_aggregate(PassContext(), 0, b"k", 0xFFFFFFFF)
-    aa.try_aggregate(PassContext(), 0, b"k", 2)
+    aa.aggregate_fast(PassContext(), 0, b"k", 0xFFFFFFFF)
+    aa.aggregate_fast(PassContext(), 0, b"k", 2)
     assert aa.control_cell(0) == (b"k", 1)  # modulo 2^32
 
 
 def test_disabled_access_touches_but_does_not_mutate():
     aa = _aa()
     ctx = PassContext()
-    outcome = aa.try_aggregate(ctx, 0, b"k", 5, enabled=False)
-    assert not outcome.success
+    assert aa.aggregate_fast(ctx, 0, b"k", 5, enabled=False) == AggregatorArray.FAIL
     assert aa.control_cell(0) == (None, 0)
     # The register array was still accessed once this pass (predicated no-op).
-    with pytest.raises(Exception):
-        aa.try_aggregate(ctx, 1, b"k", 5)
+    with pytest.raises(RegisterAccessError):
+        aa.aggregate_fast(ctx, 1, b"k", 5)
 
 
 def test_none_add_value_reserves_with_zero():
     aa = _aa()
-    aa.try_aggregate(PassContext(), 0, b"seg", None)
+    aa.aggregate_fast(PassContext(), 0, b"seg", None)
     assert aa.control_cell(0) == (b"seg", 0)
 
 
 def test_occupied_in_range():
     aa = _aa()
-    aa.try_aggregate(PassContext(), 1, b"a", 1)
-    aa.try_aggregate(PassContext(), 5, b"b", 1)
+    aa.aggregate_fast(PassContext(), 1, b"a", 1)
+    aa.aggregate_fast(PassContext(), 5, b"b", 1)
     assert aa.occupied_in(0, 8) == 2
     assert aa.occupied_in(2, 8) == 1
 

@@ -17,7 +17,7 @@ from repro.core.keyspace import pad_key
 from repro.net.simulator import Simulator
 from repro.switch.aggregator import AggregatorArray
 from repro.switch.switch import AskSwitch
-from repro.transport.reference import reference_fetch_and_reset
+from tests.oracles.control import reference_fetch_and_reset
 
 _GEOMETRIES = [
     AskConfig.small(),

@@ -4,8 +4,8 @@ The optimized pipeline reuses one epoch-counter :class:`PassContext` for
 every packet and runs install-time-compiled :class:`ChannelProgram`s, so
 these tests pin the properties the fast path must not lose: the
 one-access-per-pass rule, the stage-order rule, decision-identity with the
-generic ``DedupUnit`` entry points, and the relaxed 2W-bit ``seen``
-ablation."""
+seed's generic dedup stage (``tests/oracles/dedup.py``), and the relaxed
+2W-bit ``seen`` ablation."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from repro.switch.dedup import (
 )
 from repro.switch.pisa import Pipeline
 from repro.switch.registers import PassContext, RegisterAccessError, RegisterArray
+from tests.oracles.dedup import generic_check
 
 
 def _unit(window=8, compact=True, channels=4, num_aas=8):
@@ -110,15 +111,12 @@ def test_compiled_program_codes_match_generic_verdicts():
     program = unit.compile_channel(0)
     ctx = PassContext()
     arrivals = [0, 1, 2, 0, 3, 20, 13, 12, 20]
+    codes = set()
     for seq in arrivals:
         code = program.check(ctx.reset(), seq)
-        verdict = oracle.check(PassContext(), 0, seq)
-        if verdict.stale:
-            assert code == CHECK_STALE
-        elif verdict.observed:
-            assert code == CHECK_OBSERVED
-        else:
-            assert code == CHECK_FRESH
+        assert code == generic_check(oracle, PassContext(), 0, seq)
+        codes.add(code)
+    assert codes == {CHECK_FRESH, CHECK_OBSERVED, CHECK_STALE}
     assert unit.duplicates_detected == oracle.duplicates_detected
     assert unit.stale_drops == oracle.stale_drops
 
@@ -165,7 +163,7 @@ def test_compiled_program_equals_generic_check_for_reachable_arrivals(
     data, window, compact
 ):
     """Decision-identity between the compiled program (reused epoch context)
-    and the generic ``DedupUnit.check`` (fresh context per packet), over the
+    and the seed's generic dedup stage (fresh context per packet), over the
     arrival space the integrated system can generate."""
     unit = _unit(window=window, compact=compact, channels=1)
     oracle = _unit(window=window, compact=compact, channels=1)
@@ -176,13 +174,6 @@ def test_compiled_program_equals_generic_check_for_reachable_arrivals(
         seq = data.draw(st.integers(min_value=0, max_value=next_new + window - 1))
         if seq == next_new:
             next_new += 1
-        code = program.check(ctx.reset(), seq)
-        verdict = oracle.check(PassContext(), 0, seq)
-        expected = (
-            CHECK_STALE
-            if verdict.stale
-            else CHECK_OBSERVED
-            if verdict.observed
-            else CHECK_FRESH
-        )
-        assert code == expected
+        assert program.check(ctx.reset(), seq) == generic_check(oracle, PassContext(), 0, seq)
+    assert unit.duplicates_detected == oracle.duplicates_detected
+    assert unit.stale_drops == oracle.stale_drops

@@ -5,13 +5,14 @@ writes exactly the state a healthy switch would hold had it just
 processed ``next_seq - 1``.  These tests pin the baseline math — most
 importantly the compact ``seen`` parity for *odd* segments, where the
 power-on-zero register would misread a fresh sequence as a duplicate —
-and the self-healing behaviour for pre-baseline stragglers.
+and the self-healing behaviour for pre-baseline stragglers.  Packets go
+through each channel's compiled program, as on the switch.
 """
 
 import pytest
 
 from repro.core.config import AskConfig
-from repro.switch.dedup import DedupUnit
+from repro.switch.dedup import CHECK_FRESH, CHECK_OBSERVED, CHECK_STALE, DedupUnit
 from repro.switch.registers import PassContext
 
 W = 8
@@ -20,6 +21,14 @@ W = 8
 def _unit(compact=True, window=W):
     cfg = AskConfig.small(window_size=window, use_compact_seen=compact)
     return DedupUnit(cfg, max_channels=4)
+
+
+def _check(unit, channel_slot, seq):
+    return unit.compile_channel(channel_slot).check(PassContext(), seq)
+
+
+def _load(unit, channel_slot, seq):
+    return unit.compile_channel(channel_slot).load_bitmap(PassContext(), seq)
 
 
 # Baselines across both segment parities and mid-segment offsets.
@@ -32,8 +41,7 @@ def test_contiguous_stream_from_baseline_reads_fresh(compact, next_seq):
     unit = _unit(compact=compact)
     unit.reinstall_channel(0, next_seq)
     for seq in range(next_seq, next_seq + 3 * W):
-        verdict = unit.check(PassContext(), 0, seq)
-        assert not verdict.stale and not verdict.observed, f"seq {seq}"
+        assert _check(unit, 0, seq) == CHECK_FRESH, f"seq {seq}"
     assert unit.stale_drops == 0 and unit.duplicates_detected == 0
 
 
@@ -42,9 +50,8 @@ def test_contiguous_stream_from_baseline_reads_fresh(compact, next_seq):
 def test_duplicates_still_detected_after_baseline(compact, next_seq):
     unit = _unit(compact=compact)
     unit.reinstall_channel(0, next_seq)
-    unit.check(PassContext(), 0, next_seq)
-    verdict = unit.check(PassContext(), 0, next_seq)
-    assert verdict.observed and not verdict.stale
+    _check(unit, 0, next_seq)
+    assert _check(unit, 0, next_seq) == CHECK_OBSERVED
 
 
 def test_odd_segment_baseline_would_misread_without_reinstall():
@@ -52,12 +59,10 @@ def test_odd_segment_baseline_would_misread_without_reinstall():
     # lands in segment 3 (odd), where the compact scheme reports the
     # *complement* of the stored bit — all-zero registers read "seen".
     unit = _unit(compact=True)
-    verdict = unit.check(PassContext(), 0, 3 * W)
-    assert verdict.observed, "precondition for the baseline's existence"
+    assert _check(unit, 0, 3 * W) == CHECK_OBSERVED, "precondition for the baseline's existence"
     healed = _unit(compact=True)
     healed.reinstall_channel(0, 3 * W)
-    verdict = healed.check(PassContext(), 0, 3 * W)
-    assert not verdict.observed and not verdict.stale
+    assert _check(healed, 0, 3 * W) == CHECK_FRESH
 
 
 @pytest.mark.parametrize("next_seq", [16, 20, 27])
@@ -71,12 +76,10 @@ def test_straggler_within_window_reads_duplicate_and_heals(next_seq):
     unit = _unit(compact=True)
     unit.reinstall_channel(0, next_seq)
     straggler = next_seq - 1
-    verdict = unit.check(PassContext(), 0, straggler)
-    assert verdict.observed and not verdict.stale
-    assert unit.load_bitmap(PassContext(), 0, straggler) == 0
+    assert _check(unit, 0, straggler) == CHECK_OBSERVED
+    assert _load(unit, 0, straggler) == 0
     first = straggler + W  # same residue class, the real first appearance
-    verdict = unit.check(PassContext(), 0, first)
-    assert not verdict.observed and not verdict.stale
+    assert _check(unit, 0, first) == CHECK_FRESH
 
 
 @pytest.mark.parametrize("compact", [True, False])
@@ -84,29 +87,28 @@ def test_straggler_a_full_window_below_is_stale(compact):
     unit = _unit(compact=compact)
     unit.reinstall_channel(0, 20)
     # max_seq = 19, stale guard drops seq <= 19 - W = 11.
-    assert unit.check(PassContext(), 0, 11).stale
-    assert unit.check(PassContext(), 0, 3).stale
-    assert not unit.check(PassContext(), 0, 12).stale
+    assert _check(unit, 0, 11) == CHECK_STALE
+    assert _check(unit, 0, 3) == CHECK_STALE
+    assert _check(unit, 0, 12) != CHECK_STALE
 
 
 @pytest.mark.parametrize("compact", [True, False])
 def test_pkt_state_is_zeroed_by_reinstall(compact):
     unit = _unit(compact=compact)
-    unit.check(PassContext(), 0, 5)
-    unit.record_bitmap(PassContext(), 0, 5, 0b1011)
+    _check(unit, 0, 5)
+    unit.compile_channel(0).record_bitmap(PassContext(), 5, 0b1011)
     unit.reinstall_channel(0, 16)
     for offset in range(W):
-        assert unit.load_bitmap(PassContext(), 0, 16 + offset) == 0
+        assert _load(unit, 0, 16 + offset) == 0
 
 
 def test_reinstall_only_touches_its_channel():
     unit = _unit(compact=True)
-    unit.check(PassContext(), 1, 7)
-    unit.record_bitmap(PassContext(), 1, 7, 0b1)
+    _check(unit, 1, 7)
+    unit.compile_channel(1).record_bitmap(PassContext(), 7, 0b1)
     unit.reinstall_channel(0, 24)
-    verdict = unit.check(PassContext(), 1, 7)
-    assert verdict.observed  # neighbour's dedup state intact
-    assert unit.load_bitmap(PassContext(), 1, 7) == 0b1
+    assert _check(unit, 1, 7) == CHECK_OBSERVED  # neighbour's dedup state intact
+    assert _load(unit, 1, 7) == 0b1
 
 
 def test_reinstall_rejects_out_of_range_slot():
