@@ -106,9 +106,7 @@ class DegradationReport:
             "daemon_crashes": sum(
                 getattr(d, "crashes", 0) for d in deployment.daemons.values()
             ),
-            "switch_reboots": sum(
-                getattr(s, "boot_count", 0) for s in deployment.switches.values()
-            ),
+            "switch_reboots": sum(s.boot_count for s in deployment.switches.values()),
             # Integrity balance sheet: frames the fabric damaged, frames
             # the nodes refused (checksum/validation drops — includes the
             # quarantine admissions, which are also counted drops), and

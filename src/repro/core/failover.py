@@ -38,7 +38,7 @@ drains exactly as it does without failure detection.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.core.config import AskConfig
 from repro.core.constants import CONTROL_LATENCY_NS
@@ -47,6 +47,9 @@ from repro.core.daemon import HostDaemon
 from repro.core.sender import SenderChannel
 from repro.core.task import AggregationTask, TaskPhase
 from repro.runtime.interfaces import Clock, TimerHandle
+
+if TYPE_CHECKING:
+    from repro.switch.switch import AskSwitch
 
 #: A node dark for this many heartbeat intervals has lapsed its lease.
 LEASE_MULTIPLE = 3
@@ -65,7 +68,7 @@ class FailureSupervisor:
         config: AskConfig,
         control: ControlPlane,
         daemons: Dict[str, HostDaemon],
-        switches: Dict[str, Any],
+        switches: Dict[str, AskSwitch],
         host_tor: Dict[str, str],
         host_paths: Optional[Dict[str, tuple[str, ...]]] = None,
     ) -> None:
@@ -177,10 +180,7 @@ class FailureSupervisor:
         # next submission would start life in bypass for no reason.
         if self._gray or any(s > 0.0 for s in self.suspicion.values()):
             return True
-        return any(
-            sw.is_up and getattr(sw, "needs_install", False)
-            for sw in self.switches.values()
-        )
+        return any(sw.is_up and sw.needs_install for sw in self.switches.values())
 
     # ------------------------------------------------------------------
     # The heartbeat tick
@@ -190,7 +190,7 @@ class FailureSupervisor:
         now = self.clock.now
         for name, sw in self.switches.items():
             if sw.is_up:
-                if getattr(sw, "needs_install", False) and name not in self._reinstalling:
+                if sw.needs_install and name not in self._reinstalling:
                     self._on_switch_reboot(name, sw)
                 self._last_seen[name] = now
                 self._down_since.pop(name, None)
@@ -254,7 +254,7 @@ class FailureSupervisor:
             if score < 1e-9:
                 score = 0.0
             self.suspicion[name] = score
-            if not sw.is_up or getattr(sw, "needs_install", False):
+            if not sw.is_up or sw.needs_install:
                 continue  # actually dark: the lease machinery owns it
             if name in self._gray:
                 if score < 1.0:
@@ -318,7 +318,7 @@ class FailureSupervisor:
         for task_id in self._tasks_behind(name):
             self._restart_task_id(task_id)
 
-    def _on_switch_reboot(self, name: str, sw: Any) -> None:
+    def _on_switch_reboot(self, name: str, sw: AskSwitch) -> None:
         """The switch is back with wiped registers.  Restart its tasks
         (unless the lease lapse already did) into bypass and schedule the
         control-plane re-install after one control latency."""
@@ -343,7 +343,7 @@ class FailureSupervisor:
         if not sw.is_up or sw.boot_count != boot or not sw.needs_install:
             return  # crashed again mid-install; the next observation re-drives
         # Baseline every data channel homed on this switch — not just the
-        # ones in ``controller.channel_slots``.  A channel whose first
+        # ones that already hold a channel slot.  A channel whose first
         # packet never reached the switch (it crashed before or during
         # setup) has no slot yet, but its sequence counter may already be
         # deep in an *odd* segment; on power-on-zero ``seen`` registers
@@ -383,9 +383,7 @@ class FailureSupervisor:
         receive the baseline."""
         for name in self.host_paths.get(host, ()):
             sw = self.switches[name]
-            if name != installing and (
-                not sw.is_up or getattr(sw, "needs_install", False)
-            ):
+            if name != installing and (not sw.is_up or sw.needs_install):
                 continue
             slot = sw.controller.channel_slot((host, channel.index))
             sw.dedup.reinstall_channel(slot, channel.window.next_seq)

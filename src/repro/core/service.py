@@ -288,12 +288,13 @@ class AskService:
     bit-identical to a one-rack run of the same workload (aggregation is
     commutative mod 2^value_bits).
 
-    ``switch_factory`` selects the data-plane program: the default PISA
-    :class:`~repro.switch.switch.AskSwitch`, or the run-to-completion
-    :class:`~repro.switch.trio.TrioSwitch` (§6) — the host side is
-    identical either way.  ``backend`` selects the fabric: ``"sim"``
-    (deterministic discrete-event, the default) or ``"asyncio"`` (real
-    localhost UDP under wall-clock time).  ``core_latency_ns`` prices
+    ``switch_factory`` selects the switch's aggregation store: the
+    default :class:`~repro.switch.switch.AskSwitch` keeps PISA register
+    arrays, :class:`~repro.switch.trio.TrioSwitch` (§6) a DRAM table over
+    full keys behind the same pipeline; the host side is identical.
+    ``backend`` selects the fabric: ``"sim"`` (deterministic
+    discrete-event, the default) or ``"asyncio"`` (real localhost UDP
+    under wall-clock time).  ``core_latency_ns`` prices
     the switch-to-switch links; their bandwidth is
     :data:`~repro.net.multirack.CORE_BANDWIDTH_GBPS`.
     """

@@ -45,12 +45,11 @@ def _switch_block(name: str, switch) -> list[str]:
         f"{stats.retransmissions_seen} retransmissions seen, "
         f"{stats.stale_drops} stale drops, {stats.swaps} swaps"
     ]
-    dedup = getattr(switch, "dedup", None)
-    if dedup is not None:
-        lines.append(
-            f"  reliability SRAM: {dedup.sram_bytes_per_channel():.0f} B/channel, "
-            f"duplicates detected: {dedup.duplicates_detected}"
-        )
+    dedup = switch.dedup
+    lines.append(
+        f"  reliability SRAM: {dedup.sram_bytes_per_channel():.0f} B/channel, "
+        f"duplicates detected: {dedup.duplicates_detected}"
+    )
     return lines
 
 

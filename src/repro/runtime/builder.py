@@ -370,7 +370,7 @@ def _make_degrade_rebaseline_hook(
     def hook(channel: Any) -> None:
         for name in host_paths.get(channel.host, ()):
             sw = switches[name]
-            if not sw.is_up or getattr(sw, "needs_install", False):
+            if not sw.is_up or sw.needs_install:
                 continue
             sw.dedup.reinstall_channel(
                 sw.controller.channel_slot((channel.host, channel.index)),
@@ -393,7 +393,7 @@ def _make_activation_hook(
         if channel.window.next_seq == 0:
             return  # power-on state is the correct baseline
         sw = switches[spine_name]
-        if not sw.is_up or getattr(sw, "needs_install", False):
+        if not sw.is_up or sw.needs_install:
             return  # the supervisor's re-install covers it with fresher state
         region = sw.controller.lookup_region(job.task.task_id)
         if (

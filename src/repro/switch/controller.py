@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Optional
 
 from repro.core.config import AskConfig
 from repro.core.errors import RegionExhaustedError, TaskStateError
-from repro.core.keyspace import KeyClass, KeySpaceLayout, unpad_key
+from repro.core.keyspace import KeySpaceLayout, unpad_key
 from repro.core.tenancy import TenantQuotas
 from repro.switch.aggregator import AggregatorPool
 from repro.switch.shadow import ShadowDirectory
@@ -69,7 +69,11 @@ class RegionSpec:
 
 
 class SwitchController:
-    """Allocation and control-plane access for one ASK switch."""
+    """Allocation and control-plane access for one ASK switch.
+
+    ``_place``, ``_blank`` and ``fetch_and_reset`` touch the register
+    store; :class:`~repro.switch.trio.TrioController` overrides them.
+    """
 
     def __init__(
         self,
@@ -114,29 +118,30 @@ class SwitchController:
             raise TaskStateError(f"task {task_id} already holds a region")
         if not self._free_task_slots:
             raise RegionExhaustedError("no free task slots on the switch")
-        free = self._free_extents()
-        if not free:
-            raise RegionExhaustedError("aggregator space exhausted")
-        if size is None:
-            offset, extent = max(free, key=lambda item: item[1])
-            size = extent
-        else:
-            if size < 1:
-                raise ValueError("region size must be >= 1")
-            for offset, extent in free:
-                if extent >= size:
-                    break
-            else:
-                raise RegionExhaustedError(
-                    f"no free extent of {size} aggregators (largest: "
-                    f"{max(extent for _, extent in free)})"
-                )
+        offset, size = self._place(size)
         self.tenant_quotas.charge(task_id, size)
         region = Region(
             task_id, self._free_task_slots.pop(), offset, size, sources, relay
         )
         self._regions[task_id] = region
         return region
+
+    def _place(self, size: Optional[int]) -> tuple[int, int]:
+        """First fit: the (offset, size) of a free extent for the region."""
+        free = self._free_extents()
+        if not free:
+            raise RegionExhaustedError("aggregator space exhausted")
+        if size is None:
+            return max(free, key=lambda item: item[1])
+        if size < 1:
+            raise ValueError("region size must be >= 1")
+        for offset, extent in free:
+            if extent >= size:
+                return offset, size
+        raise RegionExhaustedError(
+            f"no free extent of {size} aggregators (largest: "
+            f"{max(extent for _, extent in free)})"
+        )
 
     def _free_extents(self) -> list[tuple[int, int]]:
         """Free (offset, length) extents in the per-copy aggregator space."""
@@ -154,12 +159,9 @@ class SwitchController:
 
     def deallocate(self, task_id: int) -> None:
         """Release a task's region (step ⑫), clearing its aggregators."""
-        region = self._regions.pop(task_id, None)
-        if region is None:
-            raise TaskStateError(f"task {task_id} holds no region")
-        for part in range(2 if self.config.shadow_copy else 1):
-            self._clear_region(region, part)
-        self.shadow.clear(region.task_slot)
+        region = self._held(task_id)
+        del self._regions[task_id]
+        self._blank(region)
         self._free_task_slots.append(region.task_slot)
         self.tenant_quotas.refund(task_id, region.size)
 
@@ -167,21 +169,18 @@ class SwitchController:
         """Data-plane match table: task id → region."""
         return self._regions.get(task_id)
 
+    def _held(self, task_id: int) -> Region:
+        region = self._regions.get(task_id)
+        if region is None:
+            raise TaskStateError(f"task {task_id} holds no region")
+        return region
+
     # ------------------------------------------------------------------
     # Occupancy views (admission control / reclaim accounting)
     # ------------------------------------------------------------------
     def tenant_usage(self) -> Dict[int, int]:
         """tenant -> aggregators currently charged on this switch."""
         return self.tenant_quotas.usage()
-
-    def free_aggregators(self) -> int:
-        """Free aggregators in the per-copy space (any fragmentation)."""
-        return sum(extent for _, extent in self._free_extents())
-
-    def largest_free_extent(self) -> int:
-        """The biggest single region this switch could still allocate."""
-        free = self._free_extents()
-        return max((extent for _, extent in free), default=0)
 
     def reset_task(self, task_id: int) -> None:
         """Blank a task's data-plane state while keeping its allocation.
@@ -193,17 +192,13 @@ class SwitchController:
         *healthy* switch of a multi-switch task it discards partial
         aggregates that the restarted senders are about to replay.
         """
-        region = self._regions.get(task_id)
-        if region is None:
-            raise TaskStateError(f"task {task_id} holds no region")
+        self._blank(self._held(task_id))
+
+    def _blank(self, region: Region) -> None:
+        """Clear both copies of the region and rewind its copy indicator."""
         for part in range(2 if self.config.shadow_copy else 1):
             self._clear_region(region, part)
         self.shadow.clear(region.task_slot)
-
-    @property
-    def channel_slots(self) -> Dict[tuple[str, int], int]:
-        """Read-only view of the channel registry (control-plane books)."""
-        return dict(self._channel_slots)
 
     # ------------------------------------------------------------------
     # Channel registry
@@ -240,9 +235,7 @@ class SwitchController:
         unpadded concatenation of segments and the value lives in the last
         cell (§3.2.3).
         """
-        region = self._regions.get(task_id)
-        if region is None:
-            raise TaskStateError(f"task {task_id} holds no region")
+        region = self._held(task_id)
         self.fetches += 1
         base = self.shadow.part_offset(part)
         lo, hi = base + region.offset, base + region.end
@@ -280,15 +273,10 @@ class SwitchController:
     # ------------------------------------------------------------------
     def region_occupancy(self, task_id: int, part: int) -> float:
         """Fraction of a region's aggregators occupied — Fig. 9's metric."""
-        region = self._regions.get(task_id)
-        if region is None:
-            raise TaskStateError(f"task {task_id} holds no region")
+        region = self._held(task_id)
         base = self.shadow.part_offset(part)
         occupied = sum(
             len(aa.control_occupied(base + region.offset, base + region.end))
             for aa in self.pool.arrays
         )
         return occupied / (region.size * len(self.pool))
-
-    def slot_kind(self, slot: int) -> KeyClass:
-        return self.layout.slot_kind(slot)

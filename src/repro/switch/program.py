@@ -57,11 +57,6 @@ class SwitchDecision:
         self.action = action
         self.emit: list[AskPacket] = [] if emit is None else emit
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SwitchDecision):
-            return self.action == other.action and self.emit == other.emit
-        return NotImplemented
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SwitchDecision({self.action}, emit={self.emit!r})"
 
@@ -91,6 +86,12 @@ class ProgramStats:
 class AskSwitchProgram:
     """Pure packet-pass logic; the :class:`~repro.switch.switch.AskSwitch`
     facade owns timing and I/O."""
+
+    #: A packet aggregates when, of these flags, only DATA is set: FIN and
+    #: LONG never do (long keys bypass the register pool, §3.2.3).
+    aggregate_mask = 0x15
+    #: Flags whose packets always forward to the receiver, their endpoint.
+    forward_flags = 0x10
 
     def __init__(
         self,
@@ -181,15 +182,14 @@ class AskSwitchProgram:
 
         stats.data_packets += 1
         flags = pkt.flags
+        aggregatable = flags & self.aggregate_mask == 0x1
         region = self.controller.lookup_region(pkt.task_id)
-        if region is None and pkt.bitmap and flags & 0x15 == 0x1:
+        if region is None and pkt.bitmap and aggregatable:
             stats.unknown_task_packets += 1
 
         if code == 0:
             bitmap = pkt.bitmap
-            # Aggregatable: DATA without FIN/LONG (flag mask 0x15 keeps only
-            # DATA of the three) and a region installed for the task.
-            if bitmap and region is not None and flags & 0x15 == 0x1:
+            if bitmap and region is not None and aggregatable:
                 stats.tuples_seen += bitmap.bit_count()
                 bitmap = self._aggregate(ctx, pkt, region)
                 stats.tuples_aggregated += pkt.bitmap.bit_count() - bitmap.bit_count()
@@ -201,7 +201,7 @@ class AskSwitchProgram:
         if flags & 0x4:  # FIN
             stats.fins += 1
             return SwitchDecision(SwitchAction.FORWARD, [pkt.with_bitmap(bitmap)])
-        if flags & 0x10:  # LONG
+        if flags & self.forward_flags:  # LONG, on the register pool
             stats.long_packets += 1
             return SwitchDecision(SwitchAction.FORWARD, [pkt.with_bitmap(bitmap)])
         if bitmap == 0 and (region is None or not region.relay):

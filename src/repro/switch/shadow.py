@@ -57,11 +57,6 @@ class ShadowDirectory:
     # ------------------------------------------------------------------
     # Control-plane helpers (used by the controller's fetch path).
     # ------------------------------------------------------------------
-    def control_write_part(self, task_slot: int) -> int:
-        if not self.enabled:
-            return 0
-        return self.indicator.control_read(task_slot)
-
     def part_offset(self, part: int) -> int:
         """Aggregator-index offset of copy ``part`` (Alg. 1 line 5/9)."""
         if part not in (0, 1):

@@ -43,6 +43,9 @@ from repro.switch.shadow import ShadowDirectory
 class AskSwitch(NetworkNode):
     """One ASK-enabled top-of-rack switch."""
 
+    #: Ingress to egress, for program passes and routed packets alike.
+    processing_latency_ns = SWITCH_PIPELINE_LATENCY_NS
+
     def __init__(
         self,
         config: AskConfig,
@@ -64,20 +67,7 @@ class AskSwitch(NetworkNode):
         # default full geometry fits in 10 stages of one pipeline.
         self.pipeline = Pipeline(max_stages=max_stages)
         self.dedup = DedupUnit(config, max_channels)
-        self.shadow = ShadowDirectory(config, max_tasks)
-        front = self.pipeline.stage(0)
-        front.add_array(self.dedup.max_seq)
-        front.add_array(self.dedup.seen)
-        front.add_array(self.shadow.indicator)
-        self.pool = AggregatorPool(config, self.pipeline, first_stage=1)
-        self.pipeline.declare(self.pool.next_free_stage, self.dedup.pkt_state)
-
-        self.controller = SwitchController(
-            config, self.pool, self.shadow, max_tasks=max_tasks, max_channels=max_channels
-        )
-        self.program = AskSwitchProgram(
-            config, self.controller, self.pool, self.dedup, self.shadow, switch_name=name
-        )
+        self.controller, self.program = self._install(max_tasks, max_channels)
         self.fabric: Optional[SwitchFabricView] = None
 
         # Failure-domain lifecycle.  ``boot_count`` increments on every
@@ -101,6 +91,28 @@ class AskSwitch(NetworkNode):
         # hosts after bind(), so bind-time capture would be empty).
         self._ctx = PassContext()
         self._local_hosts_cache: Optional[frozenset[str]] = None
+
+    def _install(
+        self, max_tasks: int, max_channels: int
+    ) -> tuple[SwitchController, AskSwitchProgram]:
+        """Lay the aggregation memory out on the pipeline and build the
+        controller and program over it; a subclass with another store
+        overrides this."""
+        config = self.config
+        self.shadow = ShadowDirectory(config, max_tasks)
+        front = self.pipeline.stage(0)
+        front.add_array(self.dedup.max_seq)
+        front.add_array(self.dedup.seen)
+        front.add_array(self.shadow.indicator)
+        self.pool = AggregatorPool(config, self.pipeline, first_stage=1)
+        self.pipeline.declare(self.pool.next_free_stage, self.dedup.pkt_state)
+        controller = SwitchController(
+            config, self.pool, self.shadow, max_tasks=max_tasks, max_channels=max_channels
+        )
+        program = AskSwitchProgram(
+            config, controller, self.pool, self.dedup, self.shadow, switch_name=self.name
+        )
+        return controller, program
 
     # ------------------------------------------------------------------
     def bind(self, fabric: SwitchFabricView) -> None:
@@ -178,9 +190,7 @@ class AskSwitch(NetworkNode):
         if self.trace is not None:
             self.trace.record(self.clock.now, self.name, "ingress", packet)
         if not self._should_run_program(packet):
-            self.clock.call_later(
-                SWITCH_PIPELINE_LATENCY_NS, self._route, packet
-            )
+            self.clock.call_later(self.processing_latency_ns, self._route, packet)
             return
         reason = validate_switch_ingress(
             packet, self.config.num_aas, self.config.data_channels_per_host
@@ -209,9 +219,7 @@ class AskSwitch(NetworkNode):
             return
         if decision.emit:
             # Pipeline egress is never cancelled: allocation-free scheduling.
-            self.clock.call_later(
-                SWITCH_PIPELINE_LATENCY_NS, self._emit, decision
-            )
+            self.clock.call_later(self.processing_latency_ns, self._emit, decision)
         elif self.trace is not None:
             self.trace.record(self.clock.now, self.name, "drop", packet)
 
@@ -266,9 +274,7 @@ class AskSwitch(NetworkNode):
         self.dedup.max_seq.control_reset()
         self.dedup.seen.control_reset()
         self.dedup.pkt_state.control_reset()
-        self.shadow.indicator.control_reset()
-        for aa in self.pool.arrays:
-            aa.registers.control_reset()
+        self._wipe_store()
         self.boot_count += 1
         self._needs_install = True
         # Compiled channel programs bind the arrays' methods (whose page
@@ -277,6 +283,13 @@ class AskSwitch(NetworkNode):
         # switch recompiles from the re-installed control-plane state.
         self.program.invalidate_compiled()
         self._local_hosts_cache = None
+
+    def _wipe_store(self) -> None:
+        """Reset the aggregation memory to its power-on state: the copy
+        indicators and every AA."""
+        self.shadow.indicator.control_reset()
+        for aa in self.pool.arrays:
+            aa.registers.control_reset()
 
     def mark_installed(self) -> None:
         """Control plane finished re-installing state; aggregation resumes."""

@@ -1,4 +1,4 @@
-"""Trio-style run-to-completion switch backend (§6 Related Work).
+"""The ASK switch on a Trio-style run-to-completion chipset (§6).
 
 "Trio increases the memory available to the data plane from O(10MB) to
 O(1GB) while reducing restrictions on memory access … The design of ASK can
@@ -6,288 +6,141 @@ be very well adapted to this architecture.  With Trio, the shadow copy
 mechanism and variable-length key processing of ASK can be further
 improved."
 
-This backend keeps ASK's *external* protocol bit-for-bit — the same packet
-format, per-channel reliability semantics (stale guard, dedup, PktState
-bitmap restoration), ACK/forward decisions and control-plane operations —
-but implements the data plane the way a run-to-completion chipset would:
+:class:`TrioSwitch` is an :class:`~repro.switch.switch.AskSwitch` whose
+aggregation memory is DRAM: one table per task over *full* keys, budgeted
+in entries.  Ingress, the stale guard, the ``seen`` record and PktState,
+the ACK/forward verdict, routing and the failure-domain lifecycle are the
+ones every ASK switch runs.  What the store changes:
 
-- aggregators are a per-task hash table keyed by the *full* key, so medium
-  keys need no coalesced groups and long keys no longer bypass the switch,
-- no one-access-per-pass restriction, no stage budgets, DRAM-scale
-  capacity,
+- medium keys need no coalesced groups and long keys no longer bypass the
+  switch: a fully absorbed LONG packet is ACKed,
 - no shadow copies: the table is large enough that periodic eviction is
-  unnecessary (swap notifications are acknowledged as no-ops so the host
-  protocol runs unchanged),
-- the price is processing speed: per-packet latency is several times the
-  PISA pipeline's (the Trio trade-off the paper notes).
+  unnecessary, so swap notifications are ACKed as no-ops and a part-1
+  fetch returns nothing,
+- the price is processing speed: every packet spends
+  ``TRIO_LATENCY_FACTOR`` times the PISA pipeline's latency in the switch.
 
-Because the host side is untouched, :class:`~repro.core.service.AskService`
-accepts this class through its ``switch_factory`` parameter and every
-reliability test passes against it unchanged.
+``AskService(..., switch_factory=TrioSwitch)`` selects it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Iterator, Optional
 
 from repro.core.config import AskConfig
 from repro.core.constants import SWITCH_PIPELINE_LATENCY_NS
-from repro.core.errors import ProtocolError, RegionExhaustedError, TaskStateError
+from repro.core.errors import ProtocolError, RegionExhaustedError
 from repro.core.keyspace import KeySpaceLayout, unpad_key
 from repro.core.packet import AskPacket, ack_for
-from repro.core.robustness import (
-    Quarantine,
-    RobustnessCounters,
-    quarantine_packet,
-    validate_switch_ingress,
-)
-from repro.core.tenancy import TenantQuotas
-from repro.net.fault import CorruptedFrame
-from repro.net.trace import PacketTrace
-from repro.runtime.interfaces import Clock, SwitchFabricView
-from repro.switch.program import ProgramStats
-from repro.transport.reliability import ReceiveWindow
+from repro.switch.controller import Region, SwitchController
+from repro.switch.dedup import DedupUnit
+from repro.switch.program import AskSwitchProgram, ProgramStats, SwitchAction, SwitchDecision
+from repro.switch.registers import PassContext
+from repro.switch.switch import AskSwitch
 
 #: Run-to-completion packet processing is slower than a fixed pipeline.
 TRIO_LATENCY_FACTOR = 4
+#: DRAM table entries on one switch: O(1 GB) of 64-byte entries.
+DRAM_ENTRIES = 16_000_000
 
 
-@dataclass
-class _ChannelState:
-    """Software reliability state for one data channel."""
+class TrioController(SwitchController):
+    """The region books of :class:`SwitchController` over the DRAM store.
 
-    window: ReceiveWindow
-    pkt_state: Dict[int, int] = field(default_factory=dict)  # seq -> bitmap
-
-    def prune(self) -> None:
-        floor = self.window.max_seq - self.window.window
-        if len(self.pkt_state) > 4 * self.window.window:
-            self.pkt_state = {s: b for s, b in self.pkt_state.items() if s > floor}
-
-
-@dataclass
-class _TaskStore:
-    """One task's DRAM aggregation table."""
-
-    capacity: int
-    table: Dict[bytes, int] = field(default_factory=dict)
-
-
-class TrioController:
-    """Control plane of a Trio switch: same interface as
-    :class:`~repro.switch.controller.SwitchController`, budgeted in table
-    entries instead of register cells."""
-
-    def __init__(self, config: AskConfig, max_tasks: int, total_entries: int) -> None:
-        self.config = config
-        self.max_tasks = max_tasks
-        self.total_entries = total_entries
-        self._stores: Dict[int, _TaskStore] = {}
-        self._allocated_entries = 0
-        self.tenant_quotas = TenantQuotas()
-        self.fetches = 0
-        self.num_channels = 0  # maintained by the switch
-
-    # -- region interface ------------------------------------------------
-    def allocate_region(self, task_id: int, size: Optional[int] = None) -> _TaskStore:
-        """``size`` is in aggregators-per-AA for interface compatibility;
-        the Trio store budget is that many entries per (virtual) AA."""
-        if task_id in self._stores:
-            raise TaskStateError(f"task {task_id} already holds a store")
-        if len(self._stores) >= self.max_tasks:
-            raise RegionExhaustedError("no free task slots on the switch")
-        per_aa = size if size is not None else self.config.copy_size
-        entries = per_aa * self.config.num_aas
-        if self._allocated_entries + entries > self.total_entries:
-            raise RegionExhaustedError(
-                f"DRAM budget exhausted ({self._allocated_entries}+{entries} "
-                f"> {self.total_entries} entries)"
-            )
-        self.tenant_quotas.charge(task_id, per_aa)
-        store = _TaskStore(capacity=entries)
-        self._stores[task_id] = store
-        self._allocated_entries += entries
-        return store
-
-    def lookup_region(self, task_id: int) -> Optional[_TaskStore]:
-        return self._stores.get(task_id)
-
-    def deallocate(self, task_id: int) -> None:
-        store = self._stores.pop(task_id, None)
-        if store is None:
-            raise TaskStateError(f"task {task_id} holds no store")
-        self._allocated_entries -= store.capacity
-        self.tenant_quotas.refund(task_id, store.capacity // self.config.num_aas)
-
-    def fetch_and_reset(self, task_id: int, part: int) -> dict[bytes, int]:
-        """Read-and-clear the task table.  There is only one copy (no
-        shadow mechanism); part 0 drains it, part 1 is empty by
-        construction, so the unmodified host receiver works either way."""
-        store = self._stores.get(task_id)
-        if store is None:
-            raise TaskStateError(f"task {task_id} holds no store")
-        self.fetches += 1
-        if part != 0:
-            return {}
-        out = dict(store.table)
-        store.table.clear()
-        return out
-
-
-class TrioSwitch:
-    """A run-to-completion ASK switch (drop-in for :class:`AskSwitch`)."""
+    A region of ``size`` aggregators per AA books ``size × num_aas`` table
+    entries out of ``total_entries``; its task slot's table holds the
+    task's running totals under their full keys.
+    """
 
     def __init__(
         self,
         config: AskConfig,
-        clock: Clock,
-        name: str = "switch",
         max_tasks: int = 64,
         max_channels: int = 256,
-        trace: Optional[PacketTrace] = None,
-        total_entries: int = 16_000_000,  # O(1 GB) of 64-byte entries
+        total_entries: int = DRAM_ENTRIES,
     ) -> None:
-        self.config = config
-        self.clock = clock
-        self.name = name
-        self.trace = trace
-        self.max_channels = max_channels
-        self.controller = TrioController(config, max_tasks, total_entries)
-        self.layout = KeySpaceLayout(config)
-        self.stats = ProgramStats()
-        self._channels: Dict[tuple[str, int], _ChannelState] = {}
-        self.fabric: Optional[SwitchFabricView] = None
-        self.tuples_aggregated = 0
-        self.tuples_failed = 0
-        self.robustness = RobustnessCounters()
-        self.quarantine = Quarantine()
-
-    # ------------------------------------------------------------------
-    def bind(self, fabric: SwitchFabricView) -> None:
-        self.fabric = fabric
+        # No register pool and no shadow directory: ``tables`` is the store.
+        super().__init__(config, None, None, max_tasks, max_channels)  # type: ignore[arg-type]
+        self.total_entries = total_entries
+        #: Task slot -> full key -> value.
+        self.tables: list[dict[bytes, int]] = [{} for _ in range(max_tasks)]
 
     @property
-    def local_hosts(self) -> frozenset[str]:
-        if self.fabric is None:
-            return frozenset()
-        return frozenset(self.fabric.host_names)
+    def allocated_entries(self) -> int:
+        return sum(region.size for region in self._regions.values()) * self.config.num_aas
 
-    @property
-    def processing_latency_ns(self) -> int:
-        return SWITCH_PIPELINE_LATENCY_NS * TRIO_LATENCY_FACTOR
-
-    # ------------------------------------------------------------------
-    def _channel(self, key: tuple[str, int]) -> _ChannelState:
-        state = self._channels.get(key)
-        if state is None:
-            if len(self._channels) >= self.max_channels:
-                raise RegionExhaustedError(
-                    f"switch supports at most {self.max_channels} data channels"
-                )
-            state = _ChannelState(ReceiveWindow(self.config.window_size))
-            self._channels[key] = state
-            self.controller.num_channels = len(self._channels)
-        return state
-
-    # ------------------------------------------------------------------
-    def receive(self, packet: AskPacket) -> None:
-        if type(packet) is CorruptedFrame:
-            # Same integrity contract as the PISA backend: checksum-failed
-            # frames drop (corruption degrades to loss) unless integrity
-            # checks are disabled, in which case the damage is consumed.
-            if self.config.integrity_checks:
-                self.robustness.bump("checksum")
-                return
-            packet = packet.packet
-        if self.trace is not None:
-            self.trace.record(self.clock.now, self.name, "ingress", packet)
-        emit: Optional[AskPacket] = packet  # routed untouched unless processed
-        if self._should_run_program(packet):
-            # The same ingress contract as the PISA backend as well:
-            # structurally invalid frames and per-slot invariant violations
-            # are dead-lettered, never raised, so one poison pill cannot
-            # stop the switch.
-            reason = validate_switch_ingress(
-                packet, self.config.num_aas, self.config.data_channels_per_host
+    def _place(self, size: Optional[int]) -> tuple[int, int]:
+        per_aa = self.config.copy_size if size is None else size
+        entries = per_aa * self.config.num_aas
+        if self.allocated_entries + entries > self.total_entries:
+            raise RegionExhaustedError(
+                f"DRAM budget exhausted ({self.allocated_entries}+{entries} "
+                f"> {self.total_entries} entries)"
             )
-            if reason is not None:
-                self._quarantine(reason, packet)
-                return
-            try:
-                emit = self._process(packet)
-            except ProtocolError:
-                self._quarantine("protocol-invariant", packet)
-                return
-            except RegionExhaustedError:
-                self._quarantine("region-exhausted", packet)
-                return
-        if emit is not None:
-            self.clock.schedule(self.processing_latency_ns, self._emit, emit)
+        return 0, per_aa
 
-    def _should_run_program(self, pkt: AskPacket) -> bool:
-        """ACKs, swap notifications for another switch and §7 transit
-        traffic are routed untouched."""
-        if pkt.is_ack:
-            return False
-        if pkt.is_swap:
-            return pkt.dst == self.name
-        return pkt.src in self.local_hosts
+    def _blank(self, region: Region) -> None:
+        self.tables[region.task_slot].clear()
 
-    def _quarantine(self, reason: str, packet: AskPacket) -> None:
-        quarantine_packet(self.robustness, self.quarantine, self.clock.now, reason, packet)
-        if self.trace is not None:
-            self.trace.record(self.clock.now, self.name, "quarantine", packet)
+    def fetch_and_reset(self, task_id: int, part: int) -> dict[bytes, int]:
+        """Drain the task's table.  There is one copy: part 0 takes it all
+        and part 1 is empty, so the host's swap loop works unchanged."""
+        table = self.tables[self._held(task_id).task_slot]
+        self.fetches += 1
+        if part != 0:
+            return {}
+        out = dict(table)
+        table.clear()
+        return out
 
-    def _emit(self, packet: AskPacket) -> None:
-        if self.fabric is None:
-            raise RuntimeError("switch is not bound to a fabric")
-        if self.trace is not None:
-            self.trace.record(self.clock.now, self.name, "egress", packet)
-        self.fabric.send_to_host(packet.dst, packet, packet.wire_bytes())
 
-    # ------------------------------------------------------------------
-    def _process(self, pkt: AskPacket) -> Optional[AskPacket]:
-        if pkt.is_swap:
-            # No shadow copies on Trio: acknowledge the epoch as a no-op.
-            self.stats.swaps += 1
-            return ack_for(pkt, self.name)
+class TrioProgram(AskSwitchProgram):
+    """The ASK pass with a full-key table in place of the register pool."""
 
-        channel = self._channel(pkt.channel_key)
-        window = channel.window
-        max_before = window.max_seq
-        fresh = window.is_new(pkt.seq)
-        if not fresh and pkt.seq <= max_before - self.config.window_size:
-            self.stats.stale_drops += 1
-            return None  # stale: silently dropped (§3.3)
+    aggregate_mask = 0x5  # DATA without FIN: LONG packets aggregate too
+    forward_flags = 0
+    controller: TrioController
 
-        self.stats.data_packets += 1
-        store = self.controller.lookup_region(pkt.task_id)
-        if fresh:
-            bitmap = pkt.bitmap
-            if pkt.is_data and not pkt.is_fin and store is not None and bitmap:
-                bitmap = self._aggregate(store, pkt)
-            channel.pkt_state[pkt.seq] = bitmap
-            channel.prune()
-        else:
-            self.stats.retransmissions_seen += 1
-            bitmap = channel.pkt_state.get(pkt.seq, pkt.bitmap)
+    def __init__(
+        self, config: AskConfig, controller: TrioController, dedup: DedupUnit, switch_name: str
+    ) -> None:
+        # Not the parent's constructor: it binds the register pool's arrays.
+        self.config = config
+        self.controller = controller
+        self.dedup = dedup
+        self.switch_name = switch_name
+        self.stats = ProgramStats()
+        self._channels = {}
+        layout = KeySpaceLayout(config)
+        self._short_slots = range(layout.num_short_slots)
+        self._groups: list[tuple[tuple[int, ...], int]] = []
+        for group in range(layout.num_groups):
+            slots = layout.group_slots(group)
+            self._groups.append((slots, sum(1 << s for s in slots)))
 
-        if pkt.is_fin:
-            self.stats.fins += 1
-            return pkt.with_bitmap(bitmap)
-        if bitmap == 0:
-            self.stats.packets_acked += 1
-            return ack_for(pkt, self.name)
-        self.stats.packets_forwarded += 1
-        return pkt.with_bitmap(bitmap)
+    def _process_swap(self, ctx: PassContext, pkt: AskPacket) -> SwitchDecision:
+        self.stats.swaps += 1
+        return SwitchDecision(SwitchAction.ACK, [ack_for(pkt, self.switch_name)])
 
-    # ------------------------------------------------------------------
-    def _aggregate(self, store: _TaskStore, pkt: AskPacket) -> int:
-        """Hash-table aggregation over *full* keys — including long ones."""
+    def _aggregate(self, ctx: PassContext, pkt: AskPacket, region: Region) -> int:
+        table = self.controller.tables[region.task_slot]
+        room = region.size * self.config.num_aas - len(table)
         mask = self.config.value_mask
         bitmap = pkt.bitmap
-        keys, values = pkt.keys, pkt.values
+        for key, value, bits in self._live_tuples(pkt):
+            if key in table:
+                table[key] = (table[key] + value) & mask
+            elif room > 0:
+                table[key] = value & mask
+                room -= 1
+            else:
+                continue
+            bitmap &= ~bits
+        return bitmap
+
+    def _live_tuples(self, pkt: AskPacket) -> Iterator[tuple[bytes, int, int]]:
+        """Each live tuple as (full key, value, its bitmap bits)."""
+        keys, values, bitmap = pkt.keys, pkt.values, pkt.bitmap
 
         def key_at(slot: int) -> bytes:
             key = keys[slot]
@@ -295,47 +148,44 @@ class TrioSwitch:
                 raise ProtocolError(f"bitmap bit {slot} set on a blank slot")
             return key
 
-        def absorb(key: bytes, value: int, bits: int) -> int:
-            if key in store.table:
-                store.table[key] = (store.table[key] + value) & mask
-            elif len(store.table) < store.capacity:
-                store.table[key] = value & mask
-            else:
-                self.tuples_failed += 1
-                return bitmap
-            self.tuples_aggregated += 1
-            self.stats.tuples_aggregated += 1
-            return bitmap & ~bits
-
-        if pkt.is_long:
+        if pkt.flags & 0x10:  # LONG: each slot holds a whole key
             self.stats.long_packets += 1
-            for index in range(len(keys)):
-                if bitmap >> index & 1:
-                    bitmap = absorb(key_at(index), values[index], 1 << index)
-            return bitmap
-
-        for slot_index in range(self.layout.num_short_slots):
-            if bitmap >> slot_index & 1:
-                bitmap = absorb(unpad_key(key_at(slot_index)), values[slot_index], 1 << slot_index)
-        for group in range(self.layout.num_groups):
-            slots = self.layout.group_slots(group)
-            bits = 0
-            for s in slots:
-                bits |= 1 << s
+            for slot in range(len(keys)):
+                if bitmap >> slot & 1:
+                    yield key_at(slot), values[slot], 1 << slot
+            return
+        for slot in self._short_slots:
+            if bitmap >> slot & 1:
+                yield unpad_key(key_at(slot)), values[slot], 1 << slot
+        for group, (slots, bits) in enumerate(self._groups):
             hit = bitmap & bits
             if not hit:
                 continue
             if hit != bits:
                 raise ProtocolError(f"medium group {group} has a partially-set bitmap")
-            segments = b"".join(map(key_at, slots))
-            bitmap = absorb(unpad_key(segments), values[slots[-1]], bits)
-        return bitmap
+            yield unpad_key(b"".join(map(key_at, slots))), values[slots[-1]], bits
 
-    # ------------------------------------------------------------------
+
+class TrioSwitch(AskSwitch):
+    """An ASK switch whose aggregation memory is the DRAM store."""
+
+    processing_latency_ns = SWITCH_PIPELINE_LATENCY_NS * TRIO_LATENCY_FACTOR
+    controller: TrioController
+
+    def _install(
+        self, max_tasks: int, max_channels: int
+    ) -> tuple[SwitchController, AskSwitchProgram]:
+        # Run to completion: the dedup registers take no pipeline stages.
+        controller = TrioController(self.config, max_tasks, max_channels)
+        return controller, TrioProgram(self.config, controller, self.dedup, self.name)
+
+    def _wipe_store(self) -> None:
+        for table in self.controller.tables:
+            table.clear()
+
     def resource_summary(self) -> str:
-        used = self.controller._allocated_entries  # noqa: SLF001 - report
         return (
-            f"trio: {used}/{self.controller.total_entries} DRAM entries "
-            f"allocated, {len(self._channels)} channels, "
+            f"trio: {self.controller.allocated_entries}/{self.controller.total_entries} "
+            f"DRAM entries allocated, {self.controller.num_channels} channels, "
             f"{self.processing_latency_ns} ns/packet"
         )

@@ -3,8 +3,8 @@
 Hostile packet objects — random flag bytes, out-of-range indices,
 negative sequence numbers, nonsense bitmaps, plus checksum-failed
 wrappers around field-mutated valid frames (the sim fabric's corruption
-model) — are driven through the switch's ``receive`` (the PISA
-``AskSwitch`` and the run-to-completion ``TrioSwitch`` alike) and
+model) — are driven through the switch's ``receive`` (one ingress, over the
+PISA register store and over ``TrioSwitch``'s DRAM store) and
 ``HostDaemon.receive`` on a fully wired deployment.  The invariants:
 
 - no exception ever escapes an ingress,

@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import AskConfig
 from repro.core.constants import SWITCH_PIPELINE_LATENCY_NS
 from repro.core.errors import RegionExhaustedError, TaskStateError
+from repro.core.results import reference_aggregate
 from repro.core.service import AskService
 from repro.net.fault import FaultModel
 from repro.switch.trio import TRIO_LATENCY_FACTOR, TrioController, TrioSwitch
@@ -85,8 +86,8 @@ def test_processing_latency_is_slower_than_pisa():
 def test_controller_budget_accounting():
     cfg = AskConfig.small(shadow_copy=False)
     controller = TrioController(cfg, max_tasks=4, total_entries=100)
-    store = controller.allocate_region(1, size=10)  # 10 * 8 AAs = 80 entries
-    assert store.capacity == 80
+    controller.allocate_region(1, size=10)  # 10 * 8 AAs = 80 entries
+    assert controller.allocated_entries == 80
     with pytest.raises(RegionExhaustedError):
         controller.allocate_region(2, size=10)
     controller.deallocate(1)
@@ -106,8 +107,8 @@ def test_controller_rejects_double_allocation_and_unknown_tasks():
 def test_fetch_part_one_is_empty():
     cfg = AskConfig.small(shadow_copy=False)
     controller = TrioController(cfg, max_tasks=4, total_entries=10_000)
-    store = controller.allocate_region(1, size=4)
-    store.table[b"k"] = 5
+    region = controller.allocate_region(1, size=4)
+    controller.tables[region.task_slot][b"k"] = 5
     assert controller.fetch_and_reset(1, 1) == {}
     assert controller.fetch_and_reset(1, 0) == {b"k": 5}
     assert controller.fetch_and_reset(1, 0) == {}
@@ -122,3 +123,80 @@ def test_text_corpus_trio_beats_pisa_on_switch_ratio():
         {"h0": stream}, receiver="h1", check=True
     )
     assert trio.stats.switch_aggregation_ratio > pisa.stats.switch_aggregation_ratio
+
+
+def _mixed_stream(n=600, seed=5):
+    """Short, medium and long keys, so every key class takes the store."""
+    rng = random.Random(seed)
+    keys = [b"cat", b"medium-1", b"a-definitely-long-key-%d" % rng.randint(0, 3)]
+    keys += [b"k%02d" % i for i in range(12)]
+    return [(rng.choice(keys), rng.randint(1, 9)) for _ in range(n)]
+
+
+def test_one_rack_with_failure_detection_aggregates_exactly():
+    cfg = AskConfig.small(shadow_copy=False, failure_detection=True)
+    service = AskService(cfg, hosts=2, switch_factory=TrioSwitch)
+    result = service.aggregate({"h0": _mixed_stream()}, receiver="h1", check=True)
+    assert result.stats.switch_aggregation_ratio == 1.0
+
+
+@pytest.mark.parametrize("placement", ["leaf", "spine", "both"])
+def test_one_pod_tree_aggregates_exactly(placement):
+    """Combiner ``sources`` and relay regions work on the full-key store."""
+    cfg = AskConfig.small(shadow_copy=False)
+    service = AskService(
+        cfg,
+        pods={"p0": {"r0": ["h0", "h1"], "r1": ["h2"]}},
+        placement=placement,
+        switch_factory=TrioSwitch,
+    )
+    streams = {"h0": _mixed_stream(seed=1), "h1": _mixed_stream(seed=2)}
+    result = service.aggregate(streams, receiver="h2", check=True)
+    assert result.stats.tuples_aggregated_at_switch > 0
+
+
+def test_crash_and_restore_mid_task_is_exactly_once():
+    from repro.chaos import ChaosEvent, ChaosOrchestrator, ChaosSchedule
+
+    cfg = AskConfig.small(
+        shadow_copy=False, failure_detection=True, heartbeat_interval_us=50.0
+    )
+    service = AskService(cfg, hosts=3, switch_factory=TrioSwitch)
+    schedule = ChaosSchedule(
+        seed=0,
+        horizon_ns=500_000,
+        events=(
+            ChaosEvent(30_000, "crash", "switch"),
+            ChaosEvent(80_000, "restore", "switch"),
+        ),
+    )
+    ChaosOrchestrator(service.deployment, schedule).arm()
+    streams = {
+        "h0": [(b"hot", 1)] * 50 + [(b"key-%04d" % i, i) for i in range(1200)],
+        "h1": [(b"a-definitely-long-key", 3)] * 400,
+    }
+    task = service.submit(streams, receiver="h2")
+    service.run_to_completion()
+    service.run()
+    assert task.result is not None
+    assert task.result.values == reference_aggregate(streams, cfg.value_mask)
+    assert task.stats.bypass_packets_sent > 0
+    assert service.switch.boot_count == 1
+    assert not service.switch.needs_install
+
+
+def test_restore_wipes_and_reset_task_blanks_the_store():
+    cfg = AskConfig.small(shadow_copy=False)
+    switch = AskService(cfg, hosts=2, switch_factory=TrioSwitch).switch
+    controller = switch.controller
+    region = controller.allocate_region(1, size=4)
+    controller.tables[region.task_slot][b"k"] = 5
+    controller.reset_task(1)
+    assert controller.tables[region.task_slot] == {}
+    assert controller.lookup_region(1) == region  # the allocation stays
+
+    controller.tables[region.task_slot][b"k"] = 5
+    switch.crash()
+    switch.restore()
+    assert controller.tables[region.task_slot] == {}
+    assert switch.boot_count == 1 and switch.needs_install
